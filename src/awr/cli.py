@@ -100,6 +100,16 @@ def _rings_list(text: str):
         raise argparse.ArgumentTypeError(f"bad ring list {text!r}: {err}")
 
 
+def _passes_arg(text: str) -> int:
+    try:
+        passes = int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"bad pass count {text!r}: {err}")
+    if passes < 0:
+        raise argparse.ArgumentTypeError(f"pass count must be >= 0, got {passes}")
+    return passes
+
+
 def _complex_arg(text: str) -> complex:
     try:
         return parse_complex(text)
@@ -471,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--z", type=_complex_arg, default=None,
                            help="probe point, complex literal like 0.5+0i")
         if passes:
-            p.add_argument("--passes", type=int, default=3,
+            p.add_argument("--passes", type=_passes_arg, default=3,
                            help="refinement passes")
         p.add_argument("--seed", type=int, default=0,
                        help="seed recorded with the run (scans are "

@@ -79,6 +79,68 @@ class MediatrixReport:
     probe_margin: np.ndarray
 
 
+def _hull_support(vals: np.ndarray, reach: float) -> np.ndarray:
+    """Indices, in order, of the values that can minimize a linear functional.
+
+    The minimum of Re((v - c) conj(g)) over the values v sits on the
+    boundary of their convex hull (Andrew's monotone chain).  Kept are
+    the values within a rounding allowance of that boundary, so
+    duplicates and collinear points stay, and every value that is not
+    finite.  Any dropped value evaluates strictly above the minimum for
+    every offset c with |c| <= reach, so the minimum and its first index
+    are the same as over all values.
+    """
+    finite = np.isfinite(vals)
+    pts = np.unique(vals[finite])  # sorted by real part, then imaginary part
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            # pop while out[-2], out[-1], p do not turn counterclockwise
+            while len(out) >= 2 and ((out[-1] - out[-2]).conjugate() * (p - out[-2])).imag <= 0.0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    hull = np.asarray(chain(pts.tolist()) + chain(pts[::-1].tolist()))
+    if hull.size < 3:
+        return np.arange(vals.size)
+    edge = np.roll(hull, -1) - hull
+    v = np.where(finite, vals, 0.0)
+    depth = np.min(
+        np.imag(np.conjugate(edge)[:, None] * (v[None, :] - hull[:, None]))
+        / np.abs(edge)[:, None],
+        axis=0,
+    )
+    allowance = 64.0 * np.finfo(float).eps * (np.max(np.abs(pts)) + reach)
+    return np.flatnonzero(~finite | (depth <= allowance))
+
+
+def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
+    """Least margin over the bases for each pair (w, r), and its first base index.
+
+    A margin is a linear functional of the base value, so only the bases
+    on the boundary of their convex hull are compared.
+    """
+    support = _hull_support(base_vals, float(np.max(np.abs(w + r) / 2.0, initial=0.0)))
+    vals = base_vals[support]
+    margin = np.empty(w.shape)
+    argbase = np.empty(w.shape, dtype=int)
+    chunk = 2048
+    for k in range(0, w.size, chunk):
+        ww = w[k : k + chunk]
+        rr = r[k : k + chunk]
+        gap = ww - rr
+        mid = (ww + rr) / 2.0
+        scale = np.abs(gap) ** 2
+        m = np.real(
+            (vals[None, :] - mid[:, None]) * np.conjugate(gap)[:, None]
+        ) / scale[:, None]
+        margin[k : k + chunk] = np.min(m, axis=1)
+        argbase[k : k + chunk] = support[np.argmin(m, axis=1)]
+    return margin, argbase
+
+
 def mediatrix_scan(
     expr: MapExpr,
     base_radii: int = 16,
@@ -106,26 +168,14 @@ def mediatrix_scan(
     bases = (base_r[:, None] * np.exp(1j * base_t)[None, :]).ravel()
     base_vals = jet_eval(expr, bases).f0
 
-    vac = np.array([is_infinite(r) for r in rs])
+    vac = is_infinite(rs)
     ok = ~vac & np.isfinite(ws) & np.isfinite(zs)
     n_vacuous = int(np.sum(vac))
 
     probe_margin = np.full(zs.shape, np.nan)
     probe_argbase = np.zeros(zs.shape, dtype=int)
     idx = np.nonzero(ok)[0]
-    chunk = 2048
-    for k in range(0, idx.size, chunk):
-        sel = idx[k : k + chunk]
-        w = ws[sel]
-        r = rs[sel].astype(complex)
-        gap = w - r
-        mid = (w + r) / 2.0
-        scale = np.abs(gap) ** 2
-        m = np.real(
-            (base_vals[None, :] - mid[:, None]) * np.conjugate(gap)[:, None]
-        ) / scale[:, None]
-        probe_margin[sel] = np.min(m, axis=1)
-        probe_argbase[sel] = np.argmin(m, axis=1)
+    probe_margin[idx], probe_argbase[idx] = _min_margins(base_vals, ws[idx], rs[idx])
 
     finite = np.isfinite(probe_margin)
     n_checked = int(np.sum(finite))

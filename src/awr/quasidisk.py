@@ -157,9 +157,7 @@ DELTA_ANGLES = 1024
 
 def _delta_values(expr: MapExpr, a2: complex, f_vals: np.ndarray) -> np.ndarray:
     if abs(a2) < A2_ZERO_TOL:
-        return np.asarray(
-            [chordal(v, INFINITY) for v in np.atleast_1d(f_vals)], dtype=float
-        ).reshape(np.shape(f_vals))
+        return np.asarray(chordal(f_vals, INFINITY), dtype=float).reshape(np.shape(f_vals))
     return np.abs(f_vals + 1.0 / a2)
 
 
@@ -340,35 +338,30 @@ def quasidisk_ratio_scan(spec_or_expr, rings=RATIO_RINGS, angles: int = RATIO_AN
 
     meta = GridMeta(rings=rings, angles=angles)
     zs, ws, rs, _ = reflect_grid(expr, meta)
+    # One query per kernel for every ring; the segment query takes the
+    # image points and the finite reflections together.
+    finite_r = ~is_infinite(rs)
+    rf = rs[finite_r]
+    d_seg = segment_distances(np.concatenate([ws, rf]), seg_a, seg_b)
+    d_w = d_seg[: ws.size]
+    ratio = np.full(ws.size, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio[finite_r] = np.minimum(d_seg[ws.size :], cloud_distances(rf, cloud)) / d_w[finite_r]
     zs = zs.reshape(len(rings), angles)
-    ws = ws.reshape(len(rings), angles)
-    rs = rs.reshape(len(rings), angles)
+    ratio = ratio.reshape(len(rings), angles)
 
     inf_ratios = []
     args = []
     flags = []
     for i in range(len(rings)):
-        w = ws[i]
-        refl = rs[i]
-        finite_r = np.array([not is_infinite(v) for v in refl])
-        d_w = segment_distances(w, seg_a, seg_b)
-        ratio = np.full(angles, np.inf)
-        if np.any(finite_r):
-            rf = refl[finite_r].astype(complex)
-            d_r = np.minimum(
-                segment_distances(rf, seg_a, seg_b),
-                cloud_distances(rf, cloud),
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio[finite_r] = d_r / d_w[finite_r]
-        usable = np.isfinite(ratio)
+        usable = np.isfinite(ratio[i])
         if not np.any(usable):
             inf_ratios.append(math.inf)
             args.append(complex(np.nan, np.nan))
             flags.append(True)
             continue
-        j = int(np.argmin(np.where(usable, ratio, np.inf)))
-        inf_ratios.append(float(ratio[j]))
+        j = int(np.argmin(np.where(usable, ratio[i], np.inf)))
+        inf_ratios.append(float(ratio[i, j]))
         args.append(complex(zs[i, j]))
         flags.append(False)
 

@@ -8,11 +8,15 @@ changes but tight enough to catch sign errors or lost refinement.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from awr.catalog import FIXTURE_EXPRS
 from awr.convexity import (
     CONTACT_TOL,
     DEFAULT_ZETAS,
     LineSpec,
+    _min_margins,
     coefficient_bound_scan,
     mediatrix,
     mediatrix_scan,
@@ -20,7 +24,7 @@ from awr.convexity import (
 )
 from awr.errors import CoincidentPoints, DegenerateDomain
 from awr.expr import Disk, Halfplane, Identity, SectorReal, Strip
-from awr.extended import INFINITY
+from awr.extended import INFINITY, is_infinite
 from awr.evaluate import jet_eval
 
 # name -> (min_margin bracket, contact expected, vacuous probes expected)
@@ -163,3 +167,71 @@ def test_identity_proof_values_are_exact():
     for s in samples:
         assert abs(s.re_g_min - 1.0) < 1e-9
         assert s.slack >= -1e-12
+
+
+def oracle_min_margins(base_vals, w, r):
+    """Every base against every probe pair, as the scan did before pruning."""
+    gap = w - r
+    mid = (w + r) / 2.0
+    m = np.real(
+        (base_vals[None, :] - mid[:, None]) * np.conjugate(gap)[:, None]
+    ) / (np.abs(gap) ** 2)[:, None]
+    return np.min(m, axis=1), np.argmin(m, axis=1)
+
+
+@pytest.mark.parametrize("name,expr", FIXTURE_EXPRS)
+def test_mediatrix_scan_matches_oracle(name, expr):
+    report = mediatrix_scan(expr)
+    base_r = np.linspace(0.0, 0.55, 16)
+    bases = (base_r[:, None] * np.exp(2j * np.pi * np.arange(64) / 64)[None, :]).ravel()
+    base_vals = jet_eval(expr, bases).f0
+    ok = ~is_infinite(report.probe_r) & np.isfinite(report.probe_w)
+    margin = np.full(report.probe_z.shape, np.nan)
+    argbase = np.zeros(report.probe_z.shape, dtype=int)
+    margin[ok], argbase[ok] = oracle_min_margins(
+        base_vals, report.probe_w[ok], report.probe_r[ok])
+    assert np.array_equal(report.probe_margin, margin, equal_nan=True)
+    i = int(np.nanargmin(margin))
+    assert report.min_margin == margin[i]
+    assert report.base_at == bases[argbase[i]]
+    assert report.n_checked == int(np.sum(np.isfinite(margin)))
+
+
+@st.composite
+def base_clouds(draw):
+    """Non-convex clouds whose hull has collinear edge points and repeats.
+
+    A random star-shaped polygon with interior points is framed by an
+    axis-aligned rectangle with points along its edges; some points,
+    hull corners among them, appear more than once, and the order is
+    shuffled.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(3, 120))
+    t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+    star = rng.uniform(0.2, 1.4, n) * np.exp(1j * t)
+    inner = rng.uniform(0.0, 0.5, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+    s = np.linspace(0.0, 1.0, draw(st.integers(2, 9)))
+    edge = np.concatenate([-1.5 + 3.0 * s - 1.2j, 1.5 + (2.4 * s - 1.2) * 1j,
+                           1.5 - 3.0 * s + 1.2j, -1.5 + (1.2 - 2.4 * s) * 1j])
+    pts = np.concatenate([star, inner, edge])
+    pts = np.concatenate([pts, pts[rng.integers(0, pts.size, draw(st.integers(0, 20)))]])
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    return scale * (complex(*rng.normal(size=2)) + pts[rng.permutation(pts.size)])
+
+
+@given(base_vals=base_clouds(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_hull_pruned_margins_match_oracle(base_vals, seed):
+    rng = np.random.default_rng(seed)
+    k = 300
+    w = 10.0 ** rng.uniform(-2.0, 6.0, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+    # axis-aligned and diagonal gaps tie the margins of collinear edge points
+    direction = np.where(rng.uniform(size=k) < 0.5,
+                         1j ** rng.integers(0, 4, k),
+                         np.exp(2j * np.pi * rng.uniform(size=k)))
+    r = w + 10.0 ** rng.uniform(-3.0, 3.0, k) * direction
+    got_m, got_i = _min_margins(base_vals, w, r)
+    want_m, want_i = oracle_min_margins(base_vals, w, r)
+    assert np.array_equal(got_m, want_m)
+    assert np.array_equal(got_i, want_i)

@@ -1,0 +1,170 @@
+"""Nearest-distance queries against their exhaustive-search oracles.
+
+The oracles below compare every probe with every segment or cloud point
+in blocks, with the same per-pair formula the tree evaluates at its
+leaves, so the tree must agree with them exactly, not just closely.
+"""
+
+import math
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from awr.catalog import FIXTURE_EXPRS
+from awr.errors import DegenerateDomain
+from awr.evaluate import jet_eval
+from awr.extended import is_infinite
+from awr.geometry import cloud_distances, segment_distances
+from awr.grids import GridMeta
+from awr.quasidisk import (
+    CLIP_RADIUS,
+    INTERIOR_RINGS,
+    RATIO_RINGS,
+    boundary_polyline,
+    quasidisk_ratio_scan,
+)
+from awr.reflection import reflect_grid
+
+
+def oracle_segment_distances(points, seg_a, seg_b, chunk=256):
+    p = np.asarray(points, dtype=complex).ravel()
+    a = np.asarray(seg_a, dtype=complex).ravel()
+    b = np.asarray(seg_b, dtype=complex).ravel()
+    if a.size == 0:
+        return np.full(p.shape, np.inf)
+    d = b - a
+    den = np.abs(d) ** 2
+    den = np.where(den > 0.0, den, 1.0)
+    out = np.empty(p.shape, dtype=float)
+    for k in range(0, p.size, chunk):
+        blk = p[k : k + chunk, None]
+        t = np.real((blk - a[None, :]) * np.conjugate(d)[None, :]) / den[None, :]
+        t = np.clip(t, 0.0, 1.0)
+        nearest = a[None, :] + t * d[None, :]
+        out[k : k + chunk] = np.min(np.abs(blk - nearest), axis=1)
+    return out.reshape(np.shape(points))
+
+
+def oracle_cloud_distances(points, cloud, chunk=1024):
+    p = np.asarray(points, dtype=complex).ravel()
+    c = np.asarray(cloud, dtype=complex).ravel()
+    if c.size == 0:
+        return np.full(p.shape, np.inf)
+    out = np.empty(p.shape, dtype=float)
+    for k in range(0, p.size, chunk):
+        blk = p[k : k + chunk, None]
+        out[k : k + chunk] = np.min(np.abs(blk - c[None, :]), axis=1)
+    return out.reshape(np.shape(points))
+
+
+@st.composite
+def polylines(draw):
+    """Vertex chains mixing every segment shape the scans produce.
+
+    Steps have lengths from 1e-4 to 4e4 in random directions; runs of
+    axis-aligned collinear steps, zero steps (degenerate segments and
+    duplicate points) and one clip-crossing jump out to the clip radius
+    and back are spliced in.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(0, 400))
+    rng = np.random.default_rng(seed)
+    length = 10.0 ** rng.uniform(-4.0, math.log10(4e4), n)
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    kind = rng.integers(0, 6, n)
+    # consecutive kind-0 steps share one axis direction: collinear runs
+    angle = np.where(kind == 0, 0.5 * math.pi * (np.cumsum(kind != 0) % 4), angle)
+    length = np.where(kind == 1, 0.0, length)
+    steps = length * np.exp(1j * angle)
+    if draw(st.booleans()):
+        k = int(rng.integers(0, n + 1))
+        out = 0.999 * CLIP_RADIUS * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        steps = np.concatenate([steps[:k], [out, -out], steps[k:]])
+    return rng.uniform(-10.0, 10.0) + np.cumsum(np.concatenate([[0j], steps]))
+
+
+@given(verts=polylines(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tree_matches_oracle_exactly(verts, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.uniform(-3.0, 5.0)
+    probes = np.concatenate([
+        scale * (rng.normal(size=150) + 1j * rng.normal(size=150)),
+        verts[rng.integers(0, verts.size, 50)] * (1.0 + 1e-9 * rng.normal(size=50)),
+        verts[:3],
+    ])
+    a, b = verts[:-1], verts[1:]
+    got = segment_distances(probes, a, b)
+    assert np.array_equal(got, oracle_segment_distances(probes, a, b))
+    got = cloud_distances(probes, verts)
+    assert np.array_equal(got, oracle_cloud_distances(probes, verts))
+
+
+def test_empty_families_and_shapes():
+    probes = np.array([[0j, 1 + 1j], [2j, -3.0 + 0j]])
+    empty = np.empty(0, dtype=complex)
+    assert np.all(segment_distances(probes, empty, empty) == np.inf)
+    assert np.all(cloud_distances(probes, empty) == np.inf)
+    assert segment_distances(empty, [0j], [1 + 0j]).shape == (0,)
+    got = segment_distances(probes, [0j], [1 + 0j])
+    assert got.shape == (2, 2)
+    assert np.array_equal(got, [[0.0, 1.0], [2.0, 3.0]])
+
+
+def test_non_finite_probes_get_nan():
+    probes = np.array([np.nan + 0j, complex(np.inf, 0.0), 0.5 + 1j])
+    got = segment_distances(probes, [0j], [1 + 0j])
+    assert np.isnan(got[0]) and np.isnan(got[1])
+    assert got[2] == 1.0
+
+
+def oracle_inf_ratios(expr, rings, angles):
+    """Per-ring infima of the ratio scan, ring by ring, with the oracles."""
+    rings = tuple(sorted(rings))
+    poly = boundary_polyline(expr, n=8192, r=max(1.0 - (1.0 - rings[-1]) / 20.0, 0.99))
+    seg_a, seg_b = poly.segments()
+    cloud = [poly.vertices()]
+    for rr in INTERIOR_RINGS:
+        v = jet_eval(expr, rr * np.exp(2j * np.pi * np.arange(1024) / 1024)).f0
+        cloud.append(v[np.isfinite(v) & (np.abs(v) <= CLIP_RADIUS)])
+    cloud = np.concatenate(cloud)
+    _, ws, rs, _ = reflect_grid(expr, GridMeta(rings=rings, angles=angles))
+    out = []
+    for w, refl in zip(ws.reshape(len(rings), angles), rs.reshape(len(rings), angles)):
+        finite_r = ~is_infinite(refl)
+        d_w = oracle_segment_distances(w, seg_a, seg_b)
+        rf = refl[finite_r]
+        d_r = np.minimum(oracle_segment_distances(rf, seg_a, seg_b),
+                         oracle_cloud_distances(rf, cloud))
+        ratio = np.full(angles, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio[finite_r] = d_r / d_w[finite_r]
+        usable = np.isfinite(ratio)
+        out.append(float(np.min(ratio[usable])) if np.any(usable) else math.inf)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name,expr", FIXTURE_EXPRS)
+def test_ratio_scan_matches_oracle_on_fixtures(name, expr):
+    angles = 256
+    try:
+        got = quasidisk_ratio_scan(expr, angles=angles)
+    except DegenerateDomain:
+        assert name == "strip"
+        return
+    assert got.inf_ratio_per_ring == oracle_inf_ratios(expr, RATIO_RINGS, angles)
+
+
+def test_cli_import_leaves_scipy_out():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, awr.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

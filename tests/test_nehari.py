@@ -8,7 +8,7 @@ Mobius maps have Schwarzian zero, so their sup is zero.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from awr.catalog import FIXTURE_EXPRS
@@ -72,7 +72,15 @@ def test_functional_weight_vanishes_on_circle_limit():
     assert imag_val[-1] < imag_val[0] < 0.5
 
 
+# Near the pole of M the term 2 c f'/(c f + d) dominates (M o f)''/(M o f)',
+# and the Schwarzian of the moved jet cancels its square down to Sf, so
+# rounding grows with that square.  Points where it exceeds this are
+# skipped; below it the cancellation costs well under 1e-9.
+POLE_TERM_MAX = 1e2
+
+
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=83271)  # a halfplane image point 0.005 from the pole of M
 @settings(max_examples=40, deadline=None)
 def test_schwarzian_invariant_under_mobius_postcomposition(seed):
     rng = np.random.default_rng(seed)
@@ -82,7 +90,8 @@ def test_schwarzian_invariant_under_mobius_postcomposition(seed):
         j = jet_eval(expr, zs)
         base = schwarzian_jet(j)
         moved = mob.apply_jet(j)
-        ok = np.isfinite(moved.f0) & (np.abs(moved.f1) > 1e-12)
+        pole_term = np.abs(mob.c * j.f1 / (mob.c * j.f0 + mob.d))
+        ok = np.isfinite(moved.f0) & (np.abs(moved.f1) > 1e-12) & (pole_term <= POLE_TERM_MAX)
         got = schwarzian_jet(moved)
         resid = np.abs(got - base)[ok]
         scale = np.maximum(1.0, np.abs(base[ok]))

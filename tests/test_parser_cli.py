@@ -236,6 +236,16 @@ def test_exit_two_on_usage_errors(tmp_path, monkeypatch):
     assert "DegenerateDomain" in err
 
 
+@pytest.mark.parametrize("command", ["delta", "omission-scan"])
+def test_negative_passes_exit_two(command):
+    code, out, err = run([command, "--map", "identity", "--passes", "-5"])
+    assert code == 2
+    assert out == ""
+    assert "--passes" in err
+    code, out, _ = run([command, "--map", "identity", "--passes", "0"])
+    assert code == 0
+
+
 def test_catalog_survey_runs():
     code, out, _ = run(["catalog"])
     assert code == 0
