@@ -26,10 +26,15 @@ from .convexity import (
 )
 from .errors import AwrError, MapSyntaxError
 from .extended import is_infinite
-from .grids import DEFAULT_ANGLES, DEFAULT_RINGS, GridMeta
+from .grids import DEFAULT_ANGLES, DEFAULT_RINGS, GridMeta, check_grid_size
 from .nehari import certify_nehari
 from .parser import format_complex, format_expr, parse_complex, parse_expr
 from .quasidisk import (
+    DELTA_ANGLES,
+    DELTA_RINGS,
+    NORM_ANGLES,
+    NORM_RINGS,
+    RATIO_ANGLES,
     RATIO_RINGS,
     boundary_polyline,
     delta_f,
@@ -84,13 +89,23 @@ def _write_csv(path: str, header, rows) -> None:
                              for c in row])
 
 
-def _grid_from_args(args, fallback_rings, fallback_angles) -> GridMeta | None:
+def _grid_request(args):
+    """Rings and angles of the grid flags, the command's fallback filling in."""
+    rings, angles = args.grid_fallback
+    return (args.rings if args.rings is not None else rings,
+            args.angles if args.angles is not None else angles)
+
+
+def _grid_from_args(args) -> GridMeta | None:
     """Explicit flags build a grid; otherwise defer to the op default."""
     if args.rings is None and args.angles is None:
         return None
-    rings = args.rings if args.rings is not None else fallback_rings
-    angles = args.angles if args.angles is not None else fallback_angles
-    return GridMeta(rings=tuple(rings), angles=angles, seed=args.seed)
+    return _grid_meta(args)
+
+
+def _grid_meta(args) -> GridMeta:
+    rings, angles = _grid_request(args)
+    return GridMeta(rings=rings, angles=angles, seed=args.seed)
 
 
 def _rings_list(text: str):
@@ -167,7 +182,7 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_certify(args) -> int:
     expr = parse_expr(args.map)
-    meta = _grid_from_args(args, DEFAULT_RINGS, 4096)
+    meta = _grid_from_args(args)
     report = certify_nehari(expr, meta)
     _emit([
         ("map", format_expr(expr)),
@@ -201,9 +216,7 @@ def _cmd_reflect(args) -> int:
         ("seed", args.seed),
     ])
     if args.csv or args.svg:
-        meta = _grid_from_args(args, DEFAULT_RINGS, DEFAULT_ANGLES) or GridMeta(
-            seed=args.seed)
-        zs, ws, rs, b2s = reflect_grid(expr, meta)
+        zs, ws, rs, b2s = reflect_grid(expr, _grid_meta(args))
         if args.csv:
             rows = [
                 [z.real, z.imag, w.real, w.imag, r.real, r.imag,
@@ -327,7 +340,7 @@ def _cmd_proof_check(args) -> int:
 
 def _cmd_normalize(args) -> int:
     expr = parse_expr(args.map)
-    meta = _grid_from_args(args, (0.5, 0.9, 0.99, 0.999, 0.9999), 2048)
+    meta = _grid_from_args(args)
     report = normalized_sup(expr, meta)
     clusters = near_one_clusters(expr)
     _emit([
@@ -344,7 +357,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_delta(args) -> int:
     expr = parse_expr(args.map)
-    meta = _grid_from_args(args, (0.3, 0.5, 0.7, 0.9, 0.99), DEFAULT_ANGLES)
+    meta = _grid_from_args(args)
     report = delta_f(expr, grid=meta, passes=args.passes)
     _emit([
         ("map", format_expr(expr)),
@@ -363,8 +376,7 @@ def _cmd_delta(args) -> int:
 
 def _cmd_quasidisk(args) -> int:
     expr = parse_expr(args.map)
-    rings = args.rings if args.rings is not None else RATIO_RINGS
-    angles = args.angles if args.angles is not None else 2048
+    rings, angles = _grid_request(args)
     profile = quasidisk_ratio_scan(expr, rings=rings, angles=angles)
     lines = [("map", format_expr(expr))]
     for ring, inf_ratio in zip(profile.rings, profile.inf_ratio_per_ring):
@@ -442,9 +454,7 @@ def _cmd_lemma32(args) -> int:
 
 def _cmd_svg(args) -> int:
     expr = parse_expr(args.map)
-    meta = _grid_from_args(args, (0.5, 0.8, 0.95), 128) or GridMeta(
-        rings=(0.5, 0.8, 0.95), angles=128, seed=args.seed)
-    zs, ws, rs, _ = reflect_grid(expr, meta)
+    zs, ws, rs, _ = reflect_grid(expr, _grid_meta(args))
     med = []
     if args.z is not None:
         sample = reflect(expr, args.z)
@@ -465,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, *, mapped=True, grid=False, z=False,
+    def add(name, fn, help_text, *, mapped=True, grid=None, z=False,
             passes=False, csv_flag=True, svg_flag=False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(fn=fn)
@@ -473,6 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--map", required=True,
                            help="map expression, e.g. 'koebe(strip, z0=0.7+0i)'")
         if grid:
+            # (rings, angles) filling in for a missing --rings or --angles
+            p.set_defaults(grid_fallback=grid)
             p.add_argument("--rings", type=_rings_list, default=None,
                            help="comma-separated ring radii in [0,1)")
             p.add_argument("--angles", type=int, default=None,
@@ -485,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="refinement passes")
         p.add_argument("--seed", type=int, default=0,
                        help="seed recorded with the run (scans are "
-                            "deterministic; jitter stays off)")
+                            "deterministic)")
         if csv_flag:
             p.add_argument("--csv", default=None, help="write table to PATH")
         if svg_flag:
@@ -494,9 +506,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("catalog", _cmd_catalog, "survey the fixture catalog", mapped=False)
     add("certify", _cmd_certify, "certify the weighted Schwarzian bound",
-        grid=True)
+        grid=(DEFAULT_RINGS, 4096))
     p = add("reflect", _cmd_reflect, "reflect a probe point across the "
-            "image boundary", grid=True, z=True, svg_flag=True)
+            "image boundary", grid=(DEFAULT_RINGS, DEFAULT_ANGLES), z=True,
+            svg_flag=True)
     p.set_defaults(z_required=True)
     add("mediatrix-scan", _cmd_mediatrix_scan,
         "separation margins between reflections and image points",
@@ -508,11 +521,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--zetas", type=_complex_list, default=DEFAULT_ZETAS,
                    help="comma-separated recentering points")
     add("normalize", _cmd_normalize,
-        "sup of |a2 f*| for the shifted map", grid=True, csv_flag=False)
+        "sup of |a2 f*| for the shifted map",
+        grid=(NORM_RINGS, NORM_ANGLES), csv_flag=False)
     add("delta", _cmd_delta, "distance from the omitted value to the image",
-        grid=True, passes=True)
+        grid=(DELTA_RINGS, DELTA_ANGLES), passes=True)
     add("quasidisk", _cmd_quasidisk, "reflection distance-ratio profile",
-        grid=True, svg_flag=True)
+        grid=(RATIO_RINGS, RATIO_ANGLES), svg_flag=True)
     add("omission-scan", _cmd_omission_scan,
         "inf |b2 g + 1| over recentered maps", passes=True)
     lem = add("lemma32", _cmd_lemma32,
@@ -521,7 +535,8 @@ def build_parser() -> argparse.ArgumentParser:
                      default=(0.25, 0.01, 0.25j),
                      help="comma-separated parameter values")
     s = add("svg", _cmd_svg, "figure of boundary, probes, and reflections",
-            grid=True, z=True, csv_flag=False, svg_flag=True)
+            grid=((0.5, 0.8, 0.95), 128), z=True, csv_flag=False,
+            svg_flag=True)
     s.set_defaults(svg_required=True)
     return top
 
@@ -534,6 +549,10 @@ def main(argv=None) -> int:
     if getattr(args, "svg_required", False) and args.svg is None:
         parser.error("svg needs --svg PATH")
     try:
+        if hasattr(args, "grid_fallback"):
+            # refuse an oversized grid before any command allocates it
+            rings, angles = _grid_request(args)
+            check_grid_size(len(rings), angles)
         return args.fn(args)
     except MapSyntaxError as err:
         print(f"error: {err}", file=sys.stderr)

@@ -5,12 +5,21 @@ numpy; a point cloud is a family of segments with coincident endpoints.
 Each segment is cut into pieces no longer than the mean segment length,
 so there are at most twice as many pieces as segments, and the pieces
 are sorted into a balanced binary tree by median splits across the wider
-side of each node.  All probes descend the tree together, one level at a
-time.  A probe drops a box that lies farther away than the nearest
-farthest-corner distance among its current boxes, plus an allowance for
-rounding.  Every piece keeps the index of its whole segment, and a leaf
-evaluates the exhaustive-search formula on that whole segment, so the
-results are bitwise equal to comparing each probe with every segment.
+side of each node.
+
+A query makes two passes over the tree, each for all probes at once.
+The first pass walks every probe to its nearer child, level by level,
+down to one leaf; the exact distance to that leaf's segments is a true
+upper bound, the seed.  The second pass descends level by level and
+drops a box that lies farther away than the smaller of the seed and the
+nearest far-corner distance among the probe's current boxes, plus an
+allowance for rounding; box tests compare squared distances, and the
+seed leaf is not evaluated again.  The seed alone is loose where the
+greedy leaf is wrong, as next to clipped long segments, and there the
+far corner still bounds the descent.  Every piece keeps the index
+of its whole segment, and a leaf evaluates the exhaustive-search
+formula on that whole segment, so the results are bitwise equal to
+comparing each probe with every segment.
 """
 
 from __future__ import annotations
@@ -74,39 +83,70 @@ class _BoxTree:
             for s in levels
         ]
 
+    def _leaf_pairs(self, probe: np.ndarray, leaf: np.ndarray):
+        """Expand (probe, leaf) pairs into (probe, segment) pairs."""
+        count = self.leaf_sizes[leaf]
+        probe = np.repeat(probe, count)
+        slot = np.repeat(self.leaf_starts[leaf] - (np.cumsum(count) - count), count)
+        return probe, self.owner[self.order[slot + np.arange(probe.size)]]
+
+    def _segment_distance(self, q: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        a, d = self.a[seg], self.d[seg]
+        t = np.real((q - a) * np.conjugate(d)) / self.den[seg]
+        t = np.clip(t, 0.0, 1.0)
+        return np.abs(q - (a + t * d))
+
     def query(self, p: np.ndarray) -> np.ndarray:
         """Min distance from each finite point of p to the segments."""
         if p.size == 0:
             return np.empty(0)
         px, py = p.real, p.imag
+
+        # Pass 1: every probe walks to its nearer child down to one leaf,
+        # whose exact distance, the seed, bounds the answer from above.
+        every = np.arange(p.size)
+        seed_leaf = np.zeros(p.size, dtype=np.intp)
+        for box in self.boxes[1:]:
+            left = 2 * seed_leaf
+            near_l = _gaps(box, left, px, py)[0]
+            near_r = _gaps(box, left + 1, px, py)[0]
+            seed_leaf = left + (near_r < near_l)
+        probe, seg = self._leaf_pairs(every, seed_leaf)
+        dist = self._segment_distance(p[probe], seg)
+        best = np.minimum.reduceat(dist, np.flatnonzero(np.diff(probe, prepend=-1)))
+
+        # Pass 2: all probes descend together.  A probe drops a box that
+        # lies beyond its seed or beyond the nearest far corner among its
+        # current boxes, plus the rounding allowance.
         slack = SLACK * (np.abs(p) + self.scale)
-        probe = np.arange(p.size)
+        probe = every
         node = np.zeros(p.size, dtype=np.intp)
-        for depth, (lo_x, lo_y, hi_x, hi_y) in enumerate(self.boxes):
-            if depth:
-                probe = np.repeat(probe, 2)
-                node = (2 * node[:, None] + np.array([0, 1])).ravel()
-            qx, qy = px[probe], py[probe]
-            bx0, by0, bx1, by1 = lo_x[node], lo_y[node], hi_x[node], hi_y[node]
-            near = np.hypot(np.maximum(np.maximum(bx0 - qx, qx - bx1), 0.0),
-                            np.maximum(np.maximum(by0 - qy, qy - by1), 0.0))
-            far = np.hypot(np.maximum(np.abs(qx - bx0), np.abs(qx - bx1)),
-                           np.maximum(np.abs(qy - by0), np.abs(qy - by1)))
-            # probe is sorted and every probe keeps its nearest-far box
+        for box in self.boxes[1:]:
+            probe = np.repeat(probe, 2)
+            node = (2 * node[:, None] + np.array([0, 1])).ravel()
+            near, far = _gaps(box, node, px[probe], py[probe])
+            # probe is sorted, and every probe keeps its nearest-far box
             first = np.flatnonzero(np.diff(probe, prepend=-1))
-            bound = np.minimum.reduceat(far, first) + slack
-            keep = near <= bound[probe]
+            head = probe[first]
+            cap = np.minimum(best[head], np.sqrt(np.minimum.reduceat(far, first))) + slack[head]
+            keep = near <= np.repeat(cap * cap, np.diff(first, append=probe.size))
             probe, node = probe[keep], node[keep]
 
-        count = self.leaf_sizes[node]
-        probe = np.repeat(probe, count)
-        slot = np.repeat(self.leaf_starts[node] - (np.cumsum(count) - count), count)
-        seg = self.owner[self.order[slot + np.arange(probe.size)]]
-        q, a, d = p[probe], self.a[seg], self.d[seg]
-        t = np.real((q - a) * np.conjugate(d)) / self.den[seg]
-        t = np.clip(t, 0.0, 1.0)
-        dist = np.abs(q - (a + t * d))
-        return np.minimum.reduceat(dist, np.flatnonzero(np.diff(probe, prepend=-1)))
+        keep = node != seed_leaf[probe]
+        probe, seg = self._leaf_pairs(probe[keep], node[keep])
+        np.minimum.at(best, probe, self._segment_distance(p[probe], seg))
+        return best
+
+
+def _gaps(box, node, qx, qy):
+    """Squared distances from each point to the nearest and farthest
+    points of its box; box holds (lo_x, lo_y, hi_x, hi_y) per node."""
+    lo_x, lo_y, hi_x, hi_y = box
+    ux, vx = lo_x[node] - qx, qx - hi_x[node]
+    uy, vy = lo_y[node] - qy, qy - hi_y[node]
+    nx, ny = np.maximum(np.maximum(ux, vx), 0.0), np.maximum(np.maximum(uy, vy), 0.0)
+    fx, fy = np.minimum(ux, vx), np.minimum(uy, vy)
+    return nx * nx + ny * ny, fx * fx + fy * fy
 
 
 def _distances(points, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ away from the finitely many boundary singularities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,15 +20,28 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 DEFAULT_RINGS = (0.5, 0.9, 0.99, 0.999)
 DEFAULT_ANGLES = 1024
+# Cap on rings x angles.  The largest built-in grid has 5 x 4096 points;
+# the cap leaves room for finer user grids while bounding the memory a
+# single scan can ask for.
+MAX_GRID_POINTS = 1 << 18
+
+
+def check_grid_size(n_rings: int, angles: int) -> None:
+    """Refuse a grid of more than MAX_GRID_POINTS points."""
+    if n_rings * angles > MAX_GRID_POINTS:
+        raise BadParam(f"{n_rings} rings x {angles} angles exceeds the cap "
+                       f"of {MAX_GRID_POINTS} grid points")
 
 
 @dataclass(frozen=True)
 class GridMeta:
     """Ring/angle grid description, kept with every scan report.
 
-    rings must be strictly increasing in [0, 1); angles >= 64.  The seed
-    feeds the optional angular jitter; scans leave jitter off by default
-    so that axis points (where several extremals sit) are hit exactly.
+    rings must be strictly increasing in [0, 1); angles >= 64, and the
+    grid holds at most MAX_GRID_POINTS points.  Angles are equally spaced
+    from 0, so axis points (where several extremals sit) are hit
+    exactly.  The seed is only recorded with the run: every scan is
+    deterministic.
     """
 
     rings: tuple = DEFAULT_RINGS
@@ -47,24 +60,14 @@ class GridMeta:
             raise BadParam(f"ring radii must increase strictly: {rings}")
         if int(self.angles) < 64:
             raise BadParam(f"need at least 64 angles, got {self.angles}")
+        check_grid_size(len(rings), int(self.angles))
         object.__setattr__(self, "angles", int(self.angles))
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def grid_angles(meta: GridMeta, jitter: bool = False) -> np.ndarray:
-    """Angle samples in [0, 2pi); one jittered row per ring if asked."""
-    theta = 2.0 * np.pi * np.arange(meta.angles) / meta.angles
-    if not jitter:
-        return np.broadcast_to(theta, (len(meta.rings), meta.angles)).copy()
-    rng = np.random.default_rng(meta.seed)
-    step = 2.0 * np.pi / meta.angles
-    off = rng.uniform(-0.25 * step, 0.25 * step, size=(len(meta.rings), meta.angles))
-    return theta[None, :] + off
-
-
-def grid_points(meta: GridMeta, jitter: bool = False) -> np.ndarray:
+def grid_points(meta: GridMeta) -> np.ndarray:
     """Complex samples, shape (len(rings), angles), ring-major."""
-    theta = grid_angles(meta, jitter=jitter)
+    theta = 2.0 * np.pi * np.arange(meta.angles) / meta.angles
     radii = np.asarray(meta.rings, dtype=float)[:, None]
     return radii * np.exp(1j * theta)
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import A2_ZERO_TOL, _as_expr, boundedness_hint
 from .deepscan import (
     default_taus,
     deep_strip_values,
@@ -32,18 +33,10 @@ from .grids import GridMeta, golden_section, grid_points
 from .reflection import reflect_grid
 
 CLIP_RADIUS = 1e6
-A2_ZERO_TOL = 1e-12
 COLLAPSE_THRESHOLD = 0.05
 EUCLIDEAN = "euclidean"
 CHORDAL = "chordal"
 R_CAP = 1.0 - 1e-7
-
-
-def _as_expr(spec_or_expr) -> MapExpr:
-    expr = getattr(spec_or_expr, "expr", None)
-    if expr is not None:
-        return expr
-    return spec_or_expr
 
 
 def normalize_values(expr: MapExpr, z):
@@ -301,6 +294,7 @@ class RatioProfile:
 RATIO_RINGS = (0.99, 0.999, 0.9995)
 RATIO_ANGLES = 2048
 INTERIOR_RINGS = (0.3, 0.6, 0.9, 0.975, 0.99, 0.995)
+INTERIOR_ANGLES = 1024
 
 
 def quasidisk_ratio_scan(spec_or_expr, rings=RATIO_RINGS, angles: int = RATIO_ANGLES) -> RatioProfile:
@@ -316,27 +310,22 @@ def quasidisk_ratio_scan(spec_or_expr, rings=RATIO_RINGS, angles: int = RATIO_AN
     """
     expr = _as_expr(spec_or_expr)
     a2 = taylor(expr)[1]
-    from .catalog import boundedness_hint
-
     if abs(a2) < A2_ZERO_TOL and boundedness_hint(expr) == "unbounded":
         raise DegenerateDomain(
             "strip-conjugate map reflects its axis to infinity; "
             "use delta_f or koebe_omission_scan instead"
         )
     rings = tuple(sorted(float(r) for r in rings))
+    meta = GridMeta(rings=rings, angles=angles)
     r_b = 1.0 - (1.0 - rings[-1]) / 20.0
     poly = boundary_polyline(expr, n=8192, r=max(r_b, 0.99))
     seg_a, seg_b = poly.segments()
 
-    cloud_parts = [poly.vertices()]
-    for rr in INTERIOR_RINGS:
-        th = 2.0 * np.pi * np.arange(1024) / 1024
-        v = jet_eval(expr, rr * np.exp(1j * th)).f0
-        v = v[np.isfinite(v) & (np.abs(v) <= CLIP_RADIUS)]
-        cloud_parts.append(v)
-    cloud = np.concatenate(cloud_parts)
+    inner_grid = GridMeta(rings=INTERIOR_RINGS, angles=INTERIOR_ANGLES)
+    inner = jet_eval(expr, grid_points(inner_grid).ravel()).f0
+    inner = inner[np.isfinite(inner) & (np.abs(inner) <= CLIP_RADIUS)]
+    cloud = np.concatenate([poly.vertices(), inner])
 
-    meta = GridMeta(rings=rings, angles=angles)
     zs, ws, rs, _ = reflect_grid(expr, meta)
     # One query per kernel for every ring; the segment query takes the
     # image points and the finite reflections together.

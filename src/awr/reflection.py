@@ -155,13 +155,13 @@ def reflect(expr, z) -> ReflectionSample:
     return ReflectionSample(z=z, w=complex(w), r=r, b2=complex(b2))
 
 
-def reflect_grid(expr, meta: GridMeta, jitter: bool = False):
+def reflect_grid(expr, meta: GridMeta):
     """Vectorized reflection over a ring grid.
 
     Returns (z, w, r, b2) flat complex arrays; entries of r where the
     local coefficient vanishes hold INFINITY.
     """
-    zs = grid_points(meta, jitter=jitter).ravel()
+    zs = grid_points(meta).ravel()
     j = jet_eval(expr, zs)
     b2 = local_b2(j, zs)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -12,14 +12,15 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from awr import quasidisk
 from awr.catalog import FIXTURE_EXPRS
 from awr.errors import DegenerateDomain
 from awr.evaluate import jet_eval
 from awr.extended import is_infinite
-from awr.geometry import cloud_distances, segment_distances
+from awr.geometry import _BoxTree, cloud_distances, segment_distances
 from awr.grids import GridMeta
 from awr.quasidisk import (
     CLIP_RADIUS,
@@ -88,21 +89,79 @@ def polylines(draw):
     return rng.uniform(-10.0, 10.0) + np.cumsum(np.concatenate([[0j], steps]))
 
 
-@given(verts=polylines(), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-def test_tree_matches_oracle_exactly(verts, seed):
+def clipped_zigzag(n, angle):
+    """A short zigzag at the origin, a jump out to the clip radius at the
+    given angle, and the zigzag again 0.01 above, run backwards.
+
+    The long segments are cut into pieces whose boxes cover the zigzag,
+    so many probes walk greedily into a leaf of the long segments while
+    a short segment outside that leaf's box is nearer.
+    """
+    k = np.arange(n)
+    zig = 0.05 * k + 0.02j * (k % 2)
+    out = 0.999 * CLIP_RADIUS * np.exp(1j * angle)
+    return np.concatenate([zig, [out], zig[::-1] + 0.01j])
+
+
+GREEDY_MISS_EXAMPLES = [
+    (clipped_zigzag(16, 0.25 * math.pi), 0),
+    (clipped_zigzag(40, 0.3), 1),
+    (clipped_zigzag(64, 0.25 * math.pi), 2),
+]
+
+
+def probe_points(verts, seed):
+    """Probes at a random scale, near the vertices, and on them."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.uniform(-3.0, 5.0)
-    probes = np.concatenate([
+    return np.concatenate([
         scale * (rng.normal(size=150) + 1j * rng.normal(size=150)),
         verts[rng.integers(0, verts.size, 50)] * (1.0 + 1e-9 * rng.normal(size=50)),
         verts[:3],
     ])
+
+
+@given(verts=polylines(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+@example(verts=GREEDY_MISS_EXAMPLES[0][0], seed=GREEDY_MISS_EXAMPLES[0][1])
+@example(verts=GREEDY_MISS_EXAMPLES[1][0], seed=GREEDY_MISS_EXAMPLES[1][1])
+@example(verts=GREEDY_MISS_EXAMPLES[2][0], seed=GREEDY_MISS_EXAMPLES[2][1])
+def test_tree_matches_oracle_exactly(verts, seed):
+    probes = probe_points(verts, seed)
     a, b = verts[:-1], verts[1:]
     got = segment_distances(probes, a, b)
     assert np.array_equal(got, oracle_segment_distances(probes, a, b))
     got = cloud_distances(probes, verts)
     assert np.array_equal(got, oracle_cloud_distances(probes, verts))
+
+
+def greedy_leaf_distances(probes, a, b):
+    """Distances to the segments of the leaf a nearer-box walk ends in."""
+    tree = _BoxTree(a, b)
+    leaf = np.zeros(probes.size, dtype=np.intp)
+    for lo_x, lo_y, hi_x, hi_y in tree.boxes[1:]:
+        def gap(node):
+            gx = np.maximum(np.maximum(lo_x[node] - probes.real, probes.real - hi_x[node]), 0.0)
+            gy = np.maximum(np.maximum(lo_y[node] - probes.imag, probes.imag - hi_y[node]), 0.0)
+            return gx * gx + gy * gy
+        leaf = 2 * leaf + (gap(2 * leaf + 1) < gap(2 * leaf))
+    out = np.empty(probes.size)
+    for i, node in enumerate(leaf):
+        start = tree.leaf_starts[node]
+        seg = tree.owner[tree.order[start : start + tree.leaf_sizes[node]]]
+        out[i] = oracle_segment_distances(probes[i : i + 1], a[seg], b[seg])[0]
+    return out
+
+
+@pytest.mark.parametrize("verts,seed", GREEDY_MISS_EXAMPLES)
+def test_examples_defeat_the_greedy_leaf(verts, seed):
+    """The pinned examples keep probes whose greedy leaf is not the
+    nearest, for segments and for clouds, so the exactness property
+    runs the pruned descent past a loose seed."""
+    probes = probe_points(verts, seed)
+    a, b = verts[:-1], verts[1:]
+    assert np.any(greedy_leaf_distances(probes, a, b) > oracle_segment_distances(probes, a, b))
+    assert np.any(greedy_leaf_distances(probes, verts, verts) > oracle_cloud_distances(probes, verts))
 
 
 def test_empty_families_and_shapes():
@@ -158,6 +217,32 @@ def test_ratio_scan_matches_oracle_on_fixtures(name, expr):
         assert name == "strip"
         return
     assert got.inf_ratio_per_ring == oracle_inf_ratios(expr, RATIO_RINGS, angles)
+
+
+@pytest.mark.parametrize("name", ["halfplane", "strip-shift"])
+def test_ratio_scan_queries_match_oracles_on_unbounded_fixtures(name, monkeypatch):
+    """Every distance the ratio scan asks for on the unbounded fixtures,
+    whose polylines are truncated short of the boundary and close with
+    long segments, is bitwise equal to exhaustive search.  There the
+    greedy leaf is often wrong and the far corner bounds the descent."""
+    seen = []
+
+    def record(kernel):
+        def run(*args):
+            seen.append((kernel, args, kernel(*args)))
+            return seen[-1][2]
+        return run
+
+    monkeypatch.setattr(quasidisk, "segment_distances", record(segment_distances))
+    monkeypatch.setattr(quasidisk, "cloud_distances", record(cloud_distances))
+    quasidisk_ratio_scan(dict(FIXTURE_EXPRS)[name], angles=512)
+    oracles = {segment_distances: oracle_segment_distances, cloud_distances: oracle_cloud_distances}
+    assert sorted(k.__name__ for k, _, _ in seen) == ["cloud_distances", "segment_distances"]
+    ((_, seg_a, seg_b),) = [args for k, args, _ in seen if k is segment_distances]
+    length = np.abs(seg_b - seg_a)
+    assert np.max(length) > 100.0 * np.mean(length)
+    for kernel, args, got in seen:
+        assert np.array_equal(got, oracles[kernel](*args))
 
 
 def test_cli_import_leaves_scipy_out():

@@ -11,8 +11,23 @@ from conftest import GRAMMAR_CASES
 
 from awr import cli
 from awr.errors import BadParam, MapSyntaxError, ParamOutOfRange, UnknownName
-from awr.expr import Disk, Koebe, SectorAuto, Strip, StripShift
+from awr.catalog import CONVEXITY_ANGLES, CONVEXITY_RINGS
+from awr.convexity import COEFF_ANGLES, COEFF_RINGS
+from awr.expr import Disk, Identity, Koebe, SectorAuto, Strip, StripShift
+from awr.grids import DEFAULT_ANGLES, DEFAULT_RINGS, MAX_GRID_POINTS, GridMeta
+from awr.nehari import CERT_ANGLES, CERT_RINGS
 from awr.parser import format_complex, format_expr, parse_complex, parse_expr
+from awr.quasidisk import (
+    DELTA_ANGLES,
+    DELTA_RINGS,
+    INTERIOR_ANGLES,
+    INTERIOR_RINGS,
+    NORM_ANGLES,
+    NORM_RINGS,
+    RATIO_ANGLES,
+    RATIO_RINGS,
+    quasidisk_ratio_scan,
+)
 
 
 def run(argv):
@@ -244,6 +259,54 @@ def test_negative_passes_exit_two(command):
     assert "--passes" in err
     code, out, _ = run([command, "--map", "identity", "--passes", "0"])
     assert code == 0
+
+
+HUGE = "2000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--map", "identity", "--angles", HUGE],
+    ["reflect", "--map", "identity", "--z", "0.5+0i", "--angles", HUGE],
+    ["normalize", "--map", "disk(x=0.5)", "--angles", HUGE],
+    ["delta", "--map", "identity", "--angles", HUGE],
+    ["quasidisk", "--map", "identity", "--angles", HUGE],
+    ["quasidisk", "--map", "identity", "--rings", "0.5,0.9,0.99",
+     "--angles", str(MAX_GRID_POINTS // 3 + 1)],
+    ["svg", "--map", "identity", "--svg", "out.svg", "--angles", HUGE],
+])
+def test_oversized_grid_exits_two_before_any_work(argv, monkeypatch):
+    """Every grid flag is capped; the refusal comes before the command
+    parses its map, so nothing is evaluated or allocated."""
+    def refuse(_text):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "parse_expr", refuse)
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert f"cap of {MAX_GRID_POINTS} grid points" in err
+
+
+def test_grid_cap_sits_above_every_builtin_grid():
+    builtin = [
+        (DEFAULT_RINGS, DEFAULT_ANGLES), (CERT_RINGS, CERT_ANGLES),
+        (CONVEXITY_RINGS, CONVEXITY_ANGLES), (COEFF_RINGS, COEFF_ANGLES),
+        (NORM_RINGS, NORM_ANGLES), (DELTA_RINGS, DELTA_ANGLES),
+        (RATIO_RINGS, RATIO_ANGLES), (INTERIOR_RINGS, INTERIOR_ANGLES),
+        (range(64), 256),  # mediatrix_scan probe grid
+    ]
+    parser = cli.build_parser()
+    for command in ("certify", "reflect", "normalize", "delta", "quasidisk", "svg"):
+        builtin.append(parser.parse_args([command, "--map", "identity"]).grid_fallback)
+    assert max(len(rings) * angles for rings, angles in builtin) < MAX_GRID_POINTS
+
+
+def test_grid_cap_in_the_library():
+    GridMeta(rings=(0.5,), angles=MAX_GRID_POINTS)
+    with pytest.raises(BadParam):
+        GridMeta(rings=(0.5, 0.9), angles=MAX_GRID_POINTS // 2 + 1)
+    with pytest.raises(BadParam):
+        quasidisk_ratio_scan(Identity(), angles=int(HUGE))
 
 
 def test_catalog_survey_runs():
