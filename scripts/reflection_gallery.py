@@ -14,13 +14,11 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from awr.catalog import catalog_fixtures
 from awr.convexity import mediatrix
 from awr.errors import AwrError
 from awr.evaluate import jet_eval
-from awr.grids import GridMeta
+from awr.grids import GridMeta, ring_points
 from awr.reflection import reflect, reflect_grid
 from awr.svgplot import reflection_scene
 
@@ -29,8 +27,7 @@ BOUNDARY_RADIUS = 0.995
 
 
 def figure_for(expr, ring: float, angles: int):
-    theta = 2.0 * np.pi * np.arange(BOUNDARY_POINTS) / BOUNDARY_POINTS
-    boundary = jet_eval(expr, BOUNDARY_RADIUS * np.exp(1j * theta)).f0
+    boundary = jet_eval(expr, ring_points((BOUNDARY_RADIUS,), BOUNDARY_POINTS)[0]).f0
     meta = GridMeta(rings=(ring,), angles=angles, seed=0)
     _, ws, rs, _ = reflect_grid(expr, meta)
     anchor = reflect(expr, ring + 0.0j)

@@ -11,13 +11,13 @@ up to rotation (unbounded), while every other shift is bounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .deepscan import strip_structure
-from .errors import ConsistencyError, PoleInDomain
-from .evaluate import jet_eval, taylor
+from .errors import BranchCutViolation, ConsistencyError, PoleInDomain
+from .evaluate import jet_eval, sector_auto_params, taylor
 from .expr import (
     Affine,
     Disk,
@@ -33,6 +33,8 @@ from .expr import (
     StripShift,
 )
 from .extended import is_infinite
+from .grids import ring_points
+from .reflection import local_b2
 
 CONVEXITY_RINGS = (0.9, 0.99, 0.999)
 CONVEXITY_ANGLES = 4096
@@ -73,21 +75,15 @@ def validate_convexity(expr: MapExpr, rings=CONVEXITY_RINGS, angles=CONVEXITY_AN
     positive on the disk; sampling rings close to the boundary catches
     every catalog non-convexity by a wide margin.
     """
-    theta = 2.0 * np.pi * np.arange(angles) / angles
-    best = math.inf
-    arg = 0j
-    for r in rings:
-        z = r * np.exp(1j * theta)
-        j = jet_eval(expr, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.real(1.0 + z * j.f2 / j.f1)
-        ok = np.isfinite(vals)
-        if not np.any(ok):
-            continue
-        i = int(np.nanargmin(np.where(ok, vals, np.nan)))
-        if vals[i] < best:
-            best = float(vals[i])
-            arg = complex(z[i])
+    z = ring_points(rings, angles)
+    j = jet_eval(expr, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = np.real(1.0 + z * j.f2 / j.f1)
+    ok = np.isfinite(vals)
+    best, arg = math.inf, 0j
+    if np.any(ok):
+        i = np.unravel_index(int(np.nanargmin(np.where(ok, vals, np.nan))), vals.shape)
+        best, arg = float(vals[i]), complex(z[i])
     certified = best > -1e-9
     return certified, best, arg
 
@@ -106,17 +102,13 @@ def _branch_cut_check(expr: MapExpr) -> None:
         if isinstance(node, SectorReal):
             c = -1.0 + 0j
         elif isinstance(node, SectorAuto):
-            from .evaluate import sector_auto_params
-
             c, _, _ = sector_auto_params(node.a)
         else:
             continue
-        z = 0.999999 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+        z = ring_points((0.999999,), 4096)[0]
         w = (1.0 + z) / (1.0 + c * z)
         on_cut = (w.real <= 0.0) & (np.abs(w.imag) < 1e-12)
         if np.any(on_cut):
-            from .errors import BranchCutViolation
-
             raise BranchCutViolation(
                 f"power-map argument crosses (-inf, 0] for {node!r}"
             )
@@ -208,8 +200,7 @@ def koebe_transform(spec_or_expr, z0) -> MappingSpec:
     inner = _as_expr(spec_or_expr)
     z0 = complex(z0)
     expr = Koebe(inner, z0)
-    j = jet_eval(inner, z0)
-    b2_formula = (1.0 - abs(z0) ** 2) * j.f2 / (2.0 * j.f1) - np.conjugate(z0)
+    b2_formula = local_b2(jet_eval(inner, z0), z0)
     spec = build_map(expr)
     if abs(spec.a2 - b2_formula) > 1e-10 * (1.0 + abs(b2_formula)):
         raise ConsistencyError(
@@ -231,10 +222,10 @@ def mobius_shift(spec_or_expr) -> MappingSpec:
     if abs(a2) < A2_ZERO_TOL:
         notes = "second coefficient is zero; shift acts as the identity"
     else:
-        theta = 2.0 * np.pi * np.arange(1024) / 1024
-        for r in (0.3, 0.6, 0.9, 0.99, 0.999):
-            vals = jet_eval(inner, r * np.exp(1j * theta)).f0
-            den = np.abs(1.0 + a2 * vals)
+        rings = (0.3, 0.6, 0.9, 0.99, 0.999)
+        vals = jet_eval(inner, ring_points(rings, 1024)).f0
+        for r, row in zip(rings, vals):
+            den = np.abs(1.0 + a2 * row)
             den = den[np.isfinite(den)]
             if den.size and float(np.min(den)) < 1e-12:
                 raise PoleInDomain(
@@ -242,15 +233,7 @@ def mobius_shift(spec_or_expr) -> MappingSpec:
                 )
     spec = build_map(MobiusShift(inner))
     if notes:
-        spec = MappingSpec(
-            expr=spec.expr,
-            a2=spec.a2,
-            convexity_certified=spec.convexity_certified,
-            convexity_min=spec.convexity_min,
-            bounded_hint=spec.bounded_hint,
-            omitted_on_boundary=spec.omitted_on_boundary,
-            notes=notes,
-        )
+        spec = replace(spec, notes=notes)
     return spec
 
 
@@ -270,10 +253,7 @@ def sector_from_automorphism(a) -> tuple:
     """
     a = complex(a)
     expr = SectorAuto(a)
-    cbar = (1.0 - np.conjugate(a)) / (1.0 - a)
-    c = -cbar
-    beta = (1.0 - abs(a) ** 2) / (2.0 * (1.0 - a.real))
-    b = 1.0 / (a * c - 1.0)
+    c, beta, b = sector_auto_params(a)
     a2_formula = -a * c + 0.5 * b * c * (1.0 - abs(a) ** 2)
     spec = build_map(expr)
     if abs(spec.a2 - a2_formula) > 1e-10 * (1.0 + abs(a2_formula)):
@@ -284,7 +264,7 @@ def sector_from_automorphism(a) -> tuple:
         raise ConsistencyError(
             f"Re(a2 b) = {(spec.a2 * b).real}, expected -1/2"
         )
-    return spec, SectorParams(a=a, c=complex(c), beta=float(beta), b=complex(b))
+    return spec, SectorParams(a=a, c=c, beta=beta, b=b)
 
 
 FIXTURE_EXPRS = (

@@ -5,7 +5,8 @@ library, and prints a line-oriented `key = value` report on stdout.
 Optional --csv and --svg flags write the tabular or graphical payload.
 Exit codes: 0 when every certified property holds, 1 when a scan
 completes but a certification fails, 2 for usage errors (bad flags,
-bad grammar, or a request the map cannot support).
+bad grammar, an unwritable output path, or a request the map cannot
+support).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .convexity import (
     mediatrix_scan,
     proof_machinery_check,
 )
+from .deepscan import MAX_PASSES
 from .errors import AwrError, MapSyntaxError
 from .extended import is_infinite
 from .grids import DEFAULT_ANGLES, DEFAULT_RINGS, GridMeta, check_grid_size
@@ -494,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="probe point, complex literal like 0.5+0i")
         if passes:
             p.add_argument("--passes", type=_passes_arg, default=3,
-                           help="refinement passes")
+                           help=f"refinement passes, at most {MAX_PASSES}")
         p.add_argument("--seed", type=int, default=0,
                        help="seed recorded with the run (scans are "
                             "deterministic)")
@@ -559,6 +561,9 @@ def main(argv=None) -> int:
         return 2
     except AwrError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:  # an unwritable --csv or --svg path
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

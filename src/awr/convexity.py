@@ -20,7 +20,7 @@ from .errors import CoincidentPoints, DegenerateDomain
 from .evaluate import jet_eval, taylor, value
 from .expr import MapExpr
 from .extended import is_infinite
-from .grids import golden_section
+from .grids import GridMeta, polar, refine_on_grid, ring_points
 from .jets import Jet3
 from .reflection import reflect_grid
 
@@ -157,15 +157,11 @@ def mediatrix_scan(
     point is far from the boundary contact locus.  Probes whose local b2
     vanishes reflect to infinity and are counted as vacuous.
     """
-    from .grids import GridMeta
-
     rings = tuple(1.0 - np.logspace(math.log10(0.5), math.log10(probe_floor), probe_rings))
     meta = GridMeta(rings=rings, angles=probe_angles)
     zs, ws, rs, _ = reflect_grid(expr, meta)
 
-    base_r = np.linspace(0.0, base_cap, base_radii)
-    base_t = 2.0 * np.pi * np.arange(base_angles) / base_angles
-    bases = (base_r[:, None] * np.exp(1j * base_t)[None, :]).ravel()
+    bases = ring_points(np.linspace(0.0, base_cap, base_radii), base_angles).ravel()
     base_vals = jet_eval(expr, bases).f0
 
     vac = is_infinite(rs)
@@ -230,40 +226,23 @@ def coefficient_bound_scan(
 ) -> CoefficientReport:
     """Scan Re(a2 f) >= -1/2 and its pointwise strengthening."""
     a2 = taylor(expr)[1]
-    theta = 2.0 * np.pi * np.arange(angles) / angles
-    lhs_rows = []
-    res_rows = []
-    pts_rows = []
-    for r in rings:
-        z = r * np.exp(1j * theta)
-        f = jet_eval(expr, z).f0
-        lhs = np.real(a2 * f)
-        res = lhs + 0.5 - 0.5 * (1.0 - r * r) * np.abs(f / z) ** 2
-        lhs_rows.append(lhs)
-        res_rows.append(res)
-        pts_rows.append(z)
-    lhs_all = np.vstack(lhs_rows)
-    res_all = np.vstack(res_rows)
-    pts_all = np.vstack(pts_rows)
+    pts = ring_points(rings, angles)
+    f = jet_eval(expr, pts).f0
+    lhs_all = np.real(a2 * f)
+    radii = np.asarray(rings, dtype=float)[:, None]
+    res_all = lhs_all + 0.5 - 0.5 * (1.0 - radii * radii) * np.abs(f / pts) ** 2
 
     i, j = np.unravel_index(int(np.nanargmin(lhs_all)), lhs_all.shape)
-    best_v = float(lhs_all[i, j])
-    best_r, best_th = rings[i], theta[j]
 
     def lhs_at(r, t):
-        z = r * complex(math.cos(t), math.sin(t))
-        return float(np.real(a2 * value(expr, np.asarray([z]))[0]))
+        return float(np.real(a2 * value(expr, np.asarray([polar(r, t)]))[0]))
 
-    step = 2.0 * np.pi / angles
-    th, v = golden_section(lambda t: lhs_at(best_r, t), best_th - step, best_th + step)
-    if v < best_v:
-        best_v, best_th = v, th
-    r_lo = rings[i - 1] if i > 0 else rings[i]
     r_hi = rings[i + 1] if i + 1 < len(rings) else COEFF_R_CAP
-    rr, v = golden_section(lambda r: lhs_at(r, best_th), r_lo, r_hi)
-    if v < best_v:
-        best_v, best_r = v, rr
-    arg_inf = best_r * complex(math.cos(best_th), math.sin(best_th))
+    best_v, best_r, best_th = refine_on_grid(
+        lhs_at, rings[i], 2.0 * np.pi * j / angles, float(lhs_all[i, j]),
+        2.0 * np.pi / angles, (rings[max(i - 1, 0)], r_hi),
+    )
+    arg_inf = polar(best_r, best_th)
 
     k, l = np.unravel_index(int(np.nanargmin(res_all)), res_all.shape)
     min_res = float(res_all[k, l])
@@ -272,7 +251,7 @@ def coefficient_bound_scan(
         inf_lhs=best_v,
         arg_inf=arg_inf,
         min_residual=min_res,
-        arg_residual=complex(pts_all[k, l]),
+        arg_residual=complex(pts[k, l]),
         lower_ok=bool(best_v >= -0.5 - 1e-6),
         residual_ok=bool(min_res >= -1e-9),
     )
@@ -339,9 +318,7 @@ def proof_machinery_check(expr: MapExpr, zetas=DEFAULT_ZETAS):
     a1f, a2f, a3f = taylor(expr)
     samples = []
     all_pass = True
-    rr = np.concatenate(
-        [r * np.exp(2j * np.pi * np.arange(128) / 128) for r in (0.3, 0.7, 0.95)]
-    )
+    rr = ring_points((0.3, 0.7, 0.95), 128).ravel()
     for zeta in zetas:
         zeta = complex(zeta)
         fz = complex(value(expr, np.asarray([zeta]))[0])

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError
+from .errors import BadParam, ConsistencyError
 from .evaluate import jet_eval, taylor
 from .expr import Affine, Koebe, MapExpr, MobiusOfStrip, MobiusShift, Strip, StripShift
 from .reflection import Mobius
@@ -41,10 +41,24 @@ LN10 = float(np.log(10.0))
 # Exponent schedule for refinement passes: pass k probes 1 - |z| = 10^-E_k.
 BASE_EXPONENT = 4.0
 
+# Cap on refinement passes.  Pass k probes strip values of size about
+# 8^k: on the catalog, squaring them for the chordal metric overflows
+# from k = 165 and pass_exponent(k) * LN10 itself from k = 341, after
+# which every deep value is NaN.  At 64 they stay below 1e59, the local
+# brackets (8x smaller each pass) have been under double resolution near
+# the unit circle since about pass 20, and a scan takes under a second.
+MAX_PASSES = 64
+
 
 def pass_exponent(k: int) -> float:
     """Depth exponent for refinement pass k (pass 0 is the plain grid)."""
     return BASE_EXPONENT * (8.0 ** k)
+
+
+def check_passes(passes: int) -> None:
+    """Refuse more than MAX_PASSES refinement passes."""
+    if passes > MAX_PASSES:
+        raise BadParam(f"{passes} refinement passes exceed the cap of {MAX_PASSES}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,15 @@
-"""Sample grids on the unit disk and 1-d refinement helpers.
+"""Sample grids on the unit disk, and the one polar refinement.
 
-Scans in this package all walk the same kind of grid: a handful of
-concentric rings, each sampled at equally spaced angles.  Refinement is
-deliberately simple (golden-section sweeps along one coordinate at a
-time) because every quantity we optimize is smooth along rings and radii
-away from the finitely many boundary singularities.
+Scans in this package walk the same kind of grid: a few concentric
+rings, each sampled at equally spaced angles from 0.  `ring_points`
+builds every such sample set; `GridMeta` is the validated, size-capped
+grid a report records, and `grid_points` samples it.
+
+`refine_on_grid` polishes an extremal sample with golden-section sweeps,
+one in angle, then one in radius, repeated with shrinking brackets.
+Every quantity refined here is smooth along rings and radii away from
+the finitely many boundary singularities, so one coordinate at a time
+is enough.
 """
 
 from __future__ import annotations
@@ -65,11 +70,26 @@ class GridMeta:
         object.__setattr__(self, "seed", int(self.seed))
 
 
+def ring_points(rings, angles: int) -> np.ndarray:
+    """r exp(2 pi i k / angles) for each ring r, shape (len(rings), angles).
+
+    Every ring sample set of the package comes from here; the angles
+    are computed as (2 pi k) / angles.  Nothing is validated, so scans
+    may use grids outside GridMeta's limits (a ring at 0, fewer than 64
+    angles).
+    """
+    theta = 2.0 * np.pi * np.arange(angles) / angles
+    return np.asarray(rings, dtype=float)[:, None] * np.exp(1j * theta)
+
+
 def grid_points(meta: GridMeta) -> np.ndarray:
-    """Complex samples, shape (len(rings), angles), ring-major."""
-    theta = 2.0 * np.pi * np.arange(meta.angles) / meta.angles
-    radii = np.asarray(meta.rings, dtype=float)[:, None]
-    return radii * np.exp(1j * theta)
+    """Complex samples of a validated grid, ring-major."""
+    return ring_points(meta.rings, meta.angles)
+
+
+def polar(r: float, theta: float) -> complex:
+    """The point r exp(i theta), from math.cos and math.sin."""
+    return r * complex(math.cos(theta), math.sin(theta))
 
 
 def golden_section(fn, lo: float, hi: float, iters: int = 48, minimize: bool = True):
@@ -104,44 +124,30 @@ def golden_section(fn, lo: float, hi: float, iters: int = 48, minimize: bool = T
     return x, sign * best
 
 
-def refine_on_grid(meta: GridMeta, values: np.ndarray, eval_fn, minimize: bool = True):
-    """One polar refinement pass around the extremal grid sample.
+def refine_on_grid(fn, r: float, theta: float, best: float, dth: float, r_range,
+                   dr: float = 1.0, passes: int = 1, minimize: bool = True):
+    """Polar refinement of fn(r, theta) from a start point.
 
-    values has the grid_points shape.  eval_fn(r, theta) -> float is the
-    scalar objective.  The pass runs a golden-section sweep in theta on
-    the extremal ring (bracketed by the neighbouring grid angles), then a
-    sweep in r along the refined angle (bracketed by the neighbouring
-    rings, staying inside the grid hull).  Returns (value, z).
+    Each pass runs a golden-section sweep in theta over theta +- dth at
+    the current radius, then a sweep in r over r +- dr, kept inside
+    r_range = (r_min, r_max), at the current angle; both brackets shrink
+    8x after every pass, and at least one pass runs.  A sweep moves the
+    point only when its value beats best strictly, so the caller's best
+    so far (a grid value, or fn at the start) is never lost.  With the
+    default dr the r sweep covers the whole of r_range.  Returns
+    (best, r, theta).
     """
-    def better(a, b):
-        return a < b if minimize else a > b
-
-    work = np.array(values, dtype=float)
-    bad = ~np.isfinite(work)
-    work[bad] = np.inf if minimize else -np.inf
-    flat = np.argmin(work) if minimize else np.argmax(work)
-    i, j = np.unravel_index(flat, work.shape)
-    best_v = float(work[i, j])
-    rings = meta.rings
-    r0 = rings[i]
-    step = 2.0 * math.pi / meta.angles
-    th0 = j * step
-    best_r, best_th = r0, th0
-
-    th, v = golden_section(
-        lambda t: eval_fn(r0, t), th0 - step, th0 + step, minimize=minimize
-    )
-    if better(v, best_v):
-        best_v, best_th = v, th
-
-    r_lo = rings[i - 1] if i > 0 else rings[i]
-    r_hi = rings[i + 1] if i + 1 < len(rings) else rings[i]
-    if r_hi > r_lo:
-        r, v = golden_section(
-            lambda rr: eval_fn(rr, best_th), r_lo, r_hi, minimize=minimize
-        )
-        if better(v, best_v):
-            best_v, best_r = v, r
-
-    z = best_r * complex(math.cos(best_th), math.sin(best_th))
-    return best_v, z
+    r_min, r_max = r_range
+    sign = 1.0 if minimize else -1.0
+    for _ in range(max(passes, 1)):
+        th, v = golden_section(lambda t: fn(r, t), theta - dth, theta + dth, minimize=minimize)
+        if sign * v < sign * best:
+            best, theta = v, th
+        lo, hi = max(r - dr, r_min), min(r + dr, r_max)
+        if lo < hi:
+            rr, v = golden_section(lambda s: fn(s, theta), lo, hi, minimize=minimize)
+            if sign * v < sign * best:
+                best, r = v, rr
+        dr /= 8.0
+        dth /= 8.0
+    return best, r, theta

@@ -15,7 +15,7 @@ import numpy as np
 
 from .evaluate import jet_eval
 from .expr import MapExpr
-from .grids import GridMeta, grid_points, refine_on_grid
+from .grids import GridMeta, grid_points, polar, refine_on_grid
 
 NEHARI_TOL = 1e-9
 CERT_RINGS = (0.0, 0.5, 0.9, 0.99, 0.999)
@@ -70,11 +70,17 @@ def certify_nehari(expr: MapExpr, meta: GridMeta = None) -> CertReport:
         v = nehari_functional(expr, np.asarray([z], dtype=complex))
         return float(v[0])
 
-    sup, arg = refine_on_grid(meta, vals, fn, minimize=False)
+    work = np.where(np.isfinite(vals), vals, -np.inf)
+    i, j = np.unravel_index(np.argmax(work), work.shape)
+    rings, step = meta.rings, 2.0 * np.pi / meta.angles
+    sup, r, theta = refine_on_grid(
+        fn, rings[i], 2.0 * np.pi * j / meta.angles, float(work[i, j]), step,
+        (rings[max(i - 1, 0)], rings[min(i + 1, len(rings) - 1)]), minimize=False,
+    )
     passed = bool(np.isfinite(sup) and sup <= 2.0 + NEHARI_TOL and n_failed == 0)
     return CertReport(
         sup_estimate=float(sup),
-        arg_sup=complex(arg),
+        arg_sup=polar(r, theta),
         grid=meta,
         passed=passed,
         t_parameter=float(sup) / 2.0,

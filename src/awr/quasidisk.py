@@ -18,6 +18,7 @@ import numpy as np
 
 from .catalog import A2_ZERO_TOL, _as_expr, boundedness_hint
 from .deepscan import (
+    check_passes,
     default_taus,
     deep_strip_values,
     pass_exponent,
@@ -26,10 +27,10 @@ from .deepscan import (
 )
 from .errors import DegenerateDomain, PoleInDomain
 from .evaluate import jet_eval, taylor
-from .expr import Koebe, MapExpr
+from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
 from .extended import INFINITY, chordal, is_infinite
 from .geometry import cloud_distances, segment_distances
-from .grids import GridMeta, golden_section, grid_points
+from .grids import GridMeta, grid_points, polar, refine_on_grid, ring_points
 from .reflection import reflect_grid
 
 CLIP_RADIUS = 1e6
@@ -99,9 +100,7 @@ def near_one_clusters(spec_or_expr, ring: float = 0.9999, angles: int = 4096) ->
     """
     expr = _as_expr(spec_or_expr)
     a2 = taylor(expr)[1]
-    theta = 2.0 * np.pi * np.arange(angles) / angles
-    z = ring * np.exp(1j * theta)
-    p = np.abs(a2 * normalize_values(expr, z))
+    p = np.abs(a2 * normalize_values(expr, ring_points((ring,), angles)[0]))
     pmax = float(np.nanmax(p))
     tau = 1.0 - 1.5 * (1.0 - pmax)
     above = p > tau
@@ -121,8 +120,8 @@ def near_one_clusters(spec_or_expr, ring: float = 0.9999, angles: int = 4096) ->
     run_ends = np.nonzero(edges == -1)[0]
     spans = []
     for s, e in zip(run_starts, run_ends):
-        a = theta[(s + first_out) % angles]
-        b = theta[(e - 1 + first_out) % angles]
+        a = 2.0 * math.pi * ((s + first_out) % angles) / angles
+        b = 2.0 * math.pi * ((e - 1 + first_out) % angles) / angles
         spans.append((float(a), float(b)))
     return ClusterReport(
         ring=ring, pmax=pmax, tau=tau, count=len(spans), whole_ring=False,
@@ -154,24 +153,6 @@ def _delta_values(expr: MapExpr, a2: complex, f_vals: np.ndarray) -> np.ndarray:
     return np.abs(f_vals + 1.0 / a2)
 
 
-def _local_refine_min(fn, r0: float, th0: float, dr: float, dth: float,
-                      passes: int, r_cap: float = R_CAP):
-    """Greedy polar descent around (r0, th0), shrinking brackets x8."""
-    best = fn(r0, th0)
-    for _ in range(max(passes, 1)):
-        th, v = golden_section(lambda t: fn(r0, t), th0 - dth, th0 + dth)
-        if v < best:
-            best, th0 = v, th
-        lo = max(r0 - dr, 0.0)
-        hi = min(r0 + dr, r_cap)
-        r, v = golden_section(lambda r: fn(r, th0), lo, hi)
-        if v < best:
-            best, r0 = v, r
-        dr /= 8.0
-        dth /= 8.0
-    return best, r0, th0
-
-
 def delta_f(spec_or_expr, grid: GridMeta = None, passes: int = 3) -> DeltaReport:
     """Inf of the omitted-value distance with boundary-deep refinement.
 
@@ -182,6 +163,7 @@ def delta_f(spec_or_expr, grid: GridMeta = None, passes: int = 3) -> DeltaReport
     image runs out toward the omitted value when and only when that
     value sits on the boundary.
     """
+    check_passes(passes)
     expr = _as_expr(spec_or_expr)
     a2 = taylor(expr)[1]
     metric = CHORDAL if abs(a2) < A2_ZERO_TOL else EUCLIDEAN
@@ -196,19 +178,17 @@ def delta_f(spec_or_expr, grid: GridMeta = None, passes: int = 3) -> DeltaReport
     def fn(r, t):
         if not (0.0 <= r < 1.0):
             return math.inf
-        z = r * complex(math.cos(t), math.sin(t))
-        v = _delta_values(expr, a2, jet_eval(expr, np.asarray([z])).f0)
+        v = _delta_values(expr, a2, jet_eval(expr, np.asarray([polar(r, t)])).f0)
         return float(v[0])
 
     rings = grid.rings
-    dr = rings[i] - rings[i - 1] if i > 0 else rings[i]
-    dr = max(dr, (1.0 - rings[i]))
-    dth = 2.0 * np.pi / grid.angles
-    v, r_ref, th_ref = _local_refine_min(fn, rings[i], 2.0 * np.pi * j / grid.angles,
-                                         dr, dth, passes)
+    r0, th0 = rings[i], 2.0 * np.pi * j / grid.angles
+    dr = max(r0 - rings[i - 1] if i > 0 else r0, 1.0 - r0)
+    v, r_ref, th_ref = refine_on_grid(fn, r0, th0, fn(r0, th0), 2.0 * np.pi / grid.angles,
+                                      (0.0, R_CAP), dr=dr, passes=passes)
     if v < best:
         best = v
-        arg = r_ref * complex(math.cos(th_ref), math.sin(th_ref))
+        arg = polar(r_ref, th_ref)
 
     struct = strip_structure(expr)
     if struct is not None:
@@ -262,8 +242,7 @@ def boundary_polyline(spec_or_expr, n: int = 8192, r: float = 0.999975,
     if n < 1024:
         raise DegenerateDomain("polyline needs at least 1024 points")
     expr = _as_expr(spec_or_expr)
-    theta = 2.0 * np.pi * np.arange(n) / n
-    vals = jet_eval(expr, r * np.exp(1j * theta)).f0
+    vals = jet_eval(expr, ring_points((r,), n)[0]).f0
     finite = np.isfinite(vals)
     keep = finite & (np.abs(np.where(finite, vals, 0.0)) <= clip)
     # Drop consecutive duplicates among kept points.
@@ -408,13 +387,11 @@ def koebe_omission_scan(
     and by a local polar descent otherwise.  An infimum collapsing to 0
     detects omitted values on the image boundary.
     """
+    check_passes(passes)
     expr = _as_expr(spec_or_expr)
-    if base_grid is None:
-        th = 2.0 * np.pi * np.arange(BASE_ANGLES) / BASE_ANGLES
-        bases = (np.asarray(BASE_RINGS)[:, None] * np.exp(1j * th)[None, :]).ravel()
-    else:
-        bases = grid_points(base_grid).ravel()
-    bases = np.concatenate([[0j], bases])
+    # BASE_ANGLES is below GridMeta's 64-angle floor, so the default is a bare ring set.
+    bases = ring_points(BASE_RINGS, BASE_ANGLES) if base_grid is None else grid_points(base_grid)
+    bases = np.concatenate([[0j], bases.ravel()])
     if probe_grid is None:
         probe_grid = GridMeta(rings=PROBE_RINGS, angles=PROBE_ANGLES)
     probes = grid_points(probe_grid).ravel()
@@ -458,18 +435,18 @@ def koebe_omission_scan(
             def fn(r, t):
                 if not (0.0 <= r < 1.0):
                     return math.inf
-                z = r * complex(math.cos(t), math.sin(t))
-                v = np.abs(b2 * jet_eval(g, np.asarray([z])).f0 + 1.0)
+                v = np.abs(b2 * jet_eval(g, np.asarray([polar(r, t)])).f0 + 1.0)
                 return float(v[0])
 
             pr = abs(best_probe)
             pt = math.atan2(best_probe.imag, best_probe.real)
-            v, r_ref, th_ref = _local_refine_min(
-                fn, pr, pt, max(1.0 - pr, 0.1), 2.0 * np.pi / probe_grid.angles, passes
+            v, r_ref, th_ref = refine_on_grid(
+                fn, pr, pt, fn(pr, pt), 2.0 * np.pi / probe_grid.angles, (0.0, R_CAP),
+                dr=max(1.0 - pr, 0.1), passes=passes,
             )
             if v < best:
                 best = v
-                best_probe = r_ref * complex(math.cos(th_ref), math.sin(th_ref))
+                best_probe = polar(r_ref, th_ref)
     return OmissionReport(
         inf_value=best,
         base_at=best_base,
@@ -498,12 +475,8 @@ def lemma32_demo(a_sequence=(0.25, 0.01, 0.25j)):
     (six exponential passes) so even tiny parameters register as
     strip-conjugate.
     """
-    from .expr import MobiusOfStrip, Strip
-
     rows = []
-    rs = np.concatenate(
-        [r * np.exp(2j * np.pi * np.arange(256) / 256) for r in (0.3, 0.6, 0.9)]
-    )
+    rs = ring_points((0.3, 0.6, 0.9), 256).ravel()
     l_vals = jet_eval(Strip(), rs).f0
     for a in a_sequence:
         f_expr = MobiusOfStrip(complex(a))

@@ -1,17 +1,21 @@
-"""Reflection across the image boundary, driven by disk data only.
+"""Ahlfors-Weill reflection across the image boundary, from disk data.
 
-For a locally univalent f on the disk the reflection of w = f(z) is
+For a locally univalent f on the disk, the reflection of w = f(z) is
 
-    R_w = f(z) + (1 - |z|^2) f'(z) / (conj(z) - (1 - |z|^2) f''(z) / (2 f'(z)))
-
-which extends f to |z| > 1 through z -> 1/conj(z).  The denominator is
-minus the local second coefficient
-
+    R_w = f(z) - (1 - |z|^2) f'(z) / b2(z),
     b2(z) = (1 - |z|^2) f''(z) / (2 f'(z)) - conj(z),
 
-so R_w = f(z) - (1 - |z|^2) f'(z) / b2(z), and at z = 0 the reflection
-of the origin is -1/a2.  Vanishing b2 sends the reflection to infinity
-(for the strip map this happens along the whole real diameter).
+where b2 is the second coefficient of f recentered at z (Ahlfors-Weill
+1962, Proc. AMS 13).  It extends f past the unit circle through
+z -> 1/conj(z), and at z = 0 it sends 0 to -1/a2.  Where b2 vanishes
+the reflection is the point at infinity; for the strip map that happens
+along the whole real diameter.
+
+`jet_reflection` holds the one copy of the formula and works on scalar
+and array jets alike; `reflect`, `reflect_grid` and
+`mobius_equivariance_check` all go through it.  The module also holds
+the Mobius maps of the extended plane that the deep probes and the
+equivariance check use.
 """
 
 from __future__ import annotations
@@ -136,15 +140,26 @@ def local_b2(j: Jet3, z) -> complex:
     return (1.0 - np.abs(z) ** 2) * j.f2 / (2.0 * j.f1) - np.conjugate(z)
 
 
+def jet_reflection(j: Jet3, z):
+    """(r, b2) from a jet of f at z, scalar or array: r = f0 - (1 - |z|^2) f1 / b2.
+
+    The one copy of the reflection formula; r is INFINITY where
+    |b2| < B2_TOL.  |z| comes from the builtin abs, so for a scalar z
+    the factor 1 - |z|^2 stays a Python float.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b2 = local_b2(j, z)
+        r = j.f0 - (1.0 - abs(z) ** 2) * j.f1 / b2
+    if np.ndim(r):
+        return np.where(abs(b2) < B2_TOL, INFINITY, r), b2
+    return (INFINITY if abs(b2) < B2_TOL else r), b2
+
+
 def reflect_jet(j: Jet3, z):
     """Reflection value from a scalar jet at z; returns (w, r, b2)."""
     if abs(j.f1) < DERIV_TOL:
         raise CriticalPoint(f"derivative vanishes at z = {z}")
-    b2 = local_b2(j, z)
-    if abs(b2) < B2_TOL:
-        return j.f0, INFINITY, b2
-    r = j.f0 - (1.0 - abs(z) ** 2) * j.f1 / b2
-    return j.f0, r, b2
+    return (j.f0, *jet_reflection(j, z))
 
 
 def reflect(expr, z) -> ReflectionSample:
@@ -163,10 +178,7 @@ def reflect_grid(expr, meta: GridMeta):
     """
     zs = grid_points(meta).ravel()
     j = jet_eval(expr, zs)
-    b2 = local_b2(j, zs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = j.f0 - (1.0 - np.abs(zs) ** 2) * j.f1 / b2
-    r = np.where(np.abs(b2) < B2_TOL, INFINITY, r)
+    r, b2 = jet_reflection(j, zs)
     return zs, j.f0.copy() if isinstance(j.f0, np.ndarray) else np.full_like(zs, j.f0), r, b2
 
 
@@ -188,17 +200,10 @@ def mobius_equivariance_check(expr, mob: Mobius, meta: GridMeta):
     """
     zs = grid_points(meta).ravel()
     j = jet_eval(expr, zs)
-    b2 = local_b2(j, zs)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_f = j.f0 - (1.0 - np.abs(zs) ** 2) * j.f1 / b2
-    r_f = np.where(np.abs(b2) < B2_TOL, INFINITY, r_f)
-    lhs = mob(r_f)
-
+    lhs = mob(jet_reflection(j, zs)[0])
     with np.errstate(divide="ignore", invalid="ignore"):
         jm = mob.apply_jet(j)
-        b2m = local_b2(jm, zs)
-        r_m = jm.f0 - (1.0 - np.abs(zs) ** 2) * jm.f1 / b2m
-    r_m = np.where(np.abs(b2m) < B2_TOL, INFINITY, r_m)
+    r_m = jet_reflection(jm, zs)[0]
 
     res = chordal(lhs, r_m)
     ok = ~np.isnan(res)

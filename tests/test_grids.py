@@ -1,0 +1,56 @@
+"""The ring sampler and the polar refinement shared by every scan."""
+
+import math
+
+import numpy as np
+import pytest
+
+from awr.grids import GridMeta, grid_points, polar, refine_on_grid, ring_points
+
+
+def test_ring_points_are_ring_major_and_unvalidated():
+    z = ring_points((0.0, 0.5), 16)  # below GridMeta's 64-angle floor
+    assert z.shape == (2, 16)
+    assert np.all(z[0] == 0.0)
+    assert np.allclose(np.abs(z[1]), 0.5)
+    assert z[1, 4] == pytest.approx(0.5j)
+    meta = GridMeta(rings=(0.3, 0.9), angles=128)
+    assert np.array_equal(grid_points(meta), ring_points(meta.rings, meta.angles))
+
+
+def bowl(r, t):
+    return (r - 0.37) ** 2 + (t - 1.0) ** 2
+
+
+@pytest.mark.parametrize("passes", [1, 3])
+def test_refinement_descends_and_keeps_the_caller_best(passes):
+    r0, t0 = 0.5, 1.02
+    best, r, t = refine_on_grid(bowl, r0, t0, bowl(r0, t0), 0.05, (0.0, 0.9),
+                                dr=0.2, passes=passes)
+    assert best == bowl(r, t)
+    assert abs(r - 0.37) < 1e-6 and abs(t - 1.0) < 1e-6
+    # a best value no sweep can beat leaves the start point alone
+    assert refine_on_grid(bowl, r0, t0, -1.0, 0.05, (0.0, 0.9), dr=0.2,
+                          passes=passes) == (-1.0, r0, t0)
+
+
+def test_refinement_stays_inside_the_radius_range_and_maximizes():
+    def peak(r, t):
+        return r + math.cos(t)
+
+    best, r, t = refine_on_grid(peak, 0.5, 0.01, peak(0.5, 0.01), 0.1, (0.4, 0.6),
+                                minimize=False)
+    assert 0.4 <= r <= 0.6 and r > 0.59
+    assert abs(t) < 1e-6
+    assert best == pytest.approx(peak(r, t))
+
+
+def test_refinement_runs_at_least_one_pass():
+    best, r, t = refine_on_grid(bowl, 0.5, 1.02, bowl(0.5, 1.02), 0.05, (0.0, 0.9),
+                                dr=0.2, passes=0)
+    assert best < bowl(0.5, 1.02)
+
+
+def test_polar():
+    assert polar(2.0, 0.0) == 2.0
+    assert polar(1.0, math.pi / 2) == pytest.approx(1j)

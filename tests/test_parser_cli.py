@@ -13,6 +13,7 @@ from awr import cli
 from awr.errors import BadParam, MapSyntaxError, ParamOutOfRange, UnknownName
 from awr.catalog import CONVEXITY_ANGLES, CONVEXITY_RINGS
 from awr.convexity import COEFF_ANGLES, COEFF_RINGS
+from awr.deepscan import MAX_PASSES
 from awr.expr import Disk, Identity, Koebe, SectorAuto, Strip, StripShift
 from awr.grids import DEFAULT_ANGLES, DEFAULT_RINGS, MAX_GRID_POINTS, GridMeta
 from awr.nehari import CERT_ANGLES, CERT_RINGS
@@ -259,6 +260,25 @@ def test_negative_passes_exit_two(command):
     assert "--passes" in err
     code, out, _ = run([command, "--map", "identity", "--passes", "0"])
     assert code == 0
+    # over the cap: refused before any work, also on the strip, whose
+    # deep probes overflow to NaN from pass 341 on
+    for expr in ("identity", "strip"):
+        code, out, err = run([command, "--map", expr, "--passes", str(MAX_PASSES + 1)])
+        assert code == 2
+        assert out == ""
+        assert f"cap of {MAX_PASSES}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--map", "disk(x=0.5)", "--csv"],
+    ["svg", "--map", "identity", "--svg"],
+])
+def test_unwritable_output_path_exits_two(argv, tmp_path):
+    path = str(tmp_path / "missing" / "out")
+    code, _, err = run(argv + [path])
+    assert code == 2
+    assert err.startswith("error: ")
+    assert path in err
 
 
 HUGE = "2000000000"
