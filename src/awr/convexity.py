@@ -136,8 +136,9 @@ def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
         m = np.real(
             (vals[None, :] - mid[:, None]) * np.conjugate(gap)[:, None]
         ) / scale[:, None]
-        margin[k : k + chunk] = np.min(m, axis=1)
-        argbase[k : k + chunk] = support[np.argmin(m, axis=1)]
+        j = np.argmin(m, axis=1)
+        margin[k : k + chunk] = m[np.arange(j.size), j]
+        argbase[k : k + chunk] = support[j]
     return margin, argbase
 
 

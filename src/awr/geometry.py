@@ -3,23 +3,23 @@
 Both queries run on one static axis-aligned bounding-box tree built in
 numpy; a point cloud is a family of segments with coincident endpoints.
 Each segment is cut into pieces no longer than the mean segment length,
-so there are at most twice as many pieces as segments, and the pieces
-are sorted into a balanced binary tree by median splits across the wider
-side of each node.
+so there are at most twice as many pieces as segments.  The pieces are
+split at the median across the wider side of each node into a balanced
+binary tree, with one stable argsort of node + position per level.
 
 A query makes two passes over the tree, each for all probes at once.
-The first pass walks every probe to its nearer child, level by level,
-down to one leaf; the exact distance to that leaf's segments is a true
-upper bound, the seed.  The second pass descends level by level and
-drops a box that lies farther away than the smaller of the seed and the
-nearest far-corner distance among the probe's current boxes, plus an
-allowance for rounding; box tests compare squared distances, and the
-seed leaf is not evaluated again.  The seed alone is loose where the
-greedy leaf is wrong, as next to clipped long segments, and there the
-far corner still bounds the descent.  Every piece keeps the index
-of its whole segment, and a leaf evaluates the exhaustive-search
-formula on that whole segment, so the results are bitwise equal to
-comparing each probe with every segment.
+The first walks every probe to its nearer child down to one leaf; the
+exact distance to that leaf's segments, the seed, bounds the answer, as
+does the far-corner distance of every box met.  The tree is that path
+plus the subtrees of the children not taken, so the second pass enters
+only at those siblings and descends level by level.  It drops a box
+lying beyond the smaller of the seed and the least far-corner distance
+seen so far, plus an allowance for rounding; every box visited refreshes
+that far corner, which keeps the descent narrow where the greedy leaf is
+wrong, as next to clipped long segments.  Box tests compare squared
+distances.  Every piece keeps the index of its whole segment, and a leaf
+evaluates the exhaustive-search formula on that whole segment, so the
+results are bitwise equal to comparing each probe with every segment.
 """
 
 from __future__ import annotations
@@ -67,19 +67,26 @@ class _BoxTree:
         levels = [starts]
         while sizes.max() > LEAF_SIZE:
             x, y = mid_x[order], mid_y[order]
-            wide_x = (np.maximum.reduceat(x, starts) - np.minimum.reduceat(x, starts)
-                      >= np.maximum.reduceat(y, starts) - np.minimum.reduceat(y, starts))
+            lo = np.minimum.reduceat(x, starts), np.minimum.reduceat(y, starts)
+            span = np.maximum.reduceat(x, starts) - lo[0], np.maximum.reduceat(y, starts) - lo[1]
+            wide_x = span[0] >= span[1]
             node = np.repeat(np.arange(starts.size), sizes)
-            order = order[np.lexsort((np.where(wide_x[node], x, y), node))]
+            lo, span = np.where(wide_x, *lo), np.where(wide_x, *span)
+            scale = 0.5 / np.where(span > 0.0, span, 1.0)
+            # node + a fraction in [0, 1/2]: one sort keeps the nodes apart
+            key = np.where(np.repeat(wide_x, sizes), x, y) - np.repeat(lo, sizes)
+            key = node + key * np.repeat(scale, sizes)
+            order = order[np.argsort(key, kind="stable")]
             half = sizes // 2
             starts = np.column_stack([starts, starts + half]).ravel()
             sizes = np.column_stack([half, sizes - half]).ravel()
             levels.append(starts)
         self.order = order
         self.leaf_starts, self.leaf_sizes = starts, sizes
+        lo_x, lo_y, hi_x, hi_y = (v[order] for v in (lo_x, lo_y, hi_x, hi_y))
         self.boxes = [
-            tuple(np.minimum.reduceat(v[order], s) for v in (lo_x, lo_y))
-            + tuple(np.maximum.reduceat(v[order], s) for v in (hi_x, hi_y))
+            tuple(np.minimum.reduceat(v, s) for v in (lo_x, lo_y))
+            + tuple(np.maximum.reduceat(v, s) for v in (hi_x, hi_y))
             for s in levels
         ]
 
@@ -103,37 +110,41 @@ class _BoxTree:
         px, py = p.real, p.imag
 
         # Pass 1: every probe walks to its nearer child down to one leaf,
-        # whose exact distance, the seed, bounds the answer from above.
+        # whose distance is the seed; it keeps each sibling and far corner.
         every = np.arange(p.size)
         seed_leaf = np.zeros(p.size, dtype=np.intp)
+        far_min = np.full(p.size, np.inf)
+        siblings = []
         for box in self.boxes[1:]:
             left = 2 * seed_leaf
-            near_l = _gaps(box, left, px, py)[0]
-            near_r = _gaps(box, left + 1, px, py)[0]
-            seed_leaf = left + (near_r < near_l)
+            near_l, far_l = _gaps(box, left, px, py)
+            near_r, far_r = _gaps(box, left + 1, px, py)
+            right = near_r < near_l
+            seed_leaf = left + right
+            siblings.append((left + ~right, np.where(right, near_l, near_r)))
+            far_min = np.minimum(far_min, np.minimum(far_l, far_r))
         probe, seg = self._leaf_pairs(every, seed_leaf)
         dist = self._segment_distance(p[probe], seg)
         best = np.minimum.reduceat(dist, np.flatnonzero(np.diff(probe, prepend=-1)))
 
-        # Pass 2: all probes descend together.  A probe drops a box that
-        # lies beyond its seed or beyond the nearest far corner among its
-        # current boxes, plus the rounding allowance.
+        # Pass 2: the descent enters at the siblings only.  A box lying
+        # beyond the seed or the least far corner seen, plus the rounding
+        # allowance, is dropped; each box visited refreshes that corner.
         slack = SLACK * (np.abs(p) + self.scale)
-        probe = every
-        node = np.zeros(p.size, dtype=np.intp)
-        for box in self.boxes[1:]:
+        probe = node = np.empty(0, dtype=np.intp)
+        for box, (sib, sib_near) in zip(self.boxes[1:], siblings):
             probe = np.repeat(probe, 2)
             node = (2 * node[:, None] + np.array([0, 1])).ravel()
             near, far = _gaps(box, node, px[probe], py[probe])
-            # probe is sorted, and every probe keeps its nearest-far box
-            first = np.flatnonzero(np.diff(probe, prepend=-1))
-            head = probe[first]
-            cap = np.minimum(best[head], np.sqrt(np.minimum.reduceat(far, first))) + slack[head]
-            keep = near <= np.repeat(cap * cap, np.diff(first, append=probe.size))
-            probe, node = probe[keep], node[keep]
+            np.minimum.at(far_min, probe, far)
+            cap = np.square(np.minimum(best, np.sqrt(far_min)) + slack)
+            keep = near <= cap[probe]
+            enter = np.flatnonzero(sib_near <= cap)
+            probe = np.concatenate([probe[keep], enter])
+            node = np.concatenate([node[keep], sib[enter]])
 
-        keep = node != seed_leaf[probe]
-        probe, seg = self._leaf_pairs(probe[keep], node[keep])
+        by_probe = np.argsort(probe, kind="stable")
+        probe, seg = self._leaf_pairs(probe[by_probe], node[by_probe])
         np.minimum.at(best, probe, self._segment_distance(p[probe], seg))
         return best
 

@@ -134,7 +134,9 @@ def refine_on_grid(fn, r: float, theta: float, best: float, dth: float, r_range,
     8x after every pass, and at least one pass runs.  A sweep moves the
     point only when its value beats best strictly, so the caller's best
     so far (a grid value, or fn at the start) is never lost.  With the
-    default dr the r sweep covers the whole of r_range.  Returns
+    default dr the r sweep covers the whole of r_range.  Once both
+    brackets have collapsed to the point, the later passes would only
+    evaluate that point again, so they are skipped.  Returns
     (best, r, theta).
     """
     r_min, r_max = r_range
@@ -148,6 +150,8 @@ def refine_on_grid(fn, r: float, theta: float, best: float, dth: float, r_range,
             rr, v = golden_section(lambda s: fn(s, theta), lo, hi, minimize=minimize)
             if sign * v < sign * best:
                 best, r = v, rr
+        elif theta - dth == theta + dth:
+            break  # both brackets collapsed: later passes only repeat fn(r, theta)
         dr /= 8.0
         dth /= 8.0
     return best, r, theta

@@ -245,6 +245,35 @@ def test_ratio_scan_queries_match_oracles_on_unbounded_fixtures(name, monkeypatc
         assert np.array_equal(got, oracles[kernel](*args))
 
 
+@pytest.mark.parametrize("name,expr", FIXTURE_EXPRS)
+def test_ratio_scan_queries_evaluate_few_leaf_pairs(name, expr, monkeypatch):
+    """At the default grid, each ratio-scan query evaluates at most 24
+    (probe, segment) pairs per probe, seed leaf included; the worst
+    today is about 18, on the strip-shift segment query.  A descent
+    whose cap stops tightening below the seed evaluates far more."""
+    queries = []
+    query, segment_distance = _BoxTree.query, _BoxTree._segment_distance
+
+    def counted_query(tree, p):
+        queries.append([p.size, 0])
+        return query(tree, p)
+
+    def counted_segment_distance(tree, q, seg):
+        queries[-1][1] += seg.size
+        return segment_distance(tree, q, seg)
+
+    monkeypatch.setattr(_BoxTree, "query", counted_query)
+    monkeypatch.setattr(_BoxTree, "_segment_distance", counted_segment_distance)
+    try:
+        quasidisk_ratio_scan(expr)
+    except DegenerateDomain:
+        assert name == "strip"
+        return
+    assert len(queries) == 2
+    for probes, pairs in queries:
+        assert pairs <= 24 * probes
+
+
 def test_cli_import_leaves_scipy_out():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

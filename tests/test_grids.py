@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from awr import quasidisk
+from awr.catalog import FIXTURE_EXPRS
 from awr.grids import GridMeta, grid_points, polar, refine_on_grid, ring_points
 
 
@@ -49,6 +51,58 @@ def test_refinement_runs_at_least_one_pass():
     best, r, t = refine_on_grid(bowl, 0.5, 1.02, bowl(0.5, 1.02), 0.05, (0.0, 0.9),
                                 dr=0.2, passes=0)
     assert best < bowl(0.5, 1.02)
+
+
+def test_refinement_stops_once_the_brackets_collapse():
+    """Past about 20 passes both brackets are below double resolution;
+    the refinement then stops evaluating, with the same result."""
+    calls = []
+
+    def counted(r, t):
+        calls.append((r, t))
+        return bowl(r, t)
+
+    results, counts = [], []
+    for passes in (3, 20, 40, 64):
+        calls.clear()
+        results.append(refine_on_grid(counted, 0.5, 1.02, bowl(0.5, 1.02), 0.05,
+                                      (0.0, 0.9), dr=0.2, passes=passes))
+        counts.append(len(calls))
+    assert counts[0] < counts[1] and counts[1] == counts[2] == counts[3]
+    assert results[1] == results[2] == results[3]
+    # at theta = 0 the angle bracket never collapses, so every pass runs
+    counts = []
+    for passes in (40, 64):
+        calls.clear()
+        refine_on_grid(lambda r, t: counted(r, t + 1.0), 0.37, 0.0, 0.0, 0.05, (0.0, 0.9),
+                       dr=0.2, passes=passes)
+        counts.append(len(calls))
+    assert counts[1] > counts[0]
+    # a collapsed angle bracket alone leaves the r sweeps running
+    best, r, t = refine_on_grid(bowl, 0.5, 1.0, bowl(0.5, 1.0), 0.0, (0.0, 0.9), dr=0.2,
+                                passes=3)
+    assert t == 1.0 and abs(r - 0.37) < 1e-6
+
+
+def refine_pass_by_pass(fn, r, theta, best, dth, r_range, dr=1.0, passes=1, minimize=True):
+    """refine_on_grid run one pass per call, so every pass runs."""
+    for k in range(max(passes, 1)):
+        best, r, theta = refine_on_grid(fn, r, theta, best, dth / 8.0**k, r_range,
+                                        dr / 8.0**k, 1, minimize)
+    return best, r, theta
+
+
+@pytest.mark.parametrize("name", ["disk", "strip-shift"])
+@pytest.mark.parametrize("passes", [3, 20, 64])
+def test_collapsed_refinement_matches_every_pass_bitwise(name, passes, monkeypatch):
+    """repr round-trips every float, so equal reprs are bitwise-equal reports."""
+    expr = dict(FIXTURE_EXPRS)[name]
+    got = [quasidisk.delta_f(expr, passes=passes),
+           quasidisk.koebe_omission_scan(expr, passes=passes)]
+    monkeypatch.setattr(quasidisk, "refine_on_grid", refine_pass_by_pass)
+    want = [quasidisk.delta_f(expr, passes=passes),
+            quasidisk.koebe_omission_scan(expr, passes=passes)]
+    assert repr(got) == repr(want)
 
 
 def test_polar():
