@@ -7,6 +7,14 @@ coefficient scan verifies the sharp lower bound Re(a2 f) >= -1/2
 together with its pointwise strengthening.  The proof check reproduces
 the Schur-type coefficient inequality behind the separation theorem for
 a set of recentering points.
+
+A mediatrix margin is a linear functional of the base value, so its
+least value over the base grid sits on the grid's convex hull.  The hull
+is computed once per scan; each probe is then scored only on a small
+window around the hull vertex its gap direction selects, and the window
+is accepted only under a check that makes the result equal, bit for
+bit, to scoring every base.  Probes that fail the check are scored
+against every base that can reach the minimum.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import _as_expr
 from .errors import CoincidentPoints, DegenerateDomain
 from .evaluate import jet_eval, taylor, value
 from .expr import MapExpr
@@ -79,19 +88,53 @@ class MediatrixReport:
     probe_margin: np.ndarray
 
 
-def _hull_support(vals: np.ndarray, reach: float) -> np.ndarray:
-    """Indices, in order, of the values that can minimize a linear functional.
+# Rounding allowance of the hull tests, per unit of magnitude of the
+# values and offsets involved.
+HULL_ROUNDING = 64.0 * np.finfo(float).eps
+# The window search is used only when |gap|^2 and the largest base value
+# lie inside SAFE_RANGE, and |mid| is at most MID_REACH times that value.
+# No product then overflows, and none underflows enough to outgrow the
+# rounding allowance.  Farther midpoints round v - mid so coarsely that
+# a window would span most of the hull; the few such pairs of a scan are
+# scored densely.
+SAFE_RANGE = (1e-100, 1e100)
+MID_REACH = 1e6
 
-    The minimum of Re((v - c) conj(g)) over the values v sits on the
-    boundary of their convex hull (Andrew's monotone chain).  Kept are
-    the values within a rounding allowance of that boundary, so
-    duplicates and collinear points stay, and every value that is not
-    finite.  Any dropped value evaluates strictly above the minimum for
-    every offset c with |c| <= reach, so the minimum and its first index
-    are the same as over all values.
+
+def _hull_support(vals: np.ndarray, allowance: float):
+    """The convex hull of the values, and the values that can minimize a linear functional.
+
+    Returns (hull, support, depth).  hull holds the vertices of the
+    convex hull, counterclockwise (Andrew's monotone chain).  The chain
+    runs only on the values that lie within allowance of the boundary of
+    the octagon of extreme values in eight directions (Akl-Toussaint);
+    the others are deeper than allowance inside the hull as well.
+    support holds, in order, the indices of the values within allowance
+    of the hull's boundary, so duplicates and collinear points stay, and
+    depth[e, i] is the distance of vals[support[i]] from the line of
+    edge e, from hull[e] to hull[e + 1], positive inside.  With
+    allowance = HULL_ROUNDING (max |v| + reach), any other value
+    evaluates strictly above the minimum of Re((v - c) conj(g)) for every
+    offset c with |c| <= reach, so the minimum and its first index are
+    the same as over all values.  If a value is not finite, or the hull
+    has fewer than three vertices, hull is empty and support holds every
+    index.
     """
-    finite = np.isfinite(vals)
-    pts = np.unique(vals[finite])  # sorted by real part, then imaginary part
+    everything = np.empty(0, dtype=complex), np.arange(vals.size), None
+    if not np.all(np.isfinite(vals)):
+        return everything
+
+    def depth(corners, pts):
+        """Distance of each point from each edge line, positive inside."""
+        edge = np.roll(corners, -1) - corners
+        length = np.abs(edge)[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.imag(np.conjugate(edge)[:, None] * (pts[None, :] - corners[:, None])) / length
+
+    u = np.exp(0.25j * np.pi * np.arange(8))
+    octagon = vals[np.argmax(np.real(vals[None, :] * np.conjugate(u)[:, None]), axis=1)]
+    # a repeated extreme value makes an empty edge, whose depth is NaN
+    cand = np.flatnonzero(np.any(depth(octagon, vals) <= allowance, axis=0))
 
     def chain(seq):
         out = []
@@ -102,30 +145,19 @@ def _hull_support(vals: np.ndarray, reach: float) -> np.ndarray:
             out.append(p)
         return out[:-1]
 
+    pts = np.unique(vals[cand])  # sorted by real part, then imaginary part
     hull = np.asarray(chain(pts.tolist()) + chain(pts[::-1].tolist()))
     if hull.size < 3:
-        return np.arange(vals.size)
-    edge = np.roll(hull, -1) - hull
-    v = np.where(finite, vals, 0.0)
-    depth = np.min(
-        np.imag(np.conjugate(edge)[:, None] * (v[None, :] - hull[:, None]))
-        / np.abs(edge)[:, None],
-        axis=0,
-    )
-    allowance = 64.0 * np.finfo(float).eps * (np.max(np.abs(pts)) + reach)
-    return np.flatnonzero(~finite | (depth <= allowance))
+        return everything
+    dist = depth(hull, vals[cand])
+    kept = np.any(dist <= allowance, axis=0)
+    return hull, cand[kept], dist[:, kept]
 
 
-def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
-    """Least margin over the bases for each pair (w, r), and its first base index.
-
-    A margin is a linear functional of the base value, so only the bases
-    on the boundary of their convex hull are compared.
-    """
-    support = _hull_support(base_vals, float(np.max(np.abs(w + r) / 2.0, initial=0.0)))
-    vals = base_vals[support]
+def _dense_margins(vals: np.ndarray, w: np.ndarray, r: np.ndarray):
+    """Least margin over all the given values for each pair (w, r), and its first index."""
     margin = np.empty(w.shape)
-    argbase = np.empty(w.shape, dtype=int)
+    arg = np.empty(w.shape, dtype=int)
     chunk = 2048
     for k in range(0, w.size, chunk):
         ww = w[k : k + chunk]
@@ -138,12 +170,87 @@ def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
         ) / scale[:, None]
         j = np.argmin(m, axis=1)
         margin[k : k + chunk] = m[np.arange(j.size), j]
-        argbase[k : k + chunk] = support[j]
+        arg[k : k + chunk] = j
+    return margin, arg
+
+
+def _support_vertex(hull: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """Index of the hull vertex that minimizes Re(v conj(gap)), for each gap.
+
+    Along a counterclockwise hull the angles of the inward edge normals
+    increase through one turn; the minimizing vertex is the one whose two
+    edges' inward normals bracket gap, found by a binary search.
+    """
+    inward = np.unwrap(np.angle(1j * (np.roll(hull, -1) - hull)))
+    return np.searchsorted(np.concatenate([inward - 2.0 * np.pi, inward]), np.angle(gap)) % hull.size
+
+
+def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
+    """Least margin over the bases for each pair (w, r), and its first base index.
+
+    The margin Re((v - mid) conj(gap)) / |gap|^2, with gap = w - r and
+    mid = (w + r) / 2, is a linear functional of the base value v, so
+    its minimum sits at a vertex k of the hull support, found by
+    _support_vertex.  Each pair is scored only on a window: the vertices
+    k - 2 .. k + 2 and the other support values near the edges between
+    them.  Of tied minima the one of least support index wins, as in a
+    dense argmin.  The window is accepted when vertices k - 2 and k + 2
+    score above the least of vertices k - 1, k, k + 1 by more than the
+    rounding allowance.  The scores of a convex polygon's vertices are
+    unimodal, so some vertex j among k - 1, k, k + 1 then minimizes over
+    the hull, and every support value away from the edges of j scores
+    above the window's minimum.  Every other pair, and every pair of a
+    hull with fewer than five vertices, is scored against the whole
+    support, as is any pair outside the magnitudes the allowance covers.
+    """
+    gap = w - r
+    mid = (w + r) / 2.0
+    scale = np.abs(gap) ** 2
+    mid_abs = np.abs(mid)
+    vmax = float(np.max(np.abs(base_vals), initial=0.0))
+    reach = float(np.max(mid_abs, initial=0.0))
+    hull, support, depth = _hull_support(base_vals, HULL_ROUNDING * (vmax + reach))
+    vals = base_vals[support]
+    lo, hi = SAFE_RANGE
+    n = hull.size
+    if n >= 5 and lo < vmax < hi:
+        allowance = HULL_ROUNDING * (vmax + min(reach, MID_REACH * vmax))
+        ring = (np.arange(n)[:, None] + np.arange(-2, 3)) % n
+        # support position of the first copy of each of vertices k - 2 .. k + 2
+        first = np.argmax(vals == hull[:, None], axis=1)[ring]
+        # window k: those vertices, then the other support values near
+        # edges k - 2 .. k + 1, padded with vertex k
+        near = np.any(depth[ring[:, :4]] <= allowance, axis=1)
+        near[np.arange(n)[:, None], first] = False
+        size = np.sum(near, axis=1)
+        extra = np.argsort(~near, axis=1)[:, : np.max(size)]
+        extra = np.where(np.arange(extra.shape[1]) < size[:, None], extra, first[:, 2:3])
+        win = np.concatenate([first, extra], axis=1).T.copy()
+
+        cols = np.take(win, _support_vertex(hull, gap), axis=1)
+        with np.errstate(all="ignore"):
+            m = np.real((vals[cols] - mid) * np.conjugate(gap)) / scale
+            least = np.minimum.reduce(m[1:4])
+            tol = allowance / np.sqrt(scale)
+            dense = ~((m[0] > least + tol) & (m[4] > least + tol) & (scale > lo)
+                      & (scale < hi) & (mid_abs <= MID_REACH * vmax))
+            # a NaN score (a zero gap) matches no column; such pairs are scored densely
+            pos = np.minimum.reduce(np.where(m == np.minimum.reduce(m), cols, support.size - 1))
+            # the chosen base's own score keeps the sign a dense argmin gives a tie of 0.0 and -0.0
+            margin = np.real((vals[pos] - mid) * np.conjugate(gap)) / scale
+        argbase = support[pos]
+    else:
+        margin = np.empty(w.shape)
+        argbase = np.empty(w.shape, dtype=int)
+        dense = np.ones(w.shape, dtype=bool)
+    if np.any(dense):
+        margin[dense], arg = _dense_margins(vals, w[dense], r[dense])
+        argbase[dense] = support[arg]
     return margin, argbase
 
 
 def mediatrix_scan(
-    expr: MapExpr,
+    spec_or_expr,
     base_radii: int = 16,
     base_angles: int = 64,
     probe_rings: int = 64,
@@ -158,6 +265,7 @@ def mediatrix_scan(
     point is far from the boundary contact locus.  Probes whose local b2
     vanishes reflect to infinity and are counted as vacuous.
     """
+    expr = _as_expr(spec_or_expr)
     rings = tuple(1.0 - np.logspace(math.log10(0.5), math.log10(probe_floor), probe_rings))
     meta = GridMeta(rings=rings, angles=probe_angles)
     zs, ws, rs, _ = reflect_grid(expr, meta)

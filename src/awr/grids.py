@@ -22,6 +22,7 @@ import numpy as np
 from .errors import BadParam
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+EPS = float(np.finfo(float).eps)
 
 DEFAULT_RINGS = (0.5, 0.9, 0.99, 0.999)
 DEFAULT_ANGLES = 1024
@@ -134,10 +135,11 @@ def refine_on_grid(fn, r: float, theta: float, best: float, dth: float, r_range,
     8x after every pass, and at least one pass runs.  A sweep moves the
     point only when its value beats best strictly, so the caller's best
     so far (a grid value, or fn at the start) is never lost.  With the
-    default dr the r sweep covers the whole of r_range.  Once both
-    brackets have collapsed to the point, the later passes would only
-    evaluate that point again, so they are skipped.  Returns
-    (best, r, theta).
+    default dr the r sweep covers the whole of r_range.  Once the r
+    bracket is empty and dth is below double resolution at theta (at
+    most eps max(|theta|, 1), so theta = 0 stops too), a later pass
+    could move theta only by rounding, so the later passes are skipped.
+    Returns (best, r, theta).
     """
     r_min, r_max = r_range
     sign = 1.0 if minimize else -1.0
@@ -150,8 +152,8 @@ def refine_on_grid(fn, r: float, theta: float, best: float, dth: float, r_range,
             rr, v = golden_section(lambda s: fn(s, theta), lo, hi, minimize=minimize)
             if sign * v < sign * best:
                 best, r = v, rr
-        elif theta - dth == theta + dth:
-            break  # both brackets collapsed: later passes only repeat fn(r, theta)
+        elif dth <= EPS * max(abs(theta), 1.0):
+            break  # both brackets below double resolution: later passes only round
         dr /= 8.0
         dth /= 8.0
     return best, r, theta

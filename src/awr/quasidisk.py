@@ -302,8 +302,8 @@ def quasidisk_ratio_scan(spec_or_expr, rings=RATIO_RINGS, angles: int = RATIO_AN
 
     inner_grid = GridMeta(rings=INTERIOR_RINGS, angles=INTERIOR_ANGLES)
     inner = jet_eval(expr, grid_points(inner_grid).ravel()).f0
-    inner = inner[np.isfinite(inner) & (np.abs(inner) <= CLIP_RADIUS)]
-    cloud = np.concatenate([poly.vertices(), inner])
+    # the segment query covers the polyline's vertices
+    cloud = inner[np.isfinite(inner) & (np.abs(inner) <= CLIP_RADIUS)]
 
     zs, ws, rs, _ = reflect_grid(expr, meta)
     # One query per kernel for every ring; the segment query takes the

@@ -6,11 +6,14 @@ are pinned here with brackets wide enough to survive benign grid
 changes but tight enough to catch sign errors or lost refinement.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from awr import convexity
 from awr.catalog import FIXTURE_EXPRS
 from awr.convexity import (
     CONTACT_TOL,
@@ -26,6 +29,7 @@ from awr.errors import CoincidentPoints, DegenerateDomain
 from awr.expr import Disk, Halfplane, Identity, SectorReal, Strip
 from awr.extended import INFINITY, is_infinite
 from awr.evaluate import jet_eval
+from awr.grids import ring_points
 
 # name -> (min_margin bracket, contact expected, vacuous probes expected)
 MEDIATRIX_TABLE = {
@@ -220,9 +224,22 @@ def base_clouds(draw):
     return scale * (complex(*rng.normal(size=2)) + pts[rng.permutation(pts.size)])
 
 
+# an octagon with axis-parallel edges, so axis-aligned gaps tie two vertices
+OCTAGON = np.array([1 - 2j, 2 - 1j, 2 + 1j, 1 + 2j, -1 + 2j, -2 + 1j, -2 - 1j, -1 - 2j])
+
+
 @given(base_vals=base_clouds(), seed=st.integers(0, 2**32 - 1))
+@example(base_vals=np.array([0.0, 4.0, 2.0 + 3.0j, 2.0, 1.0 + 1.0j, 2.0 + 1.0j]), seed=1)
+@example(base_vals=np.concatenate([OCTAGON, 0.5 * OCTAGON, [0.0, 2.0, -2.0j]]), seed=2)
+@example(base_vals=np.concatenate([[2 + 1j, 0.5], OCTAGON, [2 + 1j, 1 - 2j]]), seed=3)
+@example(base_vals=np.concatenate([OCTAGON, [np.nan + 0j], 0.5 * OCTAGON]), seed=4)
+@example(base_vals=np.linspace(-1.0, 1.0, 7) * (1.0 + 2.0j), seed=5)
+@example(base_vals=np.concatenate([np.exp(0.4j * np.pi * np.arange(5)), [0.0, 1.0]]), seed=6)
 @settings(max_examples=80, deadline=None)
 def test_hull_pruned_margins_match_oracle(base_vals, seed):
+    """Examples: a triangle hull with a point on an edge; edge-normal
+    ties; a hull vertex repeated at a lower index; a NaN base value;
+    collinear bases (no hull); the smallest hull the window search takes."""
     rng = np.random.default_rng(seed)
     k = 300
     w = 10.0 ** rng.uniform(-2.0, 6.0, k) * np.exp(2j * np.pi * rng.uniform(size=k))
@@ -233,5 +250,78 @@ def test_hull_pruned_margins_match_oracle(base_vals, seed):
     r = w + 10.0 ** rng.uniform(-3.0, 3.0, k) * direction
     got_m, got_i = _min_margins(base_vals, w, r)
     want_m, want_i = oracle_min_margins(base_vals, w, r)
+    assert np.array_equal(got_m, want_m, equal_nan=True)
+    assert np.array_equal(got_i, want_i)
+
+
+def count_dense_rows(monkeypatch):
+    """Record the number of pairs each dense fallback call scores."""
+    rows = []
+    dense = convexity._dense_margins
+
+    def counted(vals, w, r):
+        rows.append(w.size)
+        return dense(vals, w, r)
+
+    monkeypatch.setattr(convexity, "_dense_margins", counted)
+    return rows
+
+
+@pytest.mark.parametrize("name,expr", FIXTURE_EXPRS)
+def test_mediatrix_window_search_rarely_falls_back(name, expr, monkeypatch):
+    """The speed of the scan rests on the window search: at the default
+    grid at most 1% of the checked probes may need the dense scoring."""
+    rows = count_dense_rows(monkeypatch)
+    report = mediatrix_scan(expr)
+    assert sum(rows) <= 0.01 * report.n_checked, (name, sum(rows))
+
+
+@pytest.mark.parametrize("shift", [2, 3, 17])
+def test_wrong_support_vertex_falls_back_to_dense(shift, monkeypatch):
+    """A candidate vertex two or more steps off fails the window's check,
+    so every pair is scored densely and the result stays exact."""
+    search = convexity._support_vertex
+    monkeypatch.setattr(convexity, "_support_vertex",
+                        lambda hull, gap: (search(hull, gap) + shift) % hull.size)
+    rows = count_dense_rows(monkeypatch)
+    rng = np.random.default_rng(shift)
+    base_vals = ring_points(np.linspace(0.0, 0.55, 16), 64).ravel()
+    w = 0.95 * np.sqrt(rng.uniform(size=500)) * np.exp(2j * np.pi * rng.uniform(size=500))
+    r = w * (1.0 + rng.uniform(0.1, 3.0, 500) * np.exp(1j * rng.uniform(-1.0, 1.0, 500)))
+    got_m, got_i = _min_margins(base_vals, w, r)
+    want_m, want_i = oracle_min_margins(base_vals, w, r)
     assert np.array_equal(got_m, want_m)
     assert np.array_equal(got_i, want_i)
+    assert sum(rows) == w.size
+
+
+def test_far_and_coincident_pairs_match_oracle():
+    """Midpoints far beyond the bases round v - mid so coarsely that many
+    bases tie; those pairs, and a zero gap, are scored densely."""
+    rng = np.random.default_rng(7)
+    base_vals = np.exp(2j * np.pi * rng.permutation(64) / 64)
+    d = np.exp(2j * np.pi * rng.uniform(size=300))
+    w = 10.0 ** rng.uniform(6.0, 16.0, 300) * np.exp(2j * np.pi * rng.uniform(size=300))
+    r = w + 10.0 ** rng.uniform(-1.0, 1.0, 300) * d
+    r[0] = w[0]
+    with np.errstate(all="ignore"):
+        got_m, got_i = _min_margins(base_vals, w, r)
+        want_m, want_i = oracle_min_margins(base_vals, w, r)
+    assert np.array_equal(got_m, want_m, equal_nan=True)
+    assert np.array_equal(got_i, want_i)
+
+
+def test_tied_zero_margins_keep_the_dense_sign():
+    """Two bases score 0.0 and -0.0; the first one's zero is returned."""
+    base_vals = np.array([1 + 1j, complex(-0.0, 0.0), 2 + 0j, 3 + 1j, 3 + 2j, 2 - 1j])
+    w, r = np.array([0.5 - 0.5j]), np.array([-0.5 + 0.5j])
+    got_m, got_i = _min_margins(base_vals, w, r)
+    assert got_i[0] == 0 and got_m.tobytes() == np.array([0.0]).tobytes()
+
+
+def test_mediatrix_scan_takes_a_mapping_spec(catalog):
+    spec = catalog["sector"]
+    got, want = mediatrix_scan(spec), mediatrix_scan(spec.expr)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(a, b, equal_nan=True), field.name
