@@ -1,12 +1,29 @@
 """Command-line front end.
 
-Every subcommand parses a map expression, runs one scan from the
-library, and prints a line-oriented `key = value` report on stdout.
-Optional --csv and --svg flags write the tabular or graphical payload.
-Exit codes: 0 when every certified property holds, 1 when a scan
-completes but a certification fails, 2 for usage errors (bad flags,
-bad grammar, an unwritable output path, or a request the map cannot
-support).
+Every subcommand runs one scan from the library and reports it as
+line-oriented `key = value` pairs on stdout.  A command is a function
+`(args, expr) -> (passed, lines, rows, figure)`:
+
+* `lines` lists the report's (key, value) pairs;
+* `rows` is an iterable of CSV rows, each a list of (key, value) pairs;
+  the first row names the columns, and a complex value fills the two
+  columns key_re and key_im;
+* `figure` is None or a callable that builds the --svg scene.  The
+  `svg` command, whose figure is its product, writes it itself before
+  its one report line and prints no `map` line.
+
+`main` does the shared work once.  It parses --map, refuses a map whose
+convexity is not certified for the commands that need a convex one,
+prints the `map` line and the report, then writes the CSV, then the
+figure, so a failed write leaves the report on stdout.  Rows and figure
+are built only when their flag asks for them, after the report is out.
+Exit codes: 0 when `passed` holds, 1 when a scan completes but a
+certification fails, 2 for usage errors (bad flags, bad grammar, an
+unwritable output path, or a request the map cannot support).
+
+Library functions are looked up as module globals when called, never
+stored in tables or default arguments, so patching a module attribute
+(as the tests and bench/tracing.py do) reaches every call.
 """
 
 from __future__ import annotations
@@ -82,32 +99,51 @@ def _emit(lines) -> None:
         print(f"{key} = {_fmt_value(value)}")
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _pick(obj, names: str, prefix: str = ""):
+    """(key, value) pairs of obj's attributes, each key prefixed; an entry
+    `key=attr` reports attribute attr under key."""
+    pairs = []
+    for name in names.split():
+        key, _, attr = name.rpartition("=")
+        pairs.append((prefix + (key or attr), getattr(obj, attr)))
+    return pairs
+
+
+def _cells(row):
+    """A row's cell texts; a complex value fills two cells, real part first."""
+    cells = []
+    for _, value in row:
+        if isinstance(value, complex):
+            cells += (repr(float(value.real)), repr(float(value.imag)))
+        else:
+            cells.append(repr(float(value)) if isinstance(value, float) else str(value))
+    return cells
+
+
+def _write_csv(path: str, rows) -> None:
+    """Rows of (key, value) pairs as CSV; the first row names the columns,
+    and a complex value names two, key_re and key_im."""
+    # every row is computed before the file opens, so a scan that fails
+    # on the way leaves no file behind
+    rows = list(rows)
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(c)) if isinstance(c, float) else str(c)
-                             for c in row])
+        writer.writerow([key + part for key, value in rows[0] for part in
+                         (("_re", "_im") if isinstance(value, complex) else ("",))])
+        writer.writerows(_cells(row) for row in rows)
 
 
-def _grid_request(args):
-    """Rings and angles of the grid flags, the command's fallback filling in."""
-    rings, angles = args.grid_fallback
-    return (args.rings if args.rings is not None else rings,
-            args.angles if args.angles is not None else angles)
-
-
-def _grid_from_args(args) -> GridMeta | None:
-    """Explicit flags build a grid; otherwise defer to the op default."""
-    if args.rings is None and args.angles is None:
+def _grid(args, raw=False, optional=False):
+    """The grid of the --rings and --angles flags, the command's fallback
+    filling in a missing one: a GridMeta, or with raw the unvalidated
+    (rings, angles).  With optional, None when neither flag is given, so
+    the scan keeps its own default grid."""
+    if optional and args.rings is None and args.angles is None:
         return None
-    return _grid_meta(args)
-
-
-def _grid_meta(args) -> GridMeta:
-    rings, angles = _grid_request(args)
-    return GridMeta(rings=rings, angles=angles, seed=args.seed)
+    rings, angles = args.grid_fallback
+    rings = rings if args.rings is None else args.rings
+    angles = angles if args.angles is None else args.angles
+    return (rings, angles) if raw else GridMeta(rings=rings, angles=angles, seed=args.seed)
 
 
 def _rings_list(text: str):
@@ -135,338 +171,162 @@ def _complex_arg(text: str) -> complex:
 
 
 def _complex_list(text: str):
-    return tuple(_complex_arg(part) for part in text.split(",") if part.strip())
-
-
-def _require_convex(spec, lines) -> bool:
-    if spec.convexity_certified:
-        return True
-    lines.append(("convexity_certified", False))
-    lines.append(("convexity_min", spec.convexity_min))
-    return False
+    values = tuple(_complex_arg(part) for part in text.split(",") if part.strip())
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
 
 
 def _plot_boundary(expr):
     return boundary_polyline(expr, n=PLOT_POINTS, r=PLOT_RADIUS).vertices()
 
 
-def _cmd_catalog(args) -> int:
-    lines = []
+def _reflection_figure(expr, ws, rs, marked=()):
+    """Boundary, probe-reflection pairs, and the mediatrix of each marked
+    (w, r) pair whose reflection is finite."""
+    lines = [mediatrix(w, r) for w, r in marked if not is_infinite(r)]
+    return reflection_scene(_plot_boundary(expr), ws, rs,
+                            mediatrix_lines=[(m.point, m.tangent) for m in lines])
+
+
+def _cmd_catalog(args, expr):
+    lines, rows = [], []
     ok = True
-    rows = []
-    for name, expr in FIXTURE_EXPRS:
-        spec = build_map(expr)
-        cert = certify_nehari(expr)
-        if spec.convexity_certified and not cert.passed:
-            ok = False
-        lines += [
-            (f"{name}.expr", format_expr(expr)),
-            (f"{name}.a2", spec.a2),
-            (f"{name}.convexity_certified", spec.convexity_certified),
-            (f"{name}.convexity_min", spec.convexity_min),
-            (f"{name}.bounded", spec.bounded_hint),
-            (f"{name}.omitted_on_boundary", spec.omitted_on_boundary),
-            (f"{name}.nehari_sup", cert.sup_estimate),
-            (f"{name}.nehari_passed", cert.passed),
-        ]
-        rows.append([name, spec.a2.real, spec.a2.imag, spec.convexity_certified,
-                     spec.convexity_min, spec.bounded_hint,
-                     spec.omitted_on_boundary, cert.sup_estimate, cert.passed])
-    lines.append(("all_passed", ok))
-    _emit(lines)
-    if args.csv:
-        _write_csv(args.csv,
-                   ["name", "a2_re", "a2_im", "convexity_certified",
-                    "convexity_min", "bounded", "omitted_on_boundary",
-                    "nehari_sup", "nehari_passed"], rows)
-    return 0 if ok else 1
+    for name, fixture in FIXTURE_EXPRS:
+        spec = build_map(fixture)
+        cert = certify_nehari(fixture)
+        ok = ok and (cert.passed or not spec.convexity_certified)
+        cells = (_pick(spec, "a2 convexity_certified convexity_min "
+                             "bounded=bounded_hint omitted_on_boundary")
+                 + _pick(cert, "nehari_sup=sup_estimate nehari_passed=passed"))
+        lines += [(f"{name}.expr", format_expr(fixture))]
+        lines += [(f"{name}.{key}", value) for key, value in cells]
+        rows.append([("name", name)] + cells)
+    return ok, lines + [("all_passed", ok)], rows, None
 
 
-def _cmd_certify(args) -> int:
-    expr = parse_expr(args.map)
-    meta = _grid_from_args(args)
-    report = certify_nehari(expr, meta)
-    _emit([
-        ("map", format_expr(expr)),
-        ("sup", report.sup_estimate),
-        ("arg_sup", report.arg_sup),
-        ("t_parameter", report.t_parameter),
-        ("n_failed", report.n_failed),
-        ("seed", args.seed),
-        ("passed", report.passed),
-    ])
-    if args.csv:
-        _write_csv(args.csv,
-                   ["sup", "arg_re", "arg_im", "t_parameter", "n_failed",
-                    "passed"],
-                   [[report.sup_estimate, report.arg_sup.real,
-                     report.arg_sup.imag, report.t_parameter,
-                     report.n_failed, report.passed]])
-    return 0 if report.passed else 1
+def _cmd_certify(args, expr):
+    report = certify_nehari(expr, _grid(args, optional=True))
+    lines = _pick(report, "sup=sup_estimate arg_sup t_parameter n_failed")
+    lines += [("seed", args.seed), ("passed", report.passed)]
+    rows = [_pick(report, "sup=sup_estimate arg=arg_sup t_parameter n_failed passed")]
+    return report.passed, lines, rows, None
 
 
-def _cmd_reflect(args) -> int:
-    expr = parse_expr(args.map)
+def _cmd_reflect(args, expr):
     sample = reflect(expr, args.z)
-    _emit([
-        ("map", format_expr(expr)),
-        ("z", sample.z),
-        ("w", sample.w),
-        ("r", sample.r),
-        ("b2", sample.b2),
-        ("r_is_inf", sample.r_is_inf),
-        ("seed", args.seed),
-    ])
-    if args.csv or args.svg:
-        zs, ws, rs, b2s = reflect_grid(expr, _grid_meta(args))
-        if args.csv:
-            rows = [
-                [z.real, z.imag, w.real, w.imag, r.real, r.imag,
-                 is_infinite(r), b2.real, b2.imag]
-                for z, w, r, b2 in zip(zs, ws, rs, b2s)
-            ]
-            _write_csv(args.csv,
-                       ["z_re", "z_im", "w_re", "w_im", "r_re", "r_im",
-                        "r_is_inf", "b2_re", "b2_im"], rows)
-        if args.svg:
-            med = []
-            if not sample.r_is_inf:
-                line = mediatrix(sample.w, sample.r)
-                med.append((line.point, line.tangent))
-            scene = reflection_scene(_plot_boundary(expr), ws, rs,
-                                     mediatrix_lines=med)
-            scene.write(args.svg)
-    return 0
+    lines = _pick(sample, "z w r b2 r_is_inf") + [("seed", args.seed)]
+    grid = ()  # reflect_grid's (z, w, r, b2), scanned once for --csv and --svg
+
+    def scan():
+        nonlocal grid
+        grid = grid or reflect_grid(expr, _grid(args))
+        return grid
+
+    def rows():
+        for z, w, r, b2 in zip(*scan()):
+            yield [("z", z), ("w", w), ("r", r), ("r_is_inf", is_infinite(r)), ("b2", b2)]
+
+    def figure():
+        _, ws, rs, _ = scan()
+        return _reflection_figure(expr, ws, rs, [(sample.w, sample.r)])
+
+    return True, lines, rows(), figure
 
 
-def _cmd_mediatrix_scan(args) -> int:
-    expr = parse_expr(args.map)
-    spec = build_map(expr)
-    lines = [("map", format_expr(expr))]
-    if not _require_convex(spec, lines):
-        _emit(lines)
-        return 1
+def _cmd_mediatrix_scan(args, expr):
     report = mediatrix_scan(expr)
     passed = report.min_margin >= -1e-9
-    lines += [
-        ("min_margin", report.min_margin),
-        ("probe_at", report.probe_at),
-        ("base_at", report.base_at),
-        ("contact", report.contact),
-        ("n_vacuous", report.n_vacuous),
-        ("n_checked", report.n_checked),
-        ("passed", passed),
-    ]
-    _emit(lines)
-    if args.csv:
-        rows = [
-            [z.real, z.imag, w.real, w.imag, r.real, r.imag, m]
+    lines = _pick(report, "min_margin probe_at base_at contact n_vacuous n_checked")
+    rows = ([("z", z), ("w", w), ("r", r), ("margin", m)]
             for z, w, r, m in zip(report.probe_z, report.probe_w,
-                                  report.probe_r, report.probe_margin)
-        ]
-        _write_csv(args.csv,
-                   ["z_re", "z_im", "w_re", "w_im", "r_re", "r_im", "margin"],
-                   rows)
-    if args.svg:
+                                  report.probe_r, report.probe_margin))
+
+    def figure():
         order = np.argsort(report.probe_margin)[:24]
-        med = []
-        for idx in order:
-            w = report.probe_w[idx]
-            r = report.probe_r[idx]
-            if not is_infinite(r):
-                line = mediatrix(w, r)
-                med.append((line.point, line.tangent))
-        scene = reflection_scene(_plot_boundary(expr), report.probe_w[order],
-                                 report.probe_r[order], mediatrix_lines=med)
-        scene.write(args.svg)
-    return 0 if passed else 1
+        ws, rs = report.probe_w[order], report.probe_r[order]
+        return _reflection_figure(expr, ws, rs, zip(ws, rs))
+
+    return passed, lines + [("passed", passed)], rows, figure
 
 
-def _cmd_coeff_bound(args) -> int:
-    expr = parse_expr(args.map)
-    spec = build_map(expr)
-    lines = [("map", format_expr(expr))]
-    if not _require_convex(spec, lines):
-        _emit(lines)
-        return 1
+def _cmd_coeff_bound(args, expr):
     report = coefficient_bound_scan(expr)
     passed = report.lower_ok and report.residual_ok
-    lines += [
-        ("a2", report.a2),
-        ("inf_lhs", report.inf_lhs),
-        ("arg_inf", report.arg_inf),
-        ("min_residual", report.min_residual),
-        ("arg_residual", report.arg_residual),
-        ("lower_ok", report.lower_ok),
-        ("residual_ok", report.residual_ok),
-        ("passed", passed),
-    ]
-    _emit(lines)
-    if args.csv:
-        _write_csv(args.csv,
-                   ["a2_re", "a2_im", "inf_lhs", "min_residual", "lower_ok",
-                    "residual_ok"],
-                   [[report.a2.real, report.a2.imag, report.inf_lhs,
-                     report.min_residual, report.lower_ok,
-                     report.residual_ok]])
-    return 0 if passed else 1
+    lines = _pick(report, "a2 inf_lhs arg_inf min_residual arg_residual "
+                          "lower_ok residual_ok") + [("passed", passed)]
+    rows = [_pick(report, "a2 inf_lhs min_residual lower_ok residual_ok")]
+    return passed, lines, rows, None
 
 
-def _cmd_proof_check(args) -> int:
-    expr = parse_expr(args.map)
-    spec = build_map(expr)
-    lines = [("map", format_expr(expr))]
-    if not _require_convex(spec, lines):
-        _emit(lines)
-        return 1
-    all_pass, samples = proof_machinery_check(expr, args.zetas)
-    lines.append(("n_zetas", len(samples)))
+def _cmd_proof_check(args, expr):
+    passed, samples = proof_machinery_check(expr, args.zetas)
+    lines = [("n_zetas", len(samples))]
     for k, s in enumerate(samples):
-        lines += [
-            (f"zeta{k}", s.zeta),
-            (f"zeta{k}.slack", s.slack),
-            (f"zeta{k}.re_g_min", s.re_g_min),
-            (f"zeta{k}.sup_h", s.sup_h),
-            (f"zeta{k}.passed", s.passed),
-        ]
-    lines.append(("passed", all_pass))
-    _emit(lines)
-    if args.csv:
-        rows = [[s.zeta.real, s.zeta.imag, s.slack, s.re_g_min, s.sup_h,
-                 s.inf_h, s.passed] for s in samples]
-        _write_csv(args.csv,
-                   ["zeta_re", "zeta_im", "slack", "re_g_min", "sup_h",
-                    "inf_h", "passed"], rows)
-    return 0 if all_pass else 1
+        lines += [(f"zeta{k}", s.zeta)]
+        lines += _pick(s, "slack re_g_min sup_h passed", f"zeta{k}.")
+    rows = [_pick(s, "zeta slack re_g_min sup_h inf_h passed") for s in samples]
+    return passed, lines + [("passed", passed)], rows, None
 
 
-def _cmd_normalize(args) -> int:
-    expr = parse_expr(args.map)
-    meta = _grid_from_args(args)
-    report = normalized_sup(expr, meta)
+def _cmd_normalize(args, expr):
+    report = normalized_sup(expr, _grid(args, optional=True))
     clusters = near_one_clusters(expr)
-    _emit([
-        ("map", format_expr(expr)),
-        ("sup", report.sup),
-        ("arg_sup", report.arg),
-        ("interior_ok", report.interior_ok),
-        ("cluster_ring", clusters.ring),
-        ("cluster_count", clusters.count),
-        ("whole_ring", clusters.whole_ring),
-    ])
-    return 0 if report.interior_ok else 1
+    lines = (_pick(report, "sup arg_sup=arg interior_ok")
+             + _pick(clusters, "cluster_ring=ring cluster_count=count whole_ring"))
+    return report.interior_ok, lines, None, None
 
 
-def _cmd_delta(args) -> int:
-    expr = parse_expr(args.map)
-    meta = _grid_from_args(args)
-    report = delta_f(expr, grid=meta, passes=args.passes)
-    _emit([
-        ("map", format_expr(expr)),
-        ("delta", report.value),
-        ("metric", report.metric),
-        ("arg_inf", report.arg_inf),
-        ("passes", args.passes),
-    ])
-    if args.csv:
-        _write_csv(args.csv,
-                   ["delta", "metric", "arg_re", "arg_im"],
-                   [[report.value, report.metric, report.arg_inf.real,
-                     report.arg_inf.imag]])
-    return 0
+def _cmd_delta(args, expr):
+    report = delta_f(expr, grid=_grid(args, optional=True), passes=args.passes)
+    lines = _pick(report, "delta=value metric arg_inf") + [("passes", args.passes)]
+    return True, lines, [_pick(report, "delta=value metric arg=arg_inf")], None
 
 
-def _cmd_quasidisk(args) -> int:
-    expr = parse_expr(args.map)
-    rings, angles = _grid_request(args)
+def _cmd_quasidisk(args, expr):
+    rings, angles = _grid(args, raw=True)
     profile = quasidisk_ratio_scan(expr, rings=rings, angles=angles)
-    lines = [("map", format_expr(expr))]
-    for ring, inf_ratio in zip(profile.rings, profile.inf_ratio_per_ring):
-        lines.append((f"inf_ratio[{_fmt_float(ring)}]", inf_ratio))
-    lines += [
-        ("c_estimate", profile.c_estimate),
-        ("collapsed", profile.collapsed),
-        ("seed", args.seed),
-    ]
-    _emit(lines)
-    csv_path = args.csv or QUASIDISK_CSV_DEFAULT
-    rows = [
-        [ring, inf_ratio, arg.real, arg.imag, bool(vac)]
-        for ring, inf_ratio, arg, vac in zip(
-            profile.rings, profile.inf_ratio_per_ring, profile.arg_inf,
-            profile.all_infinite)
-    ]
-    _write_csv(csv_path,
-               ["ring", "inf_ratio", "arg_re", "arg_im", "all_infinite"],
-               rows)
-    if args.svg:
-        deepest = max(rings)
-        meta = GridMeta(rings=(deepest,), angles=min(angles, 512),
-                        seed=args.seed)
-        zs, ws, rs, _ = reflect_grid(expr, meta)
-        ratios = np.abs(rs - ws)
-        scene = ratio_scene(_plot_boundary(expr), ws, rs, ratios)
-        scene.write(args.svg)
-    return 1 if profile.collapsed else 0
+    lines = [(f"inf_ratio[{_fmt_float(ring)}]", ratio)
+             for ring, ratio in zip(profile.rings, profile.inf_ratio_per_ring)]
+    lines += _pick(profile, "c_estimate collapsed") + [("seed", args.seed)]
+    rows = ([("ring", ring), ("inf_ratio", ratio), ("arg", arg), ("all_infinite", bool(vac))]
+            for ring, ratio, arg, vac in zip(profile.rings, profile.inf_ratio_per_ring,
+                                             profile.arg_inf, profile.all_infinite))
+
+    def figure():
+        meta = GridMeta(rings=(max(rings),), angles=min(angles, 512), seed=args.seed)
+        _, ws, rs, _ = reflect_grid(expr, meta)
+        return ratio_scene(_plot_boundary(expr), ws, rs, np.abs(rs - ws))
+
+    return not profile.collapsed, lines, rows, figure
 
 
-def _cmd_omission_scan(args) -> int:
-    expr = parse_expr(args.map)
+def _cmd_omission_scan(args, expr):
     report = koebe_omission_scan(expr, passes=args.passes)
-    _emit([
-        ("map", format_expr(expr)),
-        ("inf_value", report.inf_value),
-        ("base_at", report.base_at),
-        ("probe_at", report.probe_at),
-        ("collapsed", report.collapsed),
-    ])
-    if args.csv:
-        _write_csv(args.csv,
-                   ["inf_value", "base_re", "base_im", "probe_re", "probe_im",
-                    "collapsed"],
-                   [[report.inf_value, report.base_at.real,
-                     report.base_at.imag, report.probe_at.real,
-                     report.probe_at.imag, report.collapsed]])
-    return 1 if report.collapsed else 0
+    lines = _pick(report, "inf_value base_at probe_at collapsed")
+    rows = [_pick(report, "inf_value base=base_at probe=probe_at collapsed")]
+    return not report.collapsed, lines, rows, None
 
 
-def _cmd_lemma32(args) -> int:
-    rows = lemma32_demo(args.a_list)
-    lines = []
+def _cmd_lemma32(args, expr):
+    lines, rows = [], []
     ok = True
-    for k, row in enumerate(rows):
+    for k, row in enumerate(lemma32_demo(args.a_list)):
         good = row.sup_norm_dev < 1e-10 and row.delta < 1e-2
         ok = ok and good
-        lines += [
-            (f"row{k}.a", row.a),
-            (f"row{k}.delta", row.delta),
-            (f"row{k}.metric", row.delta_metric),
-            (f"row{k}.sup_norm_dev", row.sup_norm_dev),
-            (f"row{k}.passed", good),
-        ]
-    lines.append(("passed", ok))
-    _emit(lines)
-    if args.csv:
-        _write_csv(args.csv,
-                   ["a_re", "a_im", "delta", "metric", "sup_norm_dev"],
-                   [[row.a.real, row.a.imag, row.delta, row.delta_metric,
-                     row.sup_norm_dev] for row in rows])
-    return 0 if ok else 1
+        cells = _pick(row, "a delta metric=delta_metric sup_norm_dev")
+        lines += [(f"row{k}.{key}", value) for key, value in cells]
+        lines += [(f"row{k}.passed", good)]
+        rows.append(cells)
+    return ok, lines + [("passed", ok)], rows, None
 
 
-def _cmd_svg(args) -> int:
-    expr = parse_expr(args.map)
-    zs, ws, rs, _ = reflect_grid(expr, _grid_meta(args))
-    med = []
-    if args.z is not None:
-        sample = reflect(expr, args.z)
-        if not sample.r_is_inf:
-            line = mediatrix(sample.w, sample.r)
-            med.append((line.point, line.tangent))
-    scene = reflection_scene(_plot_boundary(expr), ws, rs, mediatrix_lines=med)
-    scene.write(args.svg)
-    print(f"svg = {args.svg}")
-    return 0
+def _cmd_svg(args, expr):
+    # written before the report line, so an unwritable path prints nothing
+    _, ws, rs, _ = reflect_grid(expr, _grid(args))
+    marked = [] if args.z is None else [reflect(expr, args.z)]
+    _reflection_figure(expr, ws, rs, [(s.w, s.r) for s in marked]).write(args.svg)
+    return True, [("svg", args.svg)], None, None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -476,11 +336,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "diagnostics for closed-form disk maps.",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    negative = "; write --{}=-0.5+0i,... when the first has a negative real part"
 
-    def add(name, fn, help_text, *, mapped=True, grid=None, z=False,
-            passes=False, csv_flag=True, svg_flag=False):
+    def add(name, fn, help_text, *, mapped=True, convex=False, grid=None,
+            z=False, passes=False, csv_flag=True, svg_flag=False):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(fn=fn)
+        # main prints the map line where map_line is set, refuses a map
+        # without certified convexity where convex is set, and reads a
+        # missing --map, --csv or --svg as None
+        p.set_defaults(fn=fn, map_line=mapped, convex=convex, map=None,
+                       csv=None, svg=None)
         if mapped:
             p.add_argument("--map", required=True,
                            help="map expression, e.g. 'koebe(strip, z0=0.7+0i)'")
@@ -493,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="angle count per ring")
         if z:
             p.add_argument("--z", type=_complex_arg, default=None,
-                           help="probe point, complex literal like 0.5+0i")
+                           help="probe point, complex literal like 0.5+0i; "
+                                "write --z=-0.5+0.1i for a negative real part")
         if passes:
             p.add_argument("--passes", type=_passes_arg, default=3,
                            help=f"refinement passes, at most {MAX_PASSES}")
@@ -515,31 +381,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(z_required=True)
     add("mediatrix-scan", _cmd_mediatrix_scan,
         "separation margins between reflections and image points",
-        svg_flag=True)
+        convex=True, svg_flag=True)
     add("coeff-bound", _cmd_coeff_bound,
-        "second-coefficient functional lower bound")
+        "second-coefficient functional lower bound", convex=True)
     q = add("proof-check", _cmd_proof_check,
-            "recentered Schwarz-Pick separation checks")
+            "recentered Schwarz-Pick separation checks", convex=True)
     q.add_argument("--zetas", type=_complex_list, default=DEFAULT_ZETAS,
-                   help="comma-separated recentering points")
+                   help="comma-separated recentering points"
+                        + negative.format("zetas"))
     add("normalize", _cmd_normalize,
         "sup of |a2 f*| for the shifted map",
         grid=(NORM_RINGS, NORM_ANGLES), csv_flag=False)
     add("delta", _cmd_delta, "distance from the omitted value to the image",
         grid=(DELTA_RINGS, DELTA_ANGLES), passes=True)
     add("quasidisk", _cmd_quasidisk, "reflection distance-ratio profile",
-        grid=(RATIO_RINGS, RATIO_ANGLES), svg_flag=True)
+        grid=(RATIO_RINGS, RATIO_ANGLES),
+        svg_flag=True).set_defaults(csv=QUASIDISK_CSV_DEFAULT)
     add("omission-scan", _cmd_omission_scan,
         "inf |b2 g + 1| over recentered maps", passes=True)
     lem = add("lemma32", _cmd_lemma32,
               "strip-conjugate family demonstration", mapped=False)
     lem.add_argument("--a-list", type=_complex_list,
                      default=(0.25, 0.01, 0.25j),
-                     help="comma-separated parameter values")
+                     help="comma-separated parameter values"
+                          + negative.format("a-list"))
     s = add("svg", _cmd_svg, "figure of boundary, probes, and reflections",
             grid=((0.5, 0.8, 0.95), 128), z=True, csv_flag=False,
             svg_flag=True)
-    s.set_defaults(svg_required=True)
+    s.set_defaults(svg_required=True, map_line=False)
     return top
 
 
@@ -553,9 +422,23 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "grid_fallback"):
             # refuse an oversized grid before any command allocates it
-            rings, angles = _grid_request(args)
+            rings, angles = _grid(args, raw=True)
             check_grid_size(len(rings), angles)
-        return args.fn(args)
+        expr = None if args.map is None else parse_expr(args.map)
+        head = [("map", format_expr(expr))] if args.map_line else []
+        if args.convex:
+            spec = build_map(expr)
+            if not spec.convexity_certified:
+                _emit(head + [("convexity_certified", False),
+                              ("convexity_min", spec.convexity_min)])
+                return 1
+        passed, lines, rows, figure = args.fn(args, expr)
+        _emit(head + lines)
+        if args.csv:
+            _write_csv(args.csv, rows)
+        if args.svg and figure:
+            figure().write(args.svg)
+        return 0 if passed else 1
     except MapSyntaxError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

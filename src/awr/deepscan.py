@@ -154,11 +154,3 @@ def deep_strip_values(struct: StripStructure, exponent: float, taus=None):
         )
         out.append(struct.post(end.e * lam))
     return np.concatenate(out)
-
-
-def deep_values(expr: MapExpr, exponent: float, taus=None):
-    """deep_strip_values for a raw expression; None when not strip-built."""
-    struct = strip_structure(expr)
-    if struct is None:
-        return None
-    return deep_strip_values(struct, exponent, taus)

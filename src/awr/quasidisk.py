@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import A2_ZERO_TOL, _as_expr, boundedness_hint
+from .catalog import A2_ZERO_TOL, UNBOUNDED, _as_expr, boundedness_hint
 from .deepscan import (
     check_passes,
     default_taus,
@@ -289,7 +289,7 @@ def quasidisk_ratio_scan(spec_or_expr, rings=RATIO_RINGS, angles: int = RATIO_AN
     """
     expr = _as_expr(spec_or_expr)
     a2 = taylor(expr)[1]
-    if abs(a2) < A2_ZERO_TOL and boundedness_hint(expr) == "unbounded":
+    if abs(a2) < A2_ZERO_TOL and boundedness_hint(expr) == UNBOUNDED:
         raise DegenerateDomain(
             "strip-conjugate map reflects its axis to infinity; "
             "use delta_f or koebe_omission_scan instead"

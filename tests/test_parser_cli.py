@@ -270,6 +270,29 @@ def test_negative_passes_exit_two(command):
 
 
 @pytest.mark.parametrize("argv", [
+    ["proof-check", "--map", "disk(x=0.5)", "--zetas", ""],
+    ["proof-check", "--map", "disk(x=0.5)", "--zetas", " , "],
+    ["lemma32", "--a-list", ""],
+])
+def test_empty_sample_list_exits_two(argv):
+    """An empty --zetas or --a-list is refused like an empty --rings,
+    instead of passing over zero samples."""
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert "needs at least one value" in err
+
+
+def test_negative_real_part_needs_the_equals_form():
+    code, _, err = run(["reflect", "--map", "identity", "--z", "-0.5+0.1i"])
+    assert code == 2
+    assert "expected one argument" in err
+    code, out, _ = run(["reflect", "--map", "identity", "--z=-0.5+0.1i"])
+    assert code == 0
+    assert "z = -0.5+0.1i" in out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [
     ["certify", "--map", "disk(x=0.5)", "--csv"],
     ["svg", "--map", "identity", "--svg"],
 ])
