@@ -5,7 +5,9 @@ Taylor coefficient, the outcome of a numerical convexity check, a
 boundedness hint, and whether the omitted point -1/a2 sits on the image
 boundary.  The last flag is what the Mobius shift cares about: shifting
 a map whose omitted point touches the boundary produces the strip map
-up to rotation (unbounded), while every other shift is bounded.
+up to rotation (unbounded), while every other shift is bounded.  Both
+flags read the normal form f = post(leaf(pre(z))): the image is
+post(leaf domain).
 """
 
 from __future__ import annotations
@@ -15,11 +17,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deepscan import strip_structure
+from .deepscan import NormalForm, normal_form
 from .errors import BranchCutViolation, ConsistencyError, PoleInDomain
 from .evaluate import jet_eval, sector_auto_params, taylor
 from .expr import (
-    Affine,
     Disk,
     Halfplane,
     Identity,
@@ -32,7 +33,6 @@ from .expr import (
     Strip,
     StripShift,
 )
-from .extended import is_infinite
 from .grids import ring_points
 from .reflection import local_b2
 
@@ -42,7 +42,6 @@ A2_ZERO_TOL = 1e-12
 
 BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
-UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,7 @@ class MappingSpec:
     convexity_certified: bool
     convexity_min: float
     bounded_hint: str
-    omitted_on_boundary: object  # True / False / None when undecided
+    omitted_on_boundary: bool
     notes: str = ""
 
 
@@ -88,88 +87,69 @@ def validate_convexity(expr: MapExpr, rings=CONVEXITY_RINGS, angles=CONVEXITY_AN
     return certified, best, arg
 
 
-def _branch_cut_check(expr: MapExpr) -> None:
+def _branch_cut_check(leaf: MapExpr) -> None:
     """Dense boundary sample: power-map arguments stay off (-inf, 0].
 
-    The sector maps raise (1+z)/(1+cz) to a fractional power; the
+    The sector leaves raise (1+z)/(1+cz) to a fractional power; the
     principal branch is safe iff that ratio never meets the cut.  A
     near-boundary ring sample is checked at construction time.
     """
-    nodes = [expr]
-    while nodes:
-        node = nodes.pop()
-        nodes.extend(node.children())
-        if isinstance(node, SectorReal):
-            c = -1.0 + 0j
-        elif isinstance(node, SectorAuto):
-            c, _, _ = sector_auto_params(node.a)
-        else:
-            continue
-        z = ring_points((0.999999,), 4096)[0]
-        w = (1.0 + z) / (1.0 + c * z)
-        on_cut = (w.real <= 0.0) & (np.abs(w.imag) < 1e-12)
-        if np.any(on_cut):
-            raise BranchCutViolation(
-                f"power-map argument crosses (-inf, 0] for {node!r}"
-            )
+    if isinstance(leaf, SectorReal):
+        c = -1.0 + 0j
+    elif isinstance(leaf, SectorAuto):
+        c, _, _ = sector_auto_params(leaf.a)
+    else:
+        return
+    z = ring_points((0.999999,), 4096)[0]
+    w = (1.0 + z) / (1.0 + c * z)
+    on_cut = (w.real <= 0.0) & (np.abs(w.imag) < 1e-12)
+    if np.any(on_cut):
+        raise BranchCutViolation(f"power-map argument crosses (-inf, 0] for {leaf!r}")
 
 
-def omitted_point_on_boundary(expr: MapExpr):
+def omitted_point_on_boundary(nf: NormalForm, a2: complex) -> bool:
     """Whether -1/a2 lies on the image boundary (the delta_f = 0 family).
 
     Only strip-built maps can place the omitted point on their boundary:
     otherwise the shifted map would be an unbounded zero-a2 map, forcing
-    it to be the strip map itself.  For a strip-built f = P(L(T(z))) the
-    omitted point touches the boundary exactly when P is affine and
-    a2 = 0 (f is a rotation conjugate of L), or P has a pole and -1/a2
-    is the image of the strip ends.
+    it to be the strip map itself.  For f = post(L(pre(z))) the omitted
+    point touches the boundary exactly when post is affine and a2 = 0
+    (f is a rotation conjugate of L), or post has a pole and -1/a2 is
+    the image of the strip ends.
     """
-    struct = strip_structure(expr)
-    if struct is None:
+    if not isinstance(nf.leaf, Strip):
         return False
-    a2 = taylor(expr)[1]
-    post = struct.post
+    post = nf.post
     if post.is_affine:
         return bool(abs(a2) < A2_ZERO_TOL)
     if abs(a2) < A2_ZERO_TOL:
-        v = post.pole()
-        if is_infinite(v):
-            return False
-        return bool(abs(abs(v.imag) - math.pi / 4.0) < 1e-12)
+        return bool(abs(abs(post.pole().imag) - math.pi / 4.0) < 1e-12)
     t = post.at_infinity()
     return bool(abs(-1.0 / a2 - t) <= 1e-9 * (1.0 + abs(t)))
 
 
-def boundedness_hint(expr: MapExpr) -> str:
-    """Static boundedness classification of the image domain."""
-    if isinstance(expr, (Identity, Disk)):
-        return BOUNDED
-    if isinstance(expr, (Halfplane, SectorReal, SectorAuto, Strip, StripShift)):
+def boundedness_hint(nf: NormalForm) -> str:
+    """Boundedness of the image post(leaf domain).
+
+    An affine post keeps it bounded exactly for the identity and disk
+    leaves.  A strip leaf is unbounded when post's pole lies on the
+    closed strip |Im v| <= pi/4: for mobius-of-strip(a) the pole is
+    -1/a, so it is bounded iff |Im a| > (pi/4) |a|^2.  Otherwise the
+    pole (a shifted omitted point, on the boundary only for strip-built
+    maps) misses the closed leaf domain, and the image is bounded.
+    """
+    post = nf.post
+    if post.is_affine:
+        return BOUNDED if isinstance(nf.leaf, (Identity, Disk)) else UNBOUNDED
+    if isinstance(nf.leaf, Strip) and abs(post.pole().imag) <= 0.25 * math.pi:
         return UNBOUNDED
-    if isinstance(expr, MobiusOfStrip):
-        # Image is bounded iff the pole -1/a of v -> v/(1+av) stays off
-        # the closed strip |Im v| <= pi/4, i.e. |Im a| > (pi/4) |a|^2.
-        return BOUNDED if abs(expr.a.imag) > 0.25 * math.pi * abs(expr.a) ** 2 else UNBOUNDED
-    if isinstance(expr, (Koebe, Affine)):
-        # Precomposition with an automorphism keeps the image set; the
-        # affine renormalization keeps boundedness.
-        return boundedness_hint(expr.inner)
-    if isinstance(expr, MobiusShift):
-        a2 = taylor(expr.inner)[1]
-        if abs(a2) < A2_ZERO_TOL:
-            return boundedness_hint(expr.inner)
-        on_boundary = omitted_point_on_boundary(expr.inner)
-        if on_boundary is True:
-            return UNBOUNDED
-        if on_boundary is False:
-            return BOUNDED
-        return UNKNOWN
-    return UNKNOWN
+    return BOUNDED
 
 
 def build_map(expr: MapExpr) -> MappingSpec:
     """Construct a catalog entry, running the construction-time checks."""
-    _branch_cut_check(expr)
+    nf = normal_form(expr)
+    _branch_cut_check(nf.leaf)
     a2 = taylor(expr)[1]
     certified, conv_min, _ = validate_convexity(expr)
     return MappingSpec(
@@ -177,8 +157,8 @@ def build_map(expr: MapExpr) -> MappingSpec:
         a2=complex(a2),
         convexity_certified=certified,
         convexity_min=conv_min,
-        bounded_hint=boundedness_hint(expr),
-        omitted_on_boundary=omitted_point_on_boundary(expr),
+        bounded_hint=boundedness_hint(nf),
+        omitted_on_boundary=omitted_point_on_boundary(nf, a2),
     )
 
 

@@ -46,7 +46,7 @@ from .deepscan import MAX_PASSES
 from .errors import AwrError, MapSyntaxError
 from .extended import is_infinite
 from .grids import DEFAULT_ANGLES, DEFAULT_RINGS, GridMeta, check_grid_size
-from .nehari import certify_nehari
+from .nehari import CERT_ANGLES, CERT_RINGS, certify_nehari
 from .parser import format_complex, format_expr, parse_complex, parse_expr
 from .quasidisk import (
     DELTA_ANGLES,
@@ -133,13 +133,10 @@ def _write_csv(path: str, rows) -> None:
         writer.writerows(_cells(row) for row in rows)
 
 
-def _grid(args, raw=False, optional=False):
+def _grid(args, raw=False):
     """The grid of the --rings and --angles flags, the command's fallback
-    filling in a missing one: a GridMeta, or with raw the unvalidated
-    (rings, angles).  With optional, None when neither flag is given, so
-    the scan keeps its own default grid."""
-    if optional and args.rings is None and args.angles is None:
-        return None
+    (the scan's own default grid) filling in a missing one: a GridMeta,
+    or with raw the unvalidated (rings, angles)."""
     rings, angles = args.grid_fallback
     rings = rings if args.rings is None else args.rings
     angles = angles if args.angles is None else args.angles
@@ -206,7 +203,7 @@ def _cmd_catalog(args, expr):
 
 
 def _cmd_certify(args, expr):
-    report = certify_nehari(expr, _grid(args, optional=True))
+    report = certify_nehari(expr, _grid(args))
     lines = _pick(report, "sup=sup_estimate arg_sup t_parameter n_failed")
     lines += [("seed", args.seed), ("passed", report.passed)]
     rows = [_pick(report, "sup=sup_estimate arg=arg_sup t_parameter n_failed passed")]
@@ -224,8 +221,9 @@ def _cmd_reflect(args, expr):
         return grid
 
     def rows():
-        for z, w, r, b2 in zip(*scan()):
-            yield [("z", z), ("w", w), ("r", r), ("r_is_inf", is_infinite(r)), ("b2", b2)]
+        zs, ws, rs, b2s = scan()
+        for z, w, r, inf, b2 in zip(zs, ws, rs, is_infinite(rs), b2s):
+            yield [("z", z), ("w", w), ("r", r), ("r_is_inf", inf), ("b2", b2)]
 
     def figure():
         _, ws, rs, _ = scan()
@@ -270,7 +268,7 @@ def _cmd_proof_check(args, expr):
 
 
 def _cmd_normalize(args, expr):
-    report = normalized_sup(expr, _grid(args, optional=True))
+    report = normalized_sup(expr, _grid(args))
     clusters = near_one_clusters(expr)
     lines = (_pick(report, "sup arg_sup=arg interior_ok")
              + _pick(clusters, "cluster_ring=ring cluster_count=count whole_ring"))
@@ -278,7 +276,7 @@ def _cmd_normalize(args, expr):
 
 
 def _cmd_delta(args, expr):
-    report = delta_f(expr, grid=_grid(args, optional=True), passes=args.passes)
+    report = delta_f(expr, grid=_grid(args), passes=args.passes)
     lines = _pick(report, "delta=value metric arg_inf") + [("passes", args.passes)]
     return True, lines, [_pick(report, "delta=value metric arg=arg_inf")], None
 
@@ -374,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("catalog", _cmd_catalog, "survey the fixture catalog", mapped=False)
     add("certify", _cmd_certify, "certify the weighted Schwarzian bound",
-        grid=(DEFAULT_RINGS, 4096))
+        grid=(CERT_RINGS, CERT_ANGLES))
     p = add("reflect", _cmd_reflect, "reflect a probe point across the "
             "image boundary", grid=(DEFAULT_RINGS, DEFAULT_ANGLES), z=True,
             svg_flag=True)

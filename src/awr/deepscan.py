@@ -1,6 +1,13 @@
-"""Log-parametrized probes near the ends of strip-built maps.
+"""The normal form of every map, and log-parametrized strip-end probes.
 
-Maps built on the strip map L degenerate along the two boundary points
+Every map is one Mobius map after one closed-form leaf after one disk
+automorphism, f = post(leaf(pre(z))) with pre(z) = lam (z - a) / (1 -
+conj(a) z), |lam| = 1.  `normal_form` is the one walk over the
+combinator nodes.  Recenterings move (lam, a) in closed form, so pre
+never leaves the automorphism group; every other layer multiplies into
+the Mobius matrix post.
+
+Maps with the strip leaf L degenerate along the two boundary points
 carrying the ends of the image strip.  Limits like the omitted-point
 distance are only reached at probe depths far beyond double resolution
 (after a few refinement passes 1 - |z| is around 1e-2048), so instead
@@ -8,25 +15,25 @@ of raising precision the probes are parametrized by (E, tau) with
 
     z = omega_e (1 - eps) exp(i tau eps),   eps = 10^{-E},
 
-where omega_e is the boundary preimage of strip end e = +-1 under the
-precomposed automorphism T.  To first order in eps
+where omega_e = pre^{-1}(e) is the boundary preimage of strip end
+e = +-1.  To first order in eps
 
-    e - T(z) = eps (1 - i tau) K_e,   K_e = omega_e T'(omega_e),
+    e - pre(z) = eps (1 - i tau) e kappa_e,
+    kappa_e = e omega_e pre'(omega_e) = (1 - |a|^2) / |1 - conj(a) omega_e|^2,
 
-and e K_e is a positive real (boundary derivative of a disk
-automorphism), so the inner strip value has the closed form
+so kappa_e is positive by construction and the strip value has the
+closed form
 
-    L = e/2 * (log 2 + E log 10 - log(1 - i tau) - log(e K_e))
+    L = e/2 * (log 2 + E log 10 - log(1 - i tau) - log kappa_e)
 
-with every term an ordinary double.  The remaining layers (Koebe
-renormalizations, Mobius-of-strip, shifts, affine maps) act on the L
-value as one composed Mobius map.  Dropped corrections are O(eps)
-absolute, invisible at these depths.
+with every term an ordinary double; post maps it to the image.  Dropped
+corrections are O(eps) absolute, invisible at these depths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,45 +69,62 @@ def check_passes(passes: int) -> None:
 
 
 @dataclass(frozen=True)
-class StripStructure:
-    """f = post(L(pre(z))) with pre a disk automorphism, post a Mobius map."""
+class DiskAutomorphism:
+    """z -> lam (z - a) / (1 - conj(a) z) with |lam| = 1 and |a| < 1."""
 
-    pre: Mobius
+    lam: complex = 1.0 + 0.0j
+    a: complex = 0.0j
+
+    def after(self, z0: complex) -> "DiskAutomorphism":
+        """self o sigma_z0, sigma_z0(z) = (z + z0) / (1 + conj(z0) z): with
+        u = 1 - a conj(z0), a -> (a - z0) / u and lam -> lam u / conj(u),
+        renormalized so rounding keeps |lam| = 1."""
+        u = 1.0 - self.a * z0.conjugate()
+        lam = self.lam * u / u.conjugate()
+        return DiskAutomorphism(lam / abs(lam), (self.a - z0) / u)
+
+
+@dataclass(frozen=True)
+class NormalForm:
+    """f = post(leaf(pre(z))): a disk automorphism, a closed-form leaf, a Mobius map."""
+
+    pre: DiskAutomorphism
+    leaf: MapExpr
     post: Mobius
 
 
-def strip_structure(expr: MapExpr):
-    """Decompose a map into Mobius layers around a strip core, else None."""
-    if isinstance(expr, Strip):
-        return StripStructure(Mobius.identity(), Mobius.identity())
+def normal_form(expr: MapExpr) -> NormalForm:
+    """Collapse an expression tree to (pre, leaf, post).
+
+    strip-shift lowers to koebe(strip), and mobius-of-strip(a) is the
+    strip leaf with post w/(1 + a w).  koebe at z0 moves pre by sigma_z0
+    and puts w -> (w - f(z0)) / ((1 - |z0|^2) f'(z0)) after post.
+    """
     if isinstance(expr, StripShift):
-        return strip_structure(expr.lower())
+        return normal_form(expr.lower())
     if isinstance(expr, MobiusOfStrip):
-        return StripStructure(Mobius.identity(), Mobius(1.0, 0.0, expr.a, 1.0))
+        return NormalForm(DiskAutomorphism(), Strip(), Mobius(1.0, 0.0, expr.a, 1.0))
     if isinstance(expr, Koebe):
-        inner = strip_structure(expr.inner)
-        if inner is None:
-            return None
+        inner = normal_form(expr.inner)
         z0 = expr.z0
         j = jet_eval(expr.inner, z0)
         k = 1.0 / ((1.0 - abs(z0) ** 2) * j.f1)
-        sigma = Mobius(1.0, z0, np.conjugate(z0), 1.0)
         renorm = Mobius(k, -k * j.f0, 0.0, 1.0)
-        return StripStructure(inner.pre.compose(sigma), renorm.compose(inner.post))
+        return NormalForm(inner.pre.after(z0), inner.leaf, renorm.compose(inner.post))
     if isinstance(expr, MobiusShift):
-        inner = strip_structure(expr.inner)
-        if inner is None:
-            return None
-        a2 = taylor(expr.inner)[1]
-        shift = Mobius(1.0, 0.0, a2, 1.0)
-        return StripStructure(inner.pre, shift.compose(inner.post))
+        inner = normal_form(expr.inner)
+        shift = Mobius(1.0, 0.0, taylor(expr.inner)[1], 1.0)
+        return replace(inner, post=shift.compose(inner.post))
     if isinstance(expr, Affine):
-        inner = strip_structure(expr.inner)
-        if inner is None:
-            return None
-        aff = Mobius(expr.A, expr.B, 0.0, 1.0)
-        return StripStructure(inner.pre, aff.compose(inner.post))
-    return None
+        inner = normal_form(expr.inner)
+        return replace(inner, post=Mobius(expr.A, expr.B, 0.0, 1.0).compose(inner.post))
+    return NormalForm(DiskAutomorphism(), expr, Mobius.identity())
+
+
+def strip_structure(expr: MapExpr):
+    """The normal form of a map with the strip leaf, else None."""
+    nf = normal_form(expr)
+    return nf if isinstance(nf.leaf, Strip) else None
 
 
 @dataclass(frozen=True)
@@ -112,20 +136,17 @@ class StripEnd:
     kappa: float
 
 
-def strip_ends(struct: StripStructure):
+def strip_ends(struct: NormalForm):
     """The two boundary preimages of the strip ends, with their factors."""
-    t = struct.pre
-    det = t.a * t.d - t.b * t.c
+    pre = struct.pre
     ends = []
     for e in (1, -1):
-        omega = t.inverse()(complex(e))
-        k_e = omega * det / (t.c * omega + t.d) ** 2
-        kappa = e * k_e
-        if abs(kappa.imag) > 1e-9 * abs(kappa) or kappa.real <= 0:
-            raise ConsistencyError(
-                f"boundary factor for end {e} is not positive real: {k_e}"
-            )
-        ends.append(StripEnd(e=e, omega=complex(omega), kappa=float(kappa.real)))
+        # pre^{-1}(e), in numpy complex division like the recorded outputs
+        omega = complex((e + pre.lam * pre.a) / (np.conj(pre.a) * e + pre.lam))
+        kappa = (1.0 - abs(pre.a) ** 2) / abs(1.0 - pre.a.conjugate() * omega) ** 2
+        if not (math.isfinite(kappa) and kappa > 0.0):
+            raise ConsistencyError(f"boundary factor for end {e} is not positive: {kappa}")
+        ends.append(StripEnd(e=e, omega=omega, kappa=kappa))
     return ends
 
 
@@ -135,14 +156,12 @@ def default_taus(n: int = 129) -> np.ndarray:
     return np.tan(psi)
 
 
-def deep_strip_values(struct: StripStructure, exponent: float, taus=None):
+def deep_strip_values(struct: NormalForm, exponent: float, taus):
     """Map values along deep probe fans at both strip ends.
 
     exponent is E in 1 - |z| = 10^-E; taus the transverse grid.  Returns
     a flat complex array of f values (both ends concatenated).
     """
-    if taus is None:
-        taus = default_taus()
     taus = np.asarray(taus, dtype=float)
     out = []
     for end in strip_ends(struct):
@@ -154,3 +173,17 @@ def deep_strip_values(struct: StripStructure, exponent: float, taus=None):
         )
         out.append(struct.post(end.e * lam))
     return np.concatenate(out)
+
+
+def deep_min(struct: NormalForm, score, passes: int, n_taus: int):
+    """(least score, its end's omega) over the deep values of passes 1..passes,
+    or (inf, None) for none; ties keep the earlier pass, then probe."""
+    taus = default_taus(n_taus)
+    ends = strip_ends(struct)
+    best, omega = math.inf, None
+    for k in range(1, passes + 1):
+        vals = score(deep_strip_values(struct, pass_exponent(k), taus))
+        m = int(np.nanargmin(vals))
+        if float(vals[m]) < best:
+            best, omega = float(vals[m]), ends[m // taus.size].omega
+    return best, omega

@@ -17,14 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import A2_ZERO_TOL, UNBOUNDED, _as_expr, boundedness_hint
-from .deepscan import (
-    check_passes,
-    default_taus,
-    deep_strip_values,
-    pass_exponent,
-    strip_ends,
-    strip_structure,
-)
+from .deepscan import check_passes, deep_min, normal_form, strip_structure
 from .errors import DegenerateDomain, PoleInDomain
 from .evaluate import jet_eval, taylor
 from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
@@ -147,10 +140,20 @@ DELTA_RINGS = (0.3, 0.5, 0.7, 0.9, 0.99)
 DELTA_ANGLES = 1024
 
 
-def _delta_values(expr: MapExpr, a2: complex, f_vals: np.ndarray) -> np.ndarray:
+def _omitted_distance(a2: complex):
+    """f values -> their distances to -1/a2, chordal to infinity when a2 = 0."""
     if abs(a2) < A2_ZERO_TOL:
-        return np.asarray(chordal(f_vals, INFINITY), dtype=float).reshape(np.shape(f_vals))
-    return np.abs(f_vals + 1.0 / a2)
+        return lambda f: np.asarray(chordal(f, INFINITY), dtype=float).reshape(np.shape(f))
+    return lambda f: np.abs(f + 1.0 / a2)
+
+
+def _polar_score(expr: MapExpr, score):
+    """The local descent's objective: score of f at polar(r, t), inf off the disk."""
+    def fn(r, t):
+        if not (0.0 <= r < 1.0):
+            return math.inf
+        return float(score(jet_eval(expr, np.asarray([polar(r, t)])).f0)[0])
+    return fn
 
 
 def delta_f(spec_or_expr, grid: GridMeta = None, passes: int = 3) -> DeltaReport:
@@ -170,17 +173,13 @@ def delta_f(spec_or_expr, grid: GridMeta = None, passes: int = 3) -> DeltaReport
     if grid is None:
         grid = GridMeta(rings=DELTA_RINGS, angles=DELTA_ANGLES)
     pts = grid_points(grid)
-    vals = _delta_values(expr, a2, jet_eval(expr, pts).f0)
+    dist = _omitted_distance(a2)
+    vals = dist(jet_eval(expr, pts).f0)
     i, j = np.unravel_index(int(np.nanargmin(vals)), vals.shape)
     best = float(vals[i, j])
     arg = complex(pts[i, j])
 
-    def fn(r, t):
-        if not (0.0 <= r < 1.0):
-            return math.inf
-        v = _delta_values(expr, a2, jet_eval(expr, np.asarray([polar(r, t)])).f0)
-        return float(v[0])
-
+    fn = _polar_score(expr, dist)
     rings = grid.rings
     r0, th0 = rings[i], 2.0 * np.pi * j / grid.angles
     dr = max(r0 - rings[i - 1] if i > 0 else r0, 1.0 - r0)
@@ -192,15 +191,9 @@ def delta_f(spec_or_expr, grid: GridMeta = None, passes: int = 3) -> DeltaReport
 
     struct = strip_structure(expr)
     if struct is not None:
-        taus = default_taus(129)
-        ends = strip_ends(struct)
-        for k in range(1, passes + 1):
-            deep = deep_strip_values(struct, pass_exponent(k), taus)
-            dvals = _delta_values(expr, a2, deep)
-            m = int(np.nanargmin(dvals))
-            if float(dvals[m]) < best:
-                best = float(dvals[m])
-                arg = complex(ends[m // taus.size].omega)
+        v, omega = deep_min(struct, dist, passes, 129)
+        if v < best:
+            best, arg = v, omega
     return DeltaReport(value=best, metric=metric, arg_inf=arg)
 
 
@@ -289,7 +282,7 @@ def quasidisk_ratio_scan(spec_or_expr, rings=RATIO_RINGS, angles: int = RATIO_AN
     """
     expr = _as_expr(spec_or_expr)
     a2 = taylor(expr)[1]
-    if abs(a2) < A2_ZERO_TOL and boundedness_hint(expr) == UNBOUNDED:
+    if abs(a2) < A2_ZERO_TOL and boundedness_hint(normal_form(expr)) == UNBOUNDED:
         raise DegenerateDomain(
             "strip-conjugate map reflects its axis to infinity; "
             "use delta_f or koebe_omission_scan instead"
@@ -417,27 +410,17 @@ def koebe_omission_scan(
             best_expr, best_b2 = g_expr, b2
 
     if best_expr is not None:
+
+        def score(g):
+            return np.abs(best_b2 * g + 1.0)
+
         struct = strip_structure(best_expr)
         if struct is not None:
-            taus = default_taus(65)
-            ends = strip_ends(struct)
-            for k in range(1, passes + 1):
-                deep = deep_strip_values(struct, pass_exponent(k), taus)
-                dvals = np.abs(best_b2 * deep + 1.0)
-                m = int(np.nanargmin(dvals))
-                if float(dvals[m]) < best:
-                    best = float(dvals[m])
-                    best_probe = complex(ends[m // taus.size].omega)
+            v, omega = deep_min(struct, score, passes, 65)
+            if v < best:
+                best, best_probe = v, omega
         else:
-            g = best_expr
-            b2 = best_b2
-
-            def fn(r, t):
-                if not (0.0 <= r < 1.0):
-                    return math.inf
-                v = np.abs(b2 * jet_eval(g, np.asarray([polar(r, t)])).f0 + 1.0)
-                return float(v[0])
-
+            fn = _polar_score(best_expr, score)
             pr = abs(best_probe)
             pt = math.atan2(best_probe.imag, best_probe.real)
             v, r_ref, th_ref = refine_on_grid(

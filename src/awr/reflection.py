@@ -58,8 +58,9 @@ class Mobius:
     d: complex
 
     def __post_init__(self):
+        # singular only when ad - bc cancels: w -> 1e-15 w has a tiny det but is regular
         det = self.a * self.d - self.b * self.c
-        if abs(det) < 1e-14:
+        if abs(det) < 1e-14 * min(1.0, abs(self.a * self.d) + abs(self.b * self.c)):
             raise CoincidentPoints(f"mobius coefficients are singular, det = {det}")
 
     def __call__(self, w):

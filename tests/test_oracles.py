@@ -17,8 +17,10 @@ from awr.catalog import FIXTURE_EXPRS
 from awr.deepscan import deep_strip_values, strip_ends, strip_structure
 from awr.evaluate import jet_eval, taylor
 from awr.expr import (
+    Affine,
     Disk,
     Halfplane,
+    Koebe,
     MobiusOfStrip,
     MobiusShift,
     SectorAuto,
@@ -129,14 +131,20 @@ def test_schwarzian_precomposition_cocycle_strip_shift():
 
 
 DEEP_EXPRS = (
-    Strip(),
-    MobiusOfStrip(0.25),
-    StripShift(0.7),
-    MobiusShift(MobiusOfStrip(0.25j)),
+    pytest.param(Strip(), id="Strip"),
+    pytest.param(MobiusOfStrip(0.25), id="MobiusOfStrip"),
+    pytest.param(StripShift(0.7), id="StripShift"),
+    pytest.param(MobiusShift(MobiusOfStrip(0.25j)), id="MobiusShift"),
+    # pre composed from two or three recenterings
+    pytest.param(Koebe(Koebe(Strip(), 0.5 + 0.3j), -0.4 + 0.6j), id="koebe-koebe-strip"),
+    pytest.param(Koebe(Affine(MobiusOfStrip(0.3 + 0.2j), 1.0 + 1.0j, 0.5), 0.9 + 0.1j),
+                 id="koebe-affine-mobius-of-strip"),
+    pytest.param(MobiusShift(Koebe(Koebe(StripShift(0.4), 0.95 + 0.2j), -0.7 - 0.6j)),
+                 id="shift-koebe-koebe-strip-shift"),
 )
 
 
-@pytest.mark.parametrize("expr", DEEP_EXPRS, ids=lambda e: type(e).__name__)
+@pytest.mark.parametrize("expr", DEEP_EXPRS)
 def test_deep_probe_values_match_mpmath(expr):
     """The closed-form deep probes agree with brute-force evaluation of
     post(atanh(pre(z))) at 1 - |z| = 1e-30 carried out in 80-digit
@@ -150,22 +158,20 @@ def test_deep_probe_values_match_mpmath(expr):
 
     mpmath.mp.dps = 80
     eps = mpmath.mpf(10) ** (-30)
+    # pre(z) = lam (z - a) / (1 - conj(a) z), taken as exact from its doubles
+    lam, a = mpmath.mpc(struct.pre.lam), mpmath.mpc(struct.pre.a)
+    post = struct.post
     want = []
     for end in strip_ends(struct):
         # The boundary anchor must itself be solved at high precision:
         # its double rounding (~1e-17) would swamp the 1e-30 probe depth.
-        pa, pb = mpmath.mpc(struct.pre.a), mpmath.mpc(struct.pre.b)
-        pc, pd = mpmath.mpc(struct.pre.c), mpmath.mpc(struct.pre.d)
-        omega = (pd * end.e - pb) / (pa - pc * end.e)
+        omega = (end.e + lam * a) / (mpmath.conj(a) * end.e + lam)
         for tau in taus:
             z = omega * (1 - eps) * mpmath.exp(1j * mpmath.mpf(tau) * eps)
-            pre = struct.pre
-            t = (mpmath.mpc(pre.a) * z + mpmath.mpc(pre.b)) / (
-                mpmath.mpc(pre.c) * z + mpmath.mpc(pre.d))
-            lam = mpmath.atanh(t)
-            post = struct.post
-            w = (mpmath.mpc(post.a) * lam + mpmath.mpc(post.b)) / (
-                mpmath.mpc(post.c) * lam + mpmath.mpc(post.d))
+            t = lam * (z - a) / (1 - mpmath.conj(a) * z)
+            v = mpmath.atanh(t)
+            w = (mpmath.mpc(post.a) * v + mpmath.mpc(post.b)) / (
+                mpmath.mpc(post.c) * v + mpmath.mpc(post.d))
             want.append(complex(w))
     want = np.array(want)
     assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0)) < 1e-12

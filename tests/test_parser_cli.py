@@ -209,6 +209,22 @@ def test_certify_csv_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_certify_default_angle_count_keeps_the_default_grid():
+    """--angles 4096 names the default angle count, so the report must be
+    the plain run's; on this map the refined sup point moves when the
+    ring at 0 is dropped."""
+    text = "koebe(sector(a=0.5), z0=-0.2+0.1i)"
+    assert run(["certify", "--map", text, "--angles", "4096"]) == run(["certify", "--map", text])
+
+
+def test_grid_fallback_is_the_scan_default():
+    parser = cli.build_parser()
+    for command, default in (("certify", (CERT_RINGS, CERT_ANGLES)),
+                             ("normalize", (NORM_RINGS, NORM_ANGLES)),
+                             ("delta", (DELTA_RINGS, DELTA_ANGLES))):
+        assert parser.parse_args([command, "--map", "identity"]).grid_fallback == default
+
+
 def test_exit_zero_on_passing_fixtures():
     for text in ("identity", "disk(x=0.5)", "sector(a=0.5)"):
         code, _, _ = run(["certify", "--map", text])
