@@ -99,6 +99,10 @@ HULL_ROUNDING = 64.0 * np.finfo(float).eps
 # scored densely.
 SAFE_RANGE = (1e-100, 1e100)
 MID_REACH = 1e6
+# (probe, base) scores held at once: the window and the dense scoring
+# run over blocks of probes this many scores wide, so their temporaries
+# stay at a few hundred kB whatever the grid.
+BLOCK_SCORES = 1 << 15
 
 
 def _hull_support(vals: np.ndarray, allowance: float):
@@ -158,7 +162,7 @@ def _dense_margins(vals: np.ndarray, w: np.ndarray, r: np.ndarray):
     """Least margin over all the given values for each pair (w, r), and its first index."""
     margin = np.empty(w.shape)
     arg = np.empty(w.shape, dtype=int)
-    chunk = 2048
+    chunk = max(1, BLOCK_SCORES // vals.size)
     for k in range(0, w.size, chunk):
         ww = w[k : k + chunk]
         rr = r[k : k + chunk]
@@ -202,6 +206,9 @@ def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
     above the window's minimum.  Every other pair, and every pair of a
     hull with fewer than five vertices, is scored against the whole
     support, as is any pair outside the magnitudes the allowance covers.
+    The hull, the support, the allowance and the window table are built
+    once for all pairs; the scoring then runs over blocks of pairs, so its
+    memory does not grow with their number.
     """
     gap = w - r
     mid = (w + r) / 2.0
@@ -213,6 +220,9 @@ def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
     vals = base_vals[support]
     lo, hi = SAFE_RANGE
     n = hull.size
+    margin = np.empty(w.shape)
+    pos = np.zeros(w.shape, dtype=int)
+    dense = np.ones(w.shape, dtype=bool)
     if n >= 5 and lo < vmax < hi:
         allowance = HULL_ROUNDING * (vmax + min(reach, MID_REACH * vmax))
         ring = (np.arange(n)[:, None] + np.arange(-2, 3)) % n
@@ -227,26 +237,25 @@ def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
         extra = np.where(np.arange(extra.shape[1]) < size[:, None], extra, first[:, 2:3])
         win = np.concatenate([first, extra], axis=1).T.copy()
 
-        cols = np.take(win, _support_vertex(hull, gap), axis=1)
-        with np.errstate(all="ignore"):
-            m = np.real((vals[cols] - mid) * np.conjugate(gap)) / scale
-            least = np.minimum.reduce(m[1:4])
-            tol = allowance / np.sqrt(scale)
-            dense = ~((m[0] > least + tol) & (m[4] > least + tol) & (scale > lo)
-                      & (scale < hi) & (mid_abs <= MID_REACH * vmax))
-            # a NaN score (a zero gap) matches no column; such pairs are scored densely
-            pos = np.minimum.reduce(np.where(m == np.minimum.reduce(m), cols, support.size - 1))
-            # the chosen base's own score keeps the sign a dense argmin gives a tie of 0.0 and -0.0
-            margin = np.real((vals[pos] - mid) * np.conjugate(gap)) / scale
-        argbase = support[pos]
-    else:
-        margin = np.empty(w.shape)
-        argbase = np.empty(w.shape, dtype=int)
-        dense = np.ones(w.shape, dtype=bool)
+        block = max(1, BLOCK_SCORES // win.shape[0])
+        for k in range(0, w.size, block):
+            b = slice(k, k + block)
+            g, c, sc = gap[b], mid[b], scale[b]
+            cols = np.take(win, _support_vertex(hull, g), axis=1)
+            with np.errstate(all="ignore"):
+                m = np.real((vals[cols] - c) * np.conjugate(g)) / sc
+                least = np.minimum.reduce(m[1:4])
+                tol = allowance / np.sqrt(sc)
+                dense[b] = ~((m[0] > least + tol) & (m[4] > least + tol) & (sc > lo)
+                             & (sc < hi) & (mid_abs[b] <= MID_REACH * vmax))
+                # a NaN score (a zero gap) matches no column; such pairs are scored densely
+                p = np.minimum.reduce(np.where(m == np.minimum.reduce(m), cols, support.size - 1))
+                # the chosen base's own score keeps the sign a dense argmin gives a tie of 0.0 and -0.0
+                margin[b] = np.real((vals[p] - c) * np.conjugate(g)) / sc
+            pos[b] = p
     if np.any(dense):
-        margin[dense], arg = _dense_margins(vals, w[dense], r[dense])
-        argbase[dense] = support[arg]
-    return margin, argbase
+        margin[dense], pos[dense] = _dense_margins(vals, w[dense], r[dense])
+    return margin, support[pos]
 
 
 def mediatrix_scan(

@@ -300,14 +300,15 @@ def quasidisk_ratio_scan(spec_or_expr, rings=RATIO_RINGS, angles: int = RATIO_AN
 
     zs, ws, rs, _ = reflect_grid(expr, meta)
     # One query per kernel for every ring; the segment query takes the
-    # image points and the finite reflections together.
+    # image points and the finite reflections together, and its distances
+    # bound the cloud query, which then skips every leaf beyond them.
     finite_r = ~is_infinite(rs)
     rf = rs[finite_r]
     d_seg = segment_distances(np.concatenate([ws, rf]), seg_a, seg_b)
     d_w = d_seg[: ws.size]
     ratio = np.full(ws.size, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio[finite_r] = np.minimum(d_seg[ws.size :], cloud_distances(rf, cloud)) / d_w[finite_r]
+        ratio[finite_r] = cloud_distances(rf, cloud, bound=d_seg[ws.size :]) / d_w[finite_r]
     zs = zs.reshape(len(rings), angles)
     ratio = ratio.reshape(len(rings), angles)
 

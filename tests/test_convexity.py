@@ -311,6 +311,49 @@ def test_far_and_coincident_pairs_match_oracle():
     assert np.array_equal(got_i, want_i)
 
 
+# 1,024 grid bases take the window path; 40 bases on a square's edges
+# make a four-vertex hull, so every pair is scored densely
+GRID_BASES = ring_points(np.linspace(0.0, 0.55, 16), 64).ravel()
+SQUARE_BASES = np.concatenate([(1j ** k) * (1.0 + 1j * np.linspace(-1.0, 1.0, 10, endpoint=False))
+                               for k in range(4)])
+
+
+@pytest.mark.parametrize("block", [1, 3, 7, 1001, 4099])
+@pytest.mark.parametrize("base_vals", [GRID_BASES, SQUARE_BASES], ids=["window", "dense"])
+def test_score_block_edges_keep_margins_exact(base_vals, block, monkeypatch):
+    """Blocks of one pair up to a few hundred, ending mid-way through
+    the pairs, give the oracle's margins and bases on both paths."""
+    monkeypatch.setattr(convexity, "BLOCK_SCORES", block)
+    rng = np.random.default_rng(block)
+    w = 0.95 * np.sqrt(rng.uniform(size=997)) * np.exp(2j * np.pi * rng.uniform(size=997))
+    r = w * (1.0 + rng.uniform(0.1, 3.0, 997) * np.exp(1j * rng.uniform(-1.0, 1.0, 997)))
+    got_m, got_i = _min_margins(base_vals, w, r)
+    want_m, want_i = oracle_min_margins(base_vals, w, r)
+    assert np.array_equal(got_m, want_m)
+    assert np.array_equal(got_i, want_i)
+
+
+# a quarter of the default probes, against the default bases
+SMALL_PROBES = dict(probe_rings=32, probe_angles=128)
+
+
+@pytest.fixture(scope="module")
+def default_mediatrix():
+    return {name: mediatrix_scan(expr, **SMALL_PROBES) for name, expr in FIXTURE_EXPRS
+            if name in ("sector", "strip-shift")}
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("name", ["sector", "strip-shift"])
+def test_score_block_size_keeps_mediatrix_reports(name, block, default_mediatrix, monkeypatch):
+    monkeypatch.setattr(convexity, "BLOCK_SCORES", block)
+    got = mediatrix_scan(dict(FIXTURE_EXPRS)[name], **SMALL_PROBES)
+    want = default_mediatrix[name]
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(a, b, equal_nan=True), field.name
+
+
 def test_tied_zero_margins_keep_the_dense_sign():
     """Two bases score 0.0 and -0.0; the first one's zero is returned."""
     base_vals = np.array([1 + 1j, complex(-0.0, 0.0), 2 + 0j, 3 + 1j, 3 + 2j, 2 - 1j])

@@ -5,23 +5,26 @@ in blocks, with the same per-pair formula the tree evaluates at its
 leaves, so the tree must agree with them exactly, not just closely.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from awr import quasidisk
+from awr import geometry, quasidisk
 from awr.catalog import FIXTURE_EXPRS
 from awr.errors import DegenerateDomain
 from awr.evaluate import jet_eval
 from awr.extended import is_infinite
 from awr.geometry import _BoxTree, cloud_distances, segment_distances
 from awr.grids import GridMeta
+from awr.parser import parse_expr
 from awr.quasidisk import (
     CLIP_RADIUS,
     INTERIOR_RINGS,
@@ -135,6 +138,57 @@ def test_tree_matches_oracle_exactly(verts, seed):
     assert np.array_equal(got, oracle_cloud_distances(probes, verts))
 
 
+@pytest.mark.parametrize("block", [1, 3, 7])
+@given(verts=polylines(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+@example(verts=GREEDY_MISS_EXAMPLES[2][0], seed=GREEDY_MISS_EXAMPLES[2][1])
+def test_leaf_block_edges_keep_the_tree_exact(block, verts, seed):
+    """Blocks that split one probe's leaves, or one leaf's segments,
+    across calls leave every distance bitwise equal to the oracles."""
+    probes = probe_points(verts, seed)
+    a, b = verts[:-1], verts[1:]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "BLOCK_PAIRS", block)
+        got_seg = segment_distances(probes, a, b)
+        got_cloud = cloud_distances(probes, verts)
+    assert np.array_equal(got_seg, oracle_segment_distances(probes, a, b))
+    assert np.array_equal(got_cloud, oracle_cloud_distances(probes, verts))
+
+
+@given(verts=polylines(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+@example(verts=GREEDY_MISS_EXAMPLES[0][0], seed=GREEDY_MISS_EXAMPLES[0][1])
+@example(verts=GREEDY_MISS_EXAMPLES[1][0], seed=GREEDY_MISS_EXAMPLES[1][1])
+def test_bounded_cloud_query_is_the_least_of_bound_and_oracle(verts, seed):
+    """Each probe's bound is 0, +inf, the exact distance, the distance
+    times 1 -+ 1e-12, or a random value at the probes' scale."""
+    probes = probe_points(verts, seed)
+    want = oracle_cloud_distances(probes, verts)
+    rng = np.random.default_rng(seed)
+    choices = np.stack([
+        np.zeros_like(want), np.full_like(want, np.inf), want,
+        want * (1.0 - 1e-12), want * (1.0 + 1e-12),
+        np.max(want) * rng.uniform(size=want.size),
+    ])
+    bound = choices[rng.integers(0, len(choices), want.size), np.arange(want.size)]
+    assert np.array_equal(cloud_distances(probes, verts, bound=bound), np.minimum(bound, want))
+    for b in choices[:2, 0]:
+        assert np.array_equal(cloud_distances(probes, verts, bound=b), np.minimum(b, want))
+
+
+def test_bounded_cloud_query_edge_cases():
+    probes = np.array([[np.nan + 0j, 0.5 + 1j], [complex(np.inf, 0.0), 3.0 + 0j]])
+    cloud = np.array([0j, 1 + 0j])
+    got = cloud_distances(probes, cloud, bound=0.25)
+    assert np.isnan(got[0, 0]) and np.isnan(got[1, 0])
+    assert np.array_equal(got[:, 1], [0.25, 0.25])
+    bound = np.array([[1.0, 2.0], [3.0, 4.0]])
+    got = cloud_distances(probes, np.empty(0, dtype=complex), bound=bound)
+    assert np.array_equal(got, bound) and got is not bound
+    assert np.array_equal(cloud_distances(probes[0], cloud, bound=[0.0, 9.0])[1],
+                          abs(0.5 + 1j - 1.0))
+
+
 def greedy_leaf_distances(probes, a, b):
     """Distances to the segments of the leaf a nearer-box walk ends in."""
     tree = _BoxTree(a, b)
@@ -223,40 +277,44 @@ def test_ratio_scan_matches_oracle_on_fixtures(name, expr):
 def test_ratio_scan_queries_match_oracles_on_unbounded_fixtures(name, monkeypatch):
     """Every distance the ratio scan asks for on the unbounded fixtures,
     whose polylines are truncated short of the boundary and close with
-    long segments, is bitwise equal to exhaustive search.  There the
-    greedy leaf is often wrong and the far corner bounds the descent."""
+    long segments, is bitwise equal to exhaustive search, capped at the
+    bound the cloud query is given.  There the greedy leaf is often wrong
+    and the far corner bounds the descent."""
     seen = []
 
     def record(kernel):
-        def run(*args):
-            seen.append((kernel, args, kernel(*args)))
-            return seen[-1][2]
+        def run(*args, **kwargs):
+            seen.append((kernel, args, kwargs, kernel(*args, **kwargs)))
+            return seen[-1][3]
         return run
 
     monkeypatch.setattr(quasidisk, "segment_distances", record(segment_distances))
     monkeypatch.setattr(quasidisk, "cloud_distances", record(cloud_distances))
     quasidisk_ratio_scan(dict(FIXTURE_EXPRS)[name], angles=512)
     oracles = {segment_distances: oracle_segment_distances, cloud_distances: oracle_cloud_distances}
-    assert sorted(k.__name__ for k, _, _ in seen) == ["cloud_distances", "segment_distances"]
-    ((_, seg_a, seg_b),) = [args for k, args, _ in seen if k is segment_distances]
+    assert sorted(k.__name__ for k, _, _, _ in seen) == ["cloud_distances", "segment_distances"]
+    ((_, seg_a, seg_b),) = [args for k, args, _, _ in seen if k is segment_distances]
     length = np.abs(seg_b - seg_a)
     assert np.max(length) > 100.0 * np.mean(length)
-    for kernel, args, got in seen:
-        assert np.array_equal(got, oracles[kernel](*args))
+    for kernel, args, kwargs, got in seen:
+        assert np.array_equal(got, np.minimum(kwargs.get("bound", np.inf), oracles[kernel](*args)))
 
 
 @pytest.mark.parametrize("name,expr", FIXTURE_EXPRS)
 def test_ratio_scan_queries_evaluate_few_leaf_pairs(name, expr, monkeypatch):
-    """At the default grid, each ratio-scan query evaluates at most 24
+    """At the default grid, the segment query evaluates at most 24
     (probe, segment) pairs per probe, seed leaf included; the worst
     today is about 18, on the strip-shift segment query.  A descent
-    whose cap stops tightening below the seed evaluates far more."""
+    whose cap stops tightening below the seed evaluates far more.  The
+    cloud query, bounded by the segment distances, evaluates at most 4
+    per probe: no reflection of a fixture is nearer to the interior
+    samples than to the polyline, so it scores a few seed leaves only."""
     queries = []
     query, segment_distance = _BoxTree.query, _BoxTree._segment_distance
 
-    def counted_query(tree, p):
+    def counted_query(tree, p, bound):
         queries.append([p.size, 0])
-        return query(tree, p)
+        return query(tree, p, bound)
 
     def counted_segment_distance(tree, q, seg):
         queries[-1][1] += seg.size
@@ -270,8 +328,49 @@ def test_ratio_scan_queries_evaluate_few_leaf_pairs(name, expr, monkeypatch):
         assert name == "strip"
         return
     assert len(queries) == 2
-    for probes, pairs in queries:
-        assert pairs <= 24 * probes
+    (seg_probes, seg_pairs), (cloud_probes, cloud_pairs) = queries
+    assert seg_pairs <= 24 * seg_probes
+    assert cloud_pairs <= 4 * cloud_probes
+
+
+def assert_same_fields(got, want):
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(a, b, equal_nan=True), field.name
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("name", ["sector", "strip-shift"])
+def test_leaf_block_size_keeps_ratio_profiles(name, block, ratio_reports, monkeypatch):
+    monkeypatch.setattr(geometry, "BLOCK_PAIRS", block)
+    got = quasidisk_ratio_scan(dict(FIXTURE_EXPRS)[name])
+    assert_same_fields(got, ratio_reports[name])
+
+
+def traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name,expr", FIXTURE_EXPRS)
+def test_ratio_scan_memory_stays_bounded(name, expr):
+    """At the default grid the scan's traced peak stays at or under
+    12 MB; it is 6.3-9.3 MB today, and was 12.8-20.1 MB while the
+    queries scored every (probe, leaf) pair at once."""
+    if name == "strip":
+        return
+    assert traced_peak_mb(lambda: quasidisk_ratio_scan(expr)) <= 12.0
+
+
+def test_large_ratio_scan_memory_stays_bounded():
+    """3 x 32,768 angles, the most the grid cap lets one ring set take
+    at 3 rings: 70 MB today, 226 MB with unblocked queries."""
+    expr = parse_expr("sector(a=0.5)")
+    assert traced_peak_mb(lambda: quasidisk_ratio_scan(expr, angles=32768)) <= 100.0
 
 
 def test_cli_import_leaves_scipy_out():
