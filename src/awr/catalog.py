@@ -13,7 +13,6 @@ post(leaf domain).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .expr import (
     StripShift,
 )
 from .grids import ring_points
+from .record import Record, replace
 from .reflection import local_b2
 
 CONVEXITY_RINGS = (0.9, 0.99, 0.999)
@@ -44,8 +44,7 @@ BOUNDED = "bounded"
 UNBOUNDED = "unbounded"
 
 
-@dataclass(frozen=True)
-class MappingSpec:
+class MappingSpec(Record):
     """A catalog entry: expression plus certification metadata."""
 
     expr: MapExpr
@@ -57,8 +56,7 @@ class MappingSpec:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class SectorParams:
+class SectorParams(Record):
     """Derived sector quantities for the automorphism construction."""
 
     a: complex

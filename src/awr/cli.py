@@ -21,9 +21,14 @@ Exit codes: 0 when `passed` holds, 1 when a scan completes but a
 certification fails, 2 for usage errors (bad flags, bad grammar, an
 unwritable output path, or a request the map cannot support).
 
-Library functions are looked up as module globals when called, never
-stored in tables or default arguments, so patching a module attribute
-(as the tests and bench/tracing.py do) reaches every call.
+Imports.  A request is one short process, so importing this module
+loads only the parser, the grids (every default grid and cap the flags
+name) and the error types: `build_parser` and every usage error need no
+scan.  Each command imports the scan modules it runs when it runs, and
+calls each library function through its module (`nehari.certify_nehari`),
+never through a name bound here, a table or a default argument, so
+patching a module attribute (as the tests and bench/tracing.py do)
+reaches every call.
 """
 
 from __future__ import annotations
@@ -34,37 +39,25 @@ import sys
 
 import numpy as np
 
-from .catalog import FIXTURE_EXPRS, build_map
-from .convexity import (
-    DEFAULT_ZETAS,
-    coefficient_bound_scan,
-    mediatrix,
-    mediatrix_scan,
-    proof_machinery_check,
-)
-from .deepscan import MAX_PASSES
 from .errors import AwrError, MapSyntaxError
 from .extended import is_infinite
-from .grids import DEFAULT_ANGLES, DEFAULT_RINGS, GridMeta, check_grid_size
-from .nehari import CERT_ANGLES, CERT_RINGS, certify_nehari
-from .parser import format_complex, format_expr, parse_complex, parse_expr
-from .quasidisk import (
+from .grids import (
+    CERT_ANGLES,
+    CERT_RINGS,
+    DEFAULT_ANGLES,
+    DEFAULT_RINGS,
+    DEFAULT_ZETAS,
     DELTA_ANGLES,
     DELTA_RINGS,
+    MAX_PASSES,
     NORM_ANGLES,
     NORM_RINGS,
     RATIO_ANGLES,
     RATIO_RINGS,
-    boundary_polyline,
-    delta_f,
-    koebe_omission_scan,
-    lemma32_demo,
-    near_one_clusters,
-    normalized_sup,
-    quasidisk_ratio_scan,
+    GridMeta,
+    check_grid_size,
 )
-from .reflection import reflect, reflect_grid
-from .svgplot import ratio_scene, reflection_scene
+from .parser import format_complex, format_expr, parse_complex, parse_expr
 
 QUASIDISK_CSV_DEFAULT = "quasidisk_profile.csv"
 PLOT_POINTS = 2048
@@ -175,23 +168,29 @@ def _complex_list(text: str):
 
 
 def _plot_boundary(expr):
-    return boundary_polyline(expr, n=PLOT_POINTS, r=PLOT_RADIUS).vertices()
+    from . import quasidisk
+
+    return quasidisk.boundary_polyline(expr, n=PLOT_POINTS, r=PLOT_RADIUS).vertices()
 
 
 def _reflection_figure(expr, ws, rs, marked=()):
     """Boundary, probe-reflection pairs, and the mediatrix of each marked
     (w, r) pair whose reflection is finite."""
-    lines = [mediatrix(w, r) for w, r in marked if not is_infinite(r)]
-    return reflection_scene(_plot_boundary(expr), ws, rs,
-                            mediatrix_lines=[(m.point, m.tangent) for m in lines])
+    from . import convexity, svgplot
+
+    lines = [convexity.mediatrix(w, r) for w, r in marked if not is_infinite(r)]
+    return svgplot.reflection_scene(_plot_boundary(expr), ws, rs,
+                                    mediatrix_lines=[(m.point, m.tangent) for m in lines])
 
 
 def _cmd_catalog(args, expr):
+    from . import catalog, nehari
+
     lines, rows = [], []
     ok = True
-    for name, fixture in FIXTURE_EXPRS:
-        spec = build_map(fixture)
-        cert = certify_nehari(fixture)
+    for name, fixture in catalog.FIXTURE_EXPRS:
+        spec = catalog.build_map(fixture)
+        cert = nehari.certify_nehari(fixture)
         ok = ok and (cert.passed or not spec.convexity_certified)
         cells = (_pick(spec, "a2 convexity_certified convexity_min "
                              "bounded=bounded_hint omitted_on_boundary")
@@ -203,7 +202,9 @@ def _cmd_catalog(args, expr):
 
 
 def _cmd_certify(args, expr):
-    report = certify_nehari(expr, _grid(args))
+    from . import nehari
+
+    report = nehari.certify_nehari(expr, _grid(args))
     lines = _pick(report, "sup=sup_estimate arg_sup t_parameter n_failed")
     lines += [("seed", args.seed), ("passed", report.passed)]
     rows = [_pick(report, "sup=sup_estimate arg=arg_sup t_parameter n_failed passed")]
@@ -211,13 +212,15 @@ def _cmd_certify(args, expr):
 
 
 def _cmd_reflect(args, expr):
-    sample = reflect(expr, args.z)
+    from . import reflection
+
+    sample = reflection.reflect(expr, args.z)
     lines = _pick(sample, "z w r b2 r_is_inf") + [("seed", args.seed)]
     grid = ()  # reflect_grid's (z, w, r, b2), scanned once for --csv and --svg
 
     def scan():
         nonlocal grid
-        grid = grid or reflect_grid(expr, _grid(args))
+        grid = grid or reflection.reflect_grid(expr, _grid(args))
         return grid
 
     def rows():
@@ -233,7 +236,9 @@ def _cmd_reflect(args, expr):
 
 
 def _cmd_mediatrix_scan(args, expr):
-    report = mediatrix_scan(expr)
+    from . import convexity
+
+    report = convexity.mediatrix_scan(expr)
     passed = report.min_margin >= -1e-9
     lines = _pick(report, "min_margin probe_at base_at contact n_vacuous n_checked")
     rows = ([("z", z), ("w", w), ("r", r), ("margin", m)]
@@ -249,7 +254,9 @@ def _cmd_mediatrix_scan(args, expr):
 
 
 def _cmd_coeff_bound(args, expr):
-    report = coefficient_bound_scan(expr)
+    from . import convexity
+
+    report = convexity.coefficient_bound_scan(expr)
     passed = report.lower_ok and report.residual_ok
     lines = _pick(report, "a2 inf_lhs arg_inf min_residual arg_residual "
                           "lower_ok residual_ok") + [("passed", passed)]
@@ -258,7 +265,9 @@ def _cmd_coeff_bound(args, expr):
 
 
 def _cmd_proof_check(args, expr):
-    passed, samples = proof_machinery_check(expr, args.zetas)
+    from . import convexity
+
+    passed, samples = convexity.proof_machinery_check(expr, args.zetas)
     lines = [("n_zetas", len(samples))]
     for k, s in enumerate(samples):
         lines += [(f"zeta{k}", s.zeta)]
@@ -268,22 +277,28 @@ def _cmd_proof_check(args, expr):
 
 
 def _cmd_normalize(args, expr):
-    report = normalized_sup(expr, _grid(args))
-    clusters = near_one_clusters(expr)
+    from . import quasidisk
+
+    report = quasidisk.normalized_sup(expr, _grid(args))
+    clusters = quasidisk.near_one_clusters(expr)
     lines = (_pick(report, "sup arg_sup=arg interior_ok")
              + _pick(clusters, "cluster_ring=ring cluster_count=count whole_ring"))
     return report.interior_ok, lines, None, None
 
 
 def _cmd_delta(args, expr):
-    report = delta_f(expr, grid=_grid(args), passes=args.passes)
+    from . import quasidisk
+
+    report = quasidisk.delta_f(expr, grid=_grid(args), passes=args.passes)
     lines = _pick(report, "delta=value metric arg_inf") + [("passes", args.passes)]
     return True, lines, [_pick(report, "delta=value metric arg=arg_inf")], None
 
 
 def _cmd_quasidisk(args, expr):
+    from . import quasidisk
+
     rings, angles = _grid(args, raw=True)
-    profile = quasidisk_ratio_scan(expr, rings=rings, angles=angles)
+    profile = quasidisk.quasidisk_ratio_scan(expr, rings=rings, angles=angles)
     lines = [(f"inf_ratio[{_fmt_float(ring)}]", ratio)
              for ring, ratio in zip(profile.rings, profile.inf_ratio_per_ring)]
     lines += _pick(profile, "c_estimate collapsed") + [("seed", args.seed)]
@@ -292,24 +307,30 @@ def _cmd_quasidisk(args, expr):
                                              profile.arg_inf, profile.all_infinite))
 
     def figure():
+        from . import reflection, svgplot
+
         meta = GridMeta(rings=(max(rings),), angles=min(angles, 512), seed=args.seed)
-        _, ws, rs, _ = reflect_grid(expr, meta)
-        return ratio_scene(_plot_boundary(expr), ws, rs, np.abs(rs - ws))
+        _, ws, rs, _ = reflection.reflect_grid(expr, meta)
+        return svgplot.ratio_scene(_plot_boundary(expr), ws, rs, np.abs(rs - ws))
 
     return not profile.collapsed, lines, rows, figure
 
 
 def _cmd_omission_scan(args, expr):
-    report = koebe_omission_scan(expr, passes=args.passes)
+    from . import quasidisk
+
+    report = quasidisk.koebe_omission_scan(expr, passes=args.passes)
     lines = _pick(report, "inf_value base_at probe_at collapsed")
     rows = [_pick(report, "inf_value base=base_at probe=probe_at collapsed")]
     return not report.collapsed, lines, rows, None
 
 
 def _cmd_lemma32(args, expr):
+    from . import quasidisk
+
     lines, rows = [], []
     ok = True
-    for k, row in enumerate(lemma32_demo(args.a_list)):
+    for k, row in enumerate(quasidisk.lemma32_demo(args.a_list)):
         good = row.sup_norm_dev < 1e-10 and row.delta < 1e-2
         ok = ok and good
         cells = _pick(row, "a delta metric=delta_metric sup_norm_dev")
@@ -320,9 +341,11 @@ def _cmd_lemma32(args, expr):
 
 
 def _cmd_svg(args, expr):
+    from . import reflection
+
     # written before the report line, so an unwritable path prints nothing
-    _, ws, rs, _ = reflect_grid(expr, _grid(args))
-    marked = [] if args.z is None else [reflect(expr, args.z)]
+    _, ws, rs, _ = reflection.reflect_grid(expr, _grid(args))
+    marked = [] if args.z is None else [reflection.reflect(expr, args.z)]
     _reflection_figure(expr, ws, rs, [(s.w, s.r) for s in marked]).write(args.svg)
     return True, [("svg", args.svg)], None, None
 
@@ -425,7 +448,9 @@ def main(argv=None) -> int:
         expr = None if args.map is None else parse_expr(args.map)
         head = [("map", format_expr(expr))] if args.map_line else []
         if args.convex:
-            spec = build_map(expr)
+            from . import catalog
+
+            spec = catalog.build_map(expr)
             if not spec.convexity_certified:
                 _emit(head + [("convexity_certified", False),
                               ("convexity_min", spec.convexity_min)])

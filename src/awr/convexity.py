@@ -20,7 +20,6 @@ against every base that can reach the minimum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +28,16 @@ from .errors import CoincidentPoints, DegenerateDomain
 from .evaluate import jet_eval, taylor, value
 from .expr import MapExpr
 from .extended import is_infinite
-from .grids import GridMeta, polar, refine_on_grid, ring_points
+from .grids import DEFAULT_ZETAS, GridMeta, polar, refine_on_grid, ring_points
 from .jets import Jet3
+from .record import Record
 from .reflection import reflect_grid
 
 CONTACT_TOL = 1e-3
 VACUOUS_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LineSpec:
+class LineSpec(Record):
     """A line in the image plane: point, unit tangent, unit normal.
 
     The normal points toward the side containing the image domain.
@@ -66,8 +65,7 @@ def mediatrix(w, r) -> LineSpec:
     return LineSpec(point=(w + r) / 2.0, tangent=1j * n, normal=n)
 
 
-@dataclass(frozen=True)
-class MediatrixReport:
+class MediatrixReport(Record):
     """Worst-case separation margins of a mediatrix scan.
 
     Margins are normalized by the segment length, so an image point on
@@ -314,8 +312,7 @@ COEFF_ANGLES = 2048
 COEFF_R_CAP = 1.0 - 1e-7
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(Record):
     """Worst cases of the second-coefficient functional scan.
 
     inf_lhs refines inf Re(a2 f) with radii allowed up to COEFF_R_CAP,
@@ -375,22 +372,10 @@ def coefficient_bound_scan(
     )
 
 
-DEFAULT_ZETAS = (
-    0.3 + 0.0j,
-    -0.5 + 0.0j,
-    0.6j,
-    -0.2 - 0.6j,
-    0.55 + 0.35j,
-    -0.8 + 0.0j,
-    -0.99 + 0.0j,
-    0.9j,
-)
-
 TAYLOR_SWITCH = 1e-4
 
 
-@dataclass(frozen=True)
-class ProofSample:
+class ProofSample(Record):
     """Per-recentering outcome of the separation proof check."""
 
     zeta: complex

@@ -33,13 +33,14 @@ corrections are O(eps) absolute, invisible at these depths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BadParam, ConsistencyError
 from .evaluate import jet_eval, taylor
 from .expr import Affine, Koebe, MapExpr, MobiusOfStrip, MobiusShift, Strip, StripShift
+from .grids import MAX_PASSES
+from .record import Record, replace
 from .reflection import Mobius
 
 LN2 = float(np.log(2.0))
@@ -47,14 +48,6 @@ LN10 = float(np.log(10.0))
 
 # Exponent schedule for refinement passes: pass k probes 1 - |z| = 10^-E_k.
 BASE_EXPONENT = 4.0
-
-# Cap on refinement passes.  Pass k probes strip values of size about
-# 8^k: on the catalog, squaring them for the chordal metric overflows
-# from k = 165 and pass_exponent(k) * LN10 itself from k = 341, after
-# which every deep value is NaN.  At 64 they stay below 1e59, the local
-# brackets (8x smaller each pass) have been under double resolution near
-# the unit circle since about pass 20, and a scan takes under a second.
-MAX_PASSES = 64
 
 
 def pass_exponent(k: int) -> float:
@@ -68,8 +61,7 @@ def check_passes(passes: int) -> None:
         raise BadParam(f"{passes} refinement passes exceed the cap of {MAX_PASSES}")
 
 
-@dataclass(frozen=True)
-class DiskAutomorphism:
+class DiskAutomorphism(Record):
     """z -> lam (z - a) / (1 - conj(a) z) with |lam| = 1 and |a| < 1."""
 
     lam: complex = 1.0 + 0.0j
@@ -84,8 +76,7 @@ class DiskAutomorphism:
         return DiskAutomorphism(lam / abs(lam), (self.a - z0) / u)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """f = post(leaf(pre(z))): a disk automorphism, a closed-form leaf, a Mobius map."""
 
     pre: DiskAutomorphism
@@ -127,8 +118,7 @@ def strip_structure(expr: MapExpr):
     return nf if isinstance(nf.leaf, Strip) else None
 
 
-@dataclass(frozen=True)
-class StripEnd:
+class StripEnd(Record):
     """One strip end: label e = +-1, boundary preimage, boundary factor."""
 
     e: int

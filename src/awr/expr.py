@@ -13,9 +13,9 @@ runaway nesting is rejected before evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 
 from .errors import ParamOutOfRange
+from .record import Record, fields
 
 MAX_DEPTH = 8
 
@@ -33,16 +33,12 @@ def _require_real(name: str, value: complex) -> float:
     return v.real
 
 
-@dataclass(frozen=True)
-class MapExpr:
+class MapExpr(Record):
     """Base class; concrete nodes below."""
 
     def children(self) -> tuple["MapExpr", ...]:
-        return tuple(
-            getattr(self, f.name)
-            for f in fields(self)
-            if isinstance(getattr(self, f.name), MapExpr)
-        )
+        values = (getattr(self, name) for name in fields(self))
+        return tuple(v for v in values if isinstance(v, MapExpr))
 
     def depth(self) -> int:
         kids = self.children()
@@ -54,12 +50,10 @@ class MapExpr:
             raise ParamOutOfRange(f"expression nests {d} levels deep (cap {MAX_DEPTH})")
 
 
-@dataclass(frozen=True)
 class Identity(MapExpr):
     """z -> z."""
 
 
-@dataclass(frozen=True)
 class Disk(MapExpr):
     """z -> z / (1 + x z), x real in (-1, 1); image a disk."""
 
@@ -73,7 +67,6 @@ class Disk(MapExpr):
             raise ParamOutOfRange(f"disk parameter needs x in (-1, 1), got {x}")
 
 
-@dataclass(frozen=True)
 class Halfplane(MapExpr):
     """z -> z / (1 + c z) with |c| = 1, image a half-plane."""
 
@@ -88,7 +81,6 @@ class Halfplane(MapExpr):
             )
 
 
-@dataclass(frozen=True)
 class SectorReal(MapExpr):
     """z -> (1/2a) (((1+z)/(1-z))^a - 1), a in (0, 1); sector of opening a*pi."""
 
@@ -102,12 +94,10 @@ class SectorReal(MapExpr):
             raise ParamOutOfRange(f"sector exponent needs 0 < a < 1, got {a}")
 
 
-@dataclass(frozen=True)
 class Strip(MapExpr):
     """z -> (1/2) log((1+z)/(1-z)), image the strip |Im w| < pi/4."""
 
 
-@dataclass(frozen=True)
 class StripShift(MapExpr):
     """Strip map recentered at the off-axis point i*x, x real in (0, 1).
 
@@ -130,7 +120,6 @@ class StripShift(MapExpr):
         return Koebe(Strip(), complex(0.0, self.x))
 
 
-@dataclass(frozen=True)
 class MobiusOfStrip(MapExpr):
     """z -> L(z)/(1 + a L(z)) with L the strip map, a != 0."""
 
@@ -143,7 +132,6 @@ class MobiusOfStrip(MapExpr):
             raise ParamOutOfRange("mobius-of-strip parameter needs a != 0")
 
 
-@dataclass(frozen=True)
 class SectorAuto(MapExpr):
     """Sector map precomposed with the disk automorphism moving a to 0.
 
@@ -166,7 +154,6 @@ class SectorAuto(MapExpr):
             )
 
 
-@dataclass(frozen=True)
 class Koebe(MapExpr):
     """Koebe transform: renormalized precomposition with the automorphism
 
@@ -188,7 +175,6 @@ class Koebe(MapExpr):
         self.check_depth()
 
 
-@dataclass(frozen=True)
 class MobiusShift(MapExpr):
     """Mobius renormalization f -> f / (1 + a2 f), a2 = f''(0)/2.
 
@@ -201,7 +187,6 @@ class MobiusShift(MapExpr):
         self.check_depth()
 
 
-@dataclass(frozen=True)
 class Affine(MapExpr):
     """Postcomposition w -> A w + B, A != 0."""
 

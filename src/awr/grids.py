@@ -15,17 +15,49 @@ is enough.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadParam
+from .record import Record
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 EPS = float(np.finfo(float).eps)
 
 DEFAULT_RINGS = (0.5, 0.9, 0.99, 0.999)
 DEFAULT_ANGLES = 1024
+
+# The default grids of the scans, kept here with every other default the
+# command line names, so that its parser needs no scan module.
+CERT_RINGS = (0.0, 0.5, 0.9, 0.99, 0.999)  # nehari.certify_nehari
+CERT_ANGLES = 4096
+NORM_RINGS = (0.5, 0.9, 0.99, 0.999, 0.9999)  # quasidisk.normalized_sup
+NORM_ANGLES = 2048
+DELTA_RINGS = (0.3, 0.5, 0.7, 0.9, 0.99)  # quasidisk.delta_f
+DELTA_ANGLES = 1024
+RATIO_RINGS = (0.99, 0.999, 0.9995)  # quasidisk.quasidisk_ratio_scan
+RATIO_ANGLES = 2048
+# Recentering points of convexity.proof_machinery_check.
+DEFAULT_ZETAS = (
+    0.3 + 0.0j,
+    -0.5 + 0.0j,
+    0.6j,
+    -0.2 - 0.6j,
+    0.55 + 0.35j,
+    -0.8 + 0.0j,
+    -0.99 + 0.0j,
+    0.9j,
+)
+
+# Cap on the refinement passes of the deep strip-end probes (deepscan).
+# Pass k probes strip values of size about 8^k: on the catalog, squaring
+# them for the chordal metric overflows from k = 165 and
+# pass_exponent(k) * LN10 itself from k = 341, after which every deep
+# value is NaN.  At 64 they stay below 1e59, the local brackets (8x
+# smaller each pass) have been under double resolution near the unit
+# circle since about pass 20, and a scan takes under a second.
+MAX_PASSES = 64
+
 # Cap on rings x angles.  The largest built-in grid has 5 x 4096 points;
 # the cap leaves room for finer user grids while bounding the memory a
 # single scan can ask for.
@@ -39,8 +71,7 @@ def check_grid_size(n_rings: int, angles: int) -> None:
                        f"of {MAX_GRID_POINTS} grid points")
 
 
-@dataclass(frozen=True)
-class GridMeta:
+class GridMeta(Record):
     """Ring/angle grid description, kept with every scan report.
 
     rings must be strictly increasing in [0, 1); angles >= 64, and the

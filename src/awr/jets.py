@@ -10,11 +10,10 @@ offending entries with NaN so grid scans can skip them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import BasePointMismatch, PoleAtPoint
+from .record import Record
 
 BASE_TOL = 1e-12
 
@@ -23,8 +22,7 @@ def _is_array(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim > 0
 
 
-@dataclass(frozen=True)
-class Jet3:
+class Jet3(Record):
     """Value and derivatives (f, f', f'', f''') at the base point ``at``."""
 
     f0: complex
@@ -32,6 +30,15 @@ class Jet3:
     f2: complex
     f3: complex
     at: complex
+
+    def __init__(self, f0, f1, f2, f3, at):
+        # built on every jet operation: five stores, no generic binding
+        attrs = self.__dict__
+        attrs["f0"] = f0
+        attrs["f1"] = f1
+        attrs["f2"] = f2
+        attrs["f3"] = f3
+        attrs["at"] = at
 
     @staticmethod
     def identity(at) -> "Jet3":

@@ -9,17 +9,14 @@ curve, so their report shows a supremum of 2 rather than a strict gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evaluate import jet_eval
 from .expr import MapExpr
-from .grids import GridMeta, grid_points, polar, refine_on_grid
+from .grids import CERT_ANGLES, CERT_RINGS, GridMeta, grid_points, polar, refine_on_grid
+from .record import Record
 
 NEHARI_TOL = 1e-9
-CERT_RINGS = (0.0, 0.5, 0.9, 0.99, 0.999)
-CERT_ANGLES = 4096
 
 
 def schwarzian_jet(j) -> complex:
@@ -39,8 +36,7 @@ def nehari_functional(expr: MapExpr, z):
     return (1.0 - np.abs(z) ** 2) ** 2 * np.abs(s)
 
 
-@dataclass(frozen=True)
-class CertReport:
+class CertReport(Record):
     """Outcome of a Nehari-bound certification run."""
 
     sup_estimate: float

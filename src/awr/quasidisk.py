@@ -12,7 +12,6 @@ the strip-conjugate family.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,20 @@ from .evaluate import jet_eval, taylor
 from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
 from .extended import INFINITY, chordal, is_infinite
 from .geometry import cloud_distances, segment_distances
-from .grids import GridMeta, grid_points, polar, refine_on_grid, ring_points
+from .grids import (
+    DELTA_ANGLES,
+    DELTA_RINGS,
+    NORM_ANGLES,
+    NORM_RINGS,
+    RATIO_ANGLES,
+    RATIO_RINGS,
+    GridMeta,
+    grid_points,
+    polar,
+    refine_on_grid,
+    ring_points,
+)
+from .record import Record
 from .reflection import reflect_grid
 
 CLIP_RADIUS = 1e6
@@ -43,17 +55,12 @@ def normalize_values(expr: MapExpr, z):
     return f / den
 
 
-@dataclass(frozen=True)
-class NormalizedSup:
+class NormalizedSup(Record):
     """Grid supremum of |a2 f*|, which stays below 1 on convex images."""
 
     sup: float
     arg: complex
     interior_ok: bool
-
-
-NORM_RINGS = (0.5, 0.9, 0.99, 0.999, 0.9999)
-NORM_ANGLES = 2048
 
 
 def normalized_sup(spec_or_expr, meta: GridMeta = None) -> NormalizedSup:
@@ -71,8 +78,7 @@ def normalized_sup(spec_or_expr, meta: GridMeta = None) -> NormalizedSup:
     return NormalizedSup(sup=sup, arg=complex(pts[i, j]), interior_ok=bool(sup < 1.0))
 
 
-@dataclass(frozen=True)
-class ClusterReport:
+class ClusterReport(Record):
     """Angular clusters where |a2 f*| approaches its ring maximum."""
 
     ring: float
@@ -122,8 +128,7 @@ def near_one_clusters(spec_or_expr, ring: float = 0.9999, angles: int = 4096) ->
     )
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(Record):
     """Distance from the omitted value -1/a2 to the sampled image.
 
     When a2 = 0 the omitted value is the point at infinity and the
@@ -134,10 +139,6 @@ class DeltaReport:
     value: float
     metric: str
     arg_inf: complex
-
-
-DELTA_RINGS = (0.3, 0.5, 0.7, 0.9, 0.99)
-DELTA_ANGLES = 1024
 
 
 def _omitted_distance(a2: complex):
@@ -197,8 +198,7 @@ def delta_f(spec_or_expr, grid: GridMeta = None, passes: int = 3) -> DeltaReport
     return DeltaReport(value=best, metric=metric, arg_inf=arg)
 
 
-@dataclass(frozen=True)
-class BoundaryPolyline:
+class BoundaryPolyline(Record):
     """Image of a near-unit ring, used as the boundary discretization.
 
     points keeps the raw ordered samples; kept marks the ones inside
@@ -251,8 +251,7 @@ def boundary_polyline(spec_or_expr, n: int = 8192, r: float = 0.999975,
     )
 
 
-@dataclass(frozen=True)
-class RatioProfile:
+class RatioProfile(Record):
     """Per-ring infima of d(R_w, closed domain) / d(w, boundary)."""
 
     rings: tuple
@@ -263,8 +262,6 @@ class RatioProfile:
     collapsed: bool
 
 
-RATIO_RINGS = (0.99, 0.999, 0.9995)
-RATIO_ANGLES = 2048
 INTERIOR_RINGS = (0.3, 0.6, 0.9, 0.975, 0.99, 0.995)
 INTERIOR_ANGLES = 1024
 
@@ -349,8 +346,7 @@ def quasidisk_ratio_scan(spec_or_expr, rings=RATIO_RINGS, angles: int = RATIO_AN
     )
 
 
-@dataclass(frozen=True)
-class OmissionReport:
+class OmissionReport(Record):
     """Inf of |b2 g + 1| over recenterings g and probe points."""
 
     inf_value: float
@@ -439,8 +435,7 @@ def koebe_omission_scan(
     )
 
 
-@dataclass(frozen=True)
-class Lemma32Row:
+class Lemma32Row(Record):
     """Strip-conjugate family diagnostics for one parameter value."""
 
     a: complex

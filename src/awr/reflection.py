@@ -12,30 +12,27 @@ the reflection is the point at infinity; for the strip map that happens
 along the whole real diameter.
 
 `jet_reflection` holds the one copy of the formula and works on scalar
-and array jets alike; `reflect`, `reflect_grid` and
-`mobius_equivariance_check` all go through it.  The module also holds
-the Mobius maps of the extended plane that the deep probes and the
-equivariance check use.
+and array jets alike; `reflect` and `reflect_grid` both go through it.
+The module also holds the Mobius maps of the extended plane that the
+normal form of every map uses.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CoincidentPoints, CriticalPoint, DomainViolation
 from .evaluate import jet_eval
-from .extended import INFINITY, chordal, is_infinite
+from .extended import INFINITY, is_infinite
 from .grids import GridMeta, grid_points
 from .jets import Jet3
+from .record import Record
 
 B2_TOL = 1e-14
 DERIV_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class ReflectionSample:
+class ReflectionSample(Record):
     """One reflected point: z in the disk, w = f(z), r = R_w, local b2."""
 
     z: complex
@@ -48,8 +45,7 @@ class ReflectionSample:
         return bool(is_infinite(self.r))
 
 
-@dataclass(frozen=True)
-class Mobius:
+class Mobius(Record):
     """w -> (a w + b) / (c w + d) on the extended plane."""
 
     a: complex
@@ -120,15 +116,6 @@ class Mobius:
     def identity() -> "Mobius":
         return Mobius(1.0, 0.0, 0.0, 1.0)
 
-    @staticmethod
-    def random(rng: np.random.Generator) -> "Mobius":
-        while True:
-            a, b, c, d = (complex(*rng.standard_normal(2)) for _ in range(4))
-            det = a * d - b * c
-            if abs(det) > 0.1:
-                s = 1.0 / np.sqrt(complex(det))
-                return Mobius(a * s, b * s, c * s, d * s)
-
     def apply_jet(self, j: Jet3) -> Jet3:
         num = j * self.a + Jet3.constant(self.b, j.at)
         den = j * self.c + Jet3.constant(self.d, j.at)
@@ -189,25 +176,3 @@ def extend(expr, z):
     if abs(z) <= 1.0:
         raise DomainViolation(f"extension is defined for |z| > 1, got |z| = {abs(z)}")
     return reflect(expr, 1.0 / np.conjugate(z)).r
-
-
-def mobius_equivariance_check(expr, mob: Mobius, meta: GridMeta):
-    """Chordal residual between R(M o f) and M(R(f)) over a grid.
-
-    The reflection construction commutes with Mobius post-composition;
-    the residual should sit at rounding level.  Grid points where M o f
-    has a pole (so the jet arithmetic degenerates) are excluded and
-    counted.  Returns (max_residual, n_checked, n_excluded).
-    """
-    zs = grid_points(meta).ravel()
-    j = jet_eval(expr, zs)
-    lhs = mob(jet_reflection(j, zs)[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        jm = mob.apply_jet(j)
-    r_m = jet_reflection(jm, zs)[0]
-
-    res = chordal(lhs, r_m)
-    ok = ~np.isnan(res)
-    n_excluded = int(np.size(res) - np.count_nonzero(ok))
-    max_residual = float(np.max(res[ok])) if np.any(ok) else float("nan")
-    return max_residual, int(np.count_nonzero(ok)), n_excluded

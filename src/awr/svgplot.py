@@ -9,8 +9,6 @@ same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .extended import is_infinite
@@ -39,12 +37,12 @@ def ratio_color(t: float) -> str:
     return f"#{r:02x}{g:02x}{b:02x}"
 
 
-@dataclass
 class SvgScene:
     """Collects plane geometry, then renders one self-contained SVG."""
 
-    _lines: list = field(default_factory=list)
-    _dots: list = field(default_factory=list)
+    def __init__(self):
+        self._lines = []
+        self._dots = []
 
     def add_polyline(self, points, color: str = BOUNDARY_COLOR,
                      width: float = 1.5, dashed: bool = False,

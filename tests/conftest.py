@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from awr.catalog import FIXTURE_EXPRS, build_map
+from awr.evaluate import jet_eval
+from awr.extended import chordal
+from awr.grids import grid_points
+from awr.reflection import Mobius, jet_reflection
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +53,39 @@ def disk_points(seed: int, n: int, rmax: float = 0.9) -> np.ndarray:
     r = rmax * np.sqrt(rng.uniform(0.0, 1.0, n))
     t = rng.uniform(0.0, 2.0 * np.pi, n)
     return r * np.exp(1j * t)
+
+
+def random_mobius(rng: np.random.Generator) -> Mobius:
+    """A Mobius map with Gaussian coefficients scaled to determinant 1,
+    drawn again until the raw determinant exceeds 0.1."""
+    while True:
+        a, b, c, d = (complex(*rng.standard_normal(2)) for _ in range(4))
+        det = a * d - b * c
+        if abs(det) > 0.1:
+            s = 1.0 / np.sqrt(complex(det))
+            return Mobius(a * s, b * s, c * s, d * s)
+
+
+def mobius_equivariance_check(expr, mob: Mobius, meta):
+    """Chordal residual between R(M o f) and M(R(f)) over a grid.
+
+    The reflection construction commutes with Mobius post-composition;
+    the residual should sit at rounding level.  Grid points where M o f
+    has a pole (so the jet arithmetic degenerates) are excluded and
+    counted.  Returns (max_residual, n_checked, n_excluded).
+    """
+    zs = grid_points(meta).ravel()
+    j = jet_eval(expr, zs)
+    lhs = mob(jet_reflection(j, zs)[0])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jm = mob.apply_jet(j)
+    r_m = jet_reflection(jm, zs)[0]
+
+    res = chordal(lhs, r_m)
+    ok = ~np.isnan(res)
+    n_excluded = int(np.size(res) - np.count_nonzero(ok))
+    max_residual = float(np.max(res[ok])) if np.any(ok) else float("nan")
+    return max_residual, int(np.count_nonzero(ok)), n_excluded
 
 
 # Fifty grammar cases for the parse/print round-trip check, spanning

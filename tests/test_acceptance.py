@@ -15,7 +15,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import GRAMMAR_CASES, disk_points
+from conftest import GRAMMAR_CASES, disk_points, random_mobius
 
 from awr import cli
 from awr.catalog import FIXTURE_EXPRS
@@ -47,7 +47,7 @@ from awr.quasidisk import (
     normalized_sup,
     quasidisk_ratio_scan,
 )
-from awr.reflection import Mobius, reflect, reflect_grid
+from awr.reflection import reflect, reflect_grid
 from awr.extended import is_infinite
 
 
@@ -92,7 +92,7 @@ def test_mobius_post_composition_invariance(catalog):
         base = jet_eval(spec.expr, zs)
         s0 = schwarzian_jet(base)
         for _ in range(20):
-            mob = Mobius.random(rng)
+            mob = random_mobius(rng)
             s1 = schwarzian_jet(mob.apply_jet(base))
             good = np.isfinite(s0) & np.isfinite(s1)
             assert np.max(np.abs((s1 - s0)[good])) < 1e-10, name

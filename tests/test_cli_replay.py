@@ -4,11 +4,11 @@
 normalize, delta, omission-scan, svg and catalog.  This suite pins the
 rest: mediatrix-scan (report, table, figure, convexity refusal),
 quasidisk (report, default table, figure), lemma32, reflect --svg, the
-grid, --passes and --seed flags, and requests that fail after part of
-their output is out.  Each request runs in-process in a fresh working
-directory; its exit code, stdout, stderr and the SHA-256 digest of every
-file it names (null when the file is not written) must equal the record
-in cli_replay.json.
+grid, --passes and --seed flags, requests that fail after part of
+their output is out, and the help text of every subcommand.  Each
+request runs in-process in a fresh working directory; its exit code,
+stdout, stderr and the SHA-256 digest of every file it names (null when
+the file is not written) must equal the record in cli_replay.json.
 
 To re-record after an intended output change:
 
@@ -23,6 +23,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -108,7 +109,13 @@ REQUESTS = {
          "--angles", "64", "--svg", "fig.svg"], ["fig.svg"]),
     "svg.unwritable": (
         ["svg", "--map", "identity", "--svg", "missing/fig.svg"], []),
+    "help": (["--help"], []),
 }
+# every subcommand's help, which names the refinement-pass cap
+REQUESTS.update({f"help.{cmd}": ([cmd, "--help"], []) for cmd in (
+    "catalog", "certify", "reflect", "mediatrix-scan", "coeff-bound",
+    "proof-check", "normalize", "delta", "quasidisk", "omission-scan",
+    "lemma32", "svg")})
 
 
 def replay(argv, files, work):
@@ -117,7 +124,9 @@ def replay(argv, files, work):
     here = os.getcwd()
     os.chdir(work)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # argparse wraps help text to the terminal width; pin it
+        with mock.patch.dict(os.environ, COLUMNS="80"), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = cli.main(list(argv))
             except SystemExit as stop:  # argparse usage errors

@@ -6,7 +6,6 @@ are pinned here with brackets wide enough to survive benign grid
 changes but tight enough to catch sign errors or lost refinement.
 """
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -30,6 +29,7 @@ from awr.expr import Disk, Halfplane, Identity, SectorReal, Strip
 from awr.extended import INFINITY, is_infinite
 from awr.evaluate import jet_eval
 from awr.grids import ring_points
+from awr.record import fields
 
 # name -> (min_margin bracket, contact expected, vacuous probes expected)
 MEDIATRIX_TABLE = {
@@ -349,9 +349,9 @@ def test_score_block_size_keeps_mediatrix_reports(name, block, default_mediatrix
     monkeypatch.setattr(convexity, "BLOCK_SCORES", block)
     got = mediatrix_scan(dict(FIXTURE_EXPRS)[name], **SMALL_PROBES)
     want = default_mediatrix[name]
-    for field in dataclasses.fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert np.array_equal(a, b, equal_nan=True), field.name
+    for name in fields(want):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b, equal_nan=True), name
 
 
 def test_tied_zero_margins_keep_the_dense_sign():
@@ -365,6 +365,6 @@ def test_tied_zero_margins_keep_the_dense_sign():
 def test_mediatrix_scan_takes_a_mapping_spec(catalog):
     spec = catalog["sector"]
     got, want = mediatrix_scan(spec), mediatrix_scan(spec.expr)
-    for field in dataclasses.fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert np.array_equal(a, b, equal_nan=True), field.name
+    for name in fields(want):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b, equal_nan=True), name

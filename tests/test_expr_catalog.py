@@ -18,7 +18,7 @@ from awr.catalog import (
     sector_from_automorphism,
 )
 from awr.errors import ParamOutOfRange
-from awr.evaluate import jet_eval, taylor
+from awr.evaluate import _koebe_scalars, jet_eval, taylor
 from awr.expr import (
     Affine,
     Disk,
@@ -32,6 +32,10 @@ from awr.expr import (
     Strip,
     StripShift,
 )
+from awr.grids import GridMeta
+from awr.jets import Jet3
+from awr.nehari import CertReport
+from awr.record import fields, replace
 
 A2_TABLE = {
     "identity": 0.0 + 0.0j,
@@ -226,3 +230,97 @@ def test_nesting_depth_cap():
 def test_affine_and_koebe_accept_valid_nesting():
     expr = Affine(MobiusShift(Koebe(Strip(), 0.1 + 0.1j)), 2.0, 1.0 - 1.0j)
     assert expr.depth() == 4
+
+
+# Expressions are frozen records: per-type equality and hashing (the
+# evaluation caches key on them), fixed reprs, and checks that run on
+# every construction.
+
+# one node of each leaf type; several share a field value
+SAME_VALUED = (Identity(), Strip(), Disk(0.5), SectorReal(0.5), StripShift(0.5),
+               SectorAuto(0.25), MobiusOfStrip(0.25))
+
+
+def nested():
+    return Affine(Koebe(MobiusShift(SectorReal(0.5)), 0.3 + 0.2j), 2.0, complex(0.0, -1.0))
+
+
+def test_equal_nodes_hash_equal_and_types_never_compare_equal():
+    assert nested() == nested() and hash(nested()) == hash(nested())
+    assert nested() != Affine(Koebe(MobiusShift(SectorReal(0.5)), 0.3 + 0.2j), 2.0, 1j)
+    for a in SAME_VALUED:
+        for b in SAME_VALUED:
+            assert (a == b) is (a is b), (a, b)
+            assert (a != b) is (a is not b), (a, b)
+    assert len(set(SAME_VALUED)) == len(SAME_VALUED)
+    assert hash(Disk(0.5)) == hash(SectorReal(0.5))  # only equality tells them apart
+
+
+def test_caches_keep_same_valued_nodes_of_different_types_apart():
+    # z + a z^2 + (1 + 2 a^2) z^3 / 3 and z - x z^2 + x^2 z^3
+    assert taylor(SectorReal(0.5)) == pytest.approx((1.0, 0.5, 0.5), abs=1e-15)
+    assert taylor(Disk(0.5)) == pytest.approx((1.0, -0.5, 0.25), abs=1e-15)
+    assert taylor(Strip())[2] == pytest.approx(1.0 / 3.0, abs=1e-15)
+    assert taylor(Identity()) == (1.0, 0.0, 0.0)
+    w = 1.3 / 0.7  # (1 + z) / (1 - z) at z = 0.3
+    f, df = _koebe_scalars(SectorReal(0.5), 0.3 + 0j)
+    assert f == pytest.approx(w ** 0.5 - 1.0, rel=1e-15)
+    assert df == pytest.approx(w ** -0.5 / 0.49, rel=1e-15)
+    f, df = _koebe_scalars(Disk(0.5), 0.3 + 0j)
+    assert f == pytest.approx(0.3 / 1.15, rel=1e-15)
+    assert df == pytest.approx(1.0 / 1.15 ** 2, rel=1e-15)
+
+
+@pytest.mark.parametrize("record,name", [
+    (Disk(0.5), "x"), (Koebe(Strip(), 0.1j), "z0"), (Identity(), "x"),
+    (GridMeta(), "angles"), (Jet3.identity(0.1j), "f0"),
+])
+def test_records_are_frozen(record, name):
+    before = repr(record)
+    with pytest.raises(AttributeError):
+        setattr(record, name, 0.25)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    assert repr(record) == before
+
+
+def test_records_take_fields_by_position_or_keyword():
+    assert Koebe(inner=Strip(), z0=0.1j) == Koebe(Strip(), z0=0.1j) == Koebe(Strip(), 0.1j)
+    assert Jet3(f0=1, f1=2, f2=3, f3=4, at=5) == Jet3(1, 2, 3, 4, 5)
+    assert fields(Koebe) == ("inner", "z0") and fields(Identity()) == ()
+    assert fields(Jet3) == ("f0", "f1", "f2", "f3", "at")
+    assert replace(nested(), B=1j).B == 1j and replace(Disk(0.5), x=0.25) == Disk(0.25)
+    for bad in (lambda: Koebe(Strip()), lambda: Koebe(Strip(), 0.1j, 0.2j),
+                lambda: Koebe(Strip(), 0.1j, inner=Strip()), lambda: Disk(y=0.5)):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(ParamOutOfRange):
+        replace(Disk(0.5), x=2.0)
+    with pytest.raises(ParamOutOfRange):
+        Koebe(z0=1.0, inner=Strip())
+
+
+# the reprs the nodes have always printed
+FIXTURE_REPRS = {
+    "identity": "Identity()",
+    "disk": "Disk(x=0.5)",
+    "halfplane": "Halfplane(c=(-1+0j))",
+    "sector": "SectorReal(a=0.5)",
+    "sector-auto": "SectorAuto(a=(0.5+0j))",
+    "strip": "Strip()",
+    "strip-shift": "StripShift(x=0.7)",
+    "mobius-of-strip": "MobiusOfStrip(a=(0.25+0j))",
+}
+
+
+def test_reprs_are_unchanged():
+    assert {name: repr(expr) for name, expr in FIXTURE_EXPRS} == FIXTURE_REPRS
+    assert repr(nested()) == ("Affine(inner=Koebe(inner=MobiusShift(inner=SectorReal(a=0.5)), "
+                              "z0=(0.3+0.2j)), A=(2+0j), B=-1j)")
+    grid = GridMeta(rings=(0.5, 0.9), angles=128, seed=7)
+    assert repr(grid) == "GridMeta(rings=(0.5, 0.9), angles=128, seed=7)"
+    report = CertReport(sup_estimate=1.5, arg_sup=0.25 - 0.5j, grid=grid, passed=True,
+                        t_parameter=0.75, n_failed=0)
+    assert repr(report) == (
+        "CertReport(sup_estimate=1.5, arg_sup=(0.25-0.5j), grid=GridMeta(rings=(0.5, 0.9), "
+        "angles=128, seed=7), passed=True, t_parameter=0.75, n_failed=0)")

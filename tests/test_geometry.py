@@ -5,7 +5,6 @@ in blocks, with the same per-pair formula the tree evaluates at its
 leaves, so the tree must agree with them exactly, not just closely.
 """
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -32,6 +31,7 @@ from awr.quasidisk import (
     boundary_polyline,
     quasidisk_ratio_scan,
 )
+from awr.record import fields
 from awr.reflection import reflect_grid
 
 
@@ -334,9 +334,9 @@ def test_ratio_scan_queries_evaluate_few_leaf_pairs(name, expr, monkeypatch):
 
 
 def assert_same_fields(got, want):
-    for field in dataclasses.fields(want):
-        a, b = getattr(got, field.name), getattr(want, field.name)
-        assert np.array_equal(a, b, equal_nan=True), field.name
+    for name in fields(want):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b, equal_nan=True), name
 
 
 @pytest.mark.parametrize("block", [1, 3, 7])

@@ -7,7 +7,9 @@ import pytest
 
 from awr import quasidisk
 from awr.catalog import FIXTURE_EXPRS
+from awr.errors import BadParam
 from awr.grids import GridMeta, grid_points, polar, refine_on_grid, ring_points
+from awr.record import replace
 
 
 def test_ring_points_are_ring_major_and_unvalidated():
@@ -108,3 +110,17 @@ def test_collapsed_refinement_matches_every_pass_bitwise(name, passes, monkeypat
 def test_polar():
     assert polar(2.0, 0.0) == 2.0
     assert polar(1.0, math.pi / 2) == pytest.approx(1j)
+
+
+def test_grid_meta_checks_every_construction():
+    """Positional, keyword, default and replaced grids all pass through
+    the same checks and normalization."""
+    grid = GridMeta((0.5, 0.9), 64, 3)
+    assert grid == GridMeta(rings=[0.5, 0.9], angles=64, seed=3)
+    assert grid.rings == (0.5, 0.9) and isinstance(grid.rings, tuple)
+    assert GridMeta(angles=128) == replace(GridMeta(), angles=128)
+    for bad in (lambda: GridMeta((0.5, 0.4)), lambda: GridMeta(rings=()),
+                lambda: GridMeta((1.0,)), lambda: GridMeta(angles=63),
+                lambda: replace(grid, angles=8), lambda: replace(grid, rings=(0.9, 0.5))):
+        with pytest.raises(BadParam):
+            bad()

@@ -23,9 +23,8 @@ from awr.nehari import (
     schwarzian_jet,
 )
 from awr.evaluate import jet_eval
-from awr.reflection import Mobius
 
-from conftest import disk_points
+from conftest import disk_points, random_mobius
 
 SUP_TABLE = {
     "identity": (0.0, 1e-12),
@@ -84,7 +83,7 @@ POLE_TERM_MAX = 1e2
 @settings(max_examples=40, deadline=None)
 def test_schwarzian_invariant_under_mobius_postcomposition(seed):
     rng = np.random.default_rng(seed)
-    mob = Mobius.random(rng)
+    mob = random_mobius(rng)
     zs = disk_points(seed % 1000, 60, rmax=0.9)
     for _, expr in FIXTURE_EXPRS[:6]:
         j = jet_eval(expr, zs)

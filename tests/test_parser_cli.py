@@ -3,7 +3,11 @@ line contract: report lines, CSV determinism, and exit codes."""
 
 import contextlib
 import io
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -392,3 +396,78 @@ def test_svg_written(tmp_path):
     blob = path.read_text()
     assert blob.startswith("<svg")
     assert "#1f6fd6" in blob and "#d62728" in blob
+
+
+# Import scope: a request is one short process, so each subcommand loads
+# only the scan modules it runs (see the cli module docstring).
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SCOPE_SCRIPT = """
+import json, sys
+from awr import cli
+code = None
+if sys.argv[1:]:
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as stop:
+        code = stop.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("awr."))]), file=sys.stderr)
+"""
+# what `import awr.cli` loads: the package, the parser, the grids and
+# the error types, and none of the scans
+CLI_BASE = {"awr.cli", "awr.errors", "awr.evaluate", "awr.expr", "awr.extended",
+            "awr.grids", "awr.jets", "awr.parser", "awr.record"}
+CONVEX = {"awr.catalog", "awr.convexity", "awr.deepscan", "awr.reflection"}
+QUASIDISK = {"awr.catalog", "awr.deepscan", "awr.geometry", "awr.quasidisk", "awr.reflection"}
+SCOPES = {
+    "catalog": (["catalog"], {"awr.catalog", "awr.deepscan", "awr.nehari", "awr.reflection"}),
+    "certify": (["certify", "--map", "sector(a=0.5)", "--angles", "64"], {"awr.nehari"}),
+    "reflect": (["reflect", "--map", "disk(x=0.5)", "--z", "0.3+0.4i"], {"awr.reflection"}),
+    "mediatrix-scan": (["mediatrix-scan", "--map", "disk(x=0.5)"], CONVEX),
+    "coeff-bound": (["coeff-bound", "--map", "disk(x=0.5)"], CONVEX),
+    "proof-check": (["proof-check", "--map", "disk(x=0.5)", "--zetas", "0.3+0i"], CONVEX),
+    "normalize": (["normalize", "--map", "halfplane(c=-1+0i)", "--rings", "0.5",
+                   "--angles", "64"], QUASIDISK),
+    "delta": (["delta", "--map", "strip-shift(x=0.7)", "--rings", "0.5", "--angles", "64",
+               "--passes", "1"], QUASIDISK),
+    "quasidisk": (["quasidisk", "--map", "sector(a=0.5)", "--rings", "0.9", "--angles", "64",
+                   "--csv", ""], QUASIDISK),
+    "omission-scan": (["omission-scan", "--map", "disk(x=0.5)", "--passes", "1"], QUASIDISK),
+    "lemma32": (["lemma32", "--a-list", "0.25+0i"], QUASIDISK),
+    "svg": (["svg", "--map", "identity", "--z", "0.3+0i", "--svg", "fig.svg"],
+            QUASIDISK | {"awr.convexity", "awr.svgplot"}),
+}
+
+
+def fresh_python(code, args=(), cwd=None):
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stderr.splitlines()[-1]
+
+
+def test_cli_import_loads_no_scan_module():
+    code, loaded = json.loads(fresh_python(SCOPE_SCRIPT))
+    assert code is None and set(loaded) == CLI_BASE
+
+
+@pytest.mark.parametrize("command", sorted(SCOPES))
+def test_subcommand_loads_only_its_scans(command, tmp_path):
+    argv, scans = SCOPES[command]
+    code, loaded = json.loads(fresh_python(SCOPE_SCRIPT, argv, cwd=tmp_path))
+    assert code == 0
+    assert set(loaded) == CLI_BASE | scans
+
+
+def test_awr_leaves_dataclasses_unloaded():
+    """The value types are built without the dataclasses module: importing
+    every awr module loads it only if numpy already had."""
+    names = sorted(path.stem for path in (SRC / "awr").glob("*.py") if path.stem != "__init__")
+    code = ("import importlib, json, sys\n"
+            "import numpy\n"
+            "before = 'dataclasses' in sys.modules\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module('awr.' + name)\n"
+            "print(json.dumps([before, 'dataclasses' in sys.modules]), file=sys.stderr)\n")
+    before, after = json.loads(fresh_python(code))
+    assert after == before

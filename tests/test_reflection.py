@@ -16,17 +16,10 @@ from awr.errors import DomainViolation
 from awr.expr import Disk, Halfplane, Identity, Strip
 from awr.extended import chordal, is_infinite
 from awr.grids import GridMeta, grid_points
-from awr.reflection import (
-    Mobius,
-    extend,
-    local_b2,
-    mobius_equivariance_check,
-    reflect,
-    reflect_grid,
-)
+from awr.reflection import extend, local_b2, reflect, reflect_grid
 from awr.evaluate import jet_eval
 
-from conftest import disk_points
+from conftest import disk_points, mobius_equivariance_check, random_mobius
 
 
 def test_identity_reflection_is_inversion():
@@ -118,7 +111,7 @@ def test_extend_rejects_points_inside():
 @settings(max_examples=40, deadline=None)
 def test_mobius_compose_inverse_is_identity(seed):
     rng = np.random.default_rng(seed)
-    m = Mobius.random(rng)
+    m = random_mobius(rng)
     both = m.compose(m.inverse())
     zs = disk_points(seed % 500, 20, rmax=2.0)
     resid = np.abs(both(zs) - zs)
@@ -129,7 +122,7 @@ def test_mobius_compose_inverse_is_identity(seed):
 @settings(max_examples=25, deadline=None)
 def test_mobius_apply_jet_matches_pointwise(seed):
     rng = np.random.default_rng(seed)
-    m = Mobius.random(rng)
+    m = random_mobius(rng)
     zs = disk_points(seed % 500, 30, rmax=0.9)
     j = jet_eval(Strip(), zs)
     applied = m.apply_jet(j)
@@ -143,7 +136,7 @@ def test_reflection_commutes_with_mobius_postcomposition(name, expr):
     rng = np.random.default_rng(17)
     meta = GridMeta(rings=(0.3, 0.6, 0.9, 0.99), angles=128)
     for _ in range(5):
-        mob = Mobius.random(rng)
+        mob = random_mobius(rng)
         residual, n_checked, n_excluded = mobius_equivariance_check(
             expr, mob, meta)
         assert residual < 1e-10, (name, residual)
