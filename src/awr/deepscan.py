@@ -37,7 +37,7 @@ import math
 import numpy as np
 
 from .errors import BadParam, ConsistencyError
-from .evaluate import jet_eval, taylor
+from .evaluate import _koebe_scalars, taylor
 from .expr import Affine, Koebe, MapExpr, MobiusOfStrip, MobiusShift, Strip, StripShift
 from .grids import MAX_PASSES
 from .record import Record, replace
@@ -98,9 +98,9 @@ def normal_form(expr: MapExpr) -> NormalForm:
     if isinstance(expr, Koebe):
         inner = normal_form(expr.inner)
         z0 = expr.z0
-        j = jet_eval(expr.inner, z0)
-        k = 1.0 / ((1.0 - abs(z0) ** 2) * j.f1)
-        renorm = Mobius(k, -k * j.f0, 0.0, 1.0)
+        f0, f1 = _koebe_scalars(expr.inner, z0)
+        k = 1.0 / ((1.0 - abs(z0) ** 2) * f1)
+        renorm = Mobius(k, -k * f0, 0.0, 1.0)
         return NormalForm(inner.pre.after(z0), inner.leaf, renorm.compose(inner.post))
     if isinstance(expr, MobiusShift):
         inner = normal_form(expr.inner)

@@ -6,8 +6,14 @@ are closed-form disk maps; interior nodes are the three combinators
 postcomposition).  Trees are hashable, which lets evaluation memoize
 per-expression data.
 
-Parameter validation happens at construction time.  Depth is capped so
-runaway nesting is rejected before evaluation.
+Each node is declared once, here: `NAME` is its name in the text
+grammar and its annotated fields are its parameters.  A `MapExpr` field
+is the inner map, first and positional; a `float` field is a real-only
+key and a `complex` field a complex key, named by the lower-cased field
+name (`Affine.A` is `a`).  `NODES` lists the classes by name for
+`awr.parser`.  On construction every key is checked finite (and real if
+`float`) and coerced, then the node's `check_range` runs and the
+nesting depth is capped, before any evaluation.
 """
 
 from __future__ import annotations
@@ -19,30 +25,47 @@ from .record import Record, fields
 
 MAX_DEPTH = 8
 
-
-def _require_finite(name: str, value: complex) -> None:
-    v = complex(value)
-    if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-        raise ParamOutOfRange(f"{name} must be finite, got {value!r}")
-
-
-def _require_real(name: str, value: complex) -> float:
-    v = complex(value)
-    if v.imag != 0.0:
-        raise ParamOutOfRange(f"{name} must be real, got {value!r}")
-    return v.real
+_SCALARS = {"float": float, "complex": complex}
 
 
 class MapExpr(Record):
-    """Base class; concrete nodes below."""
+    """Base of the nodes; see the module docstring for how one is declared."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        notes = cls.__dict__.get("__annotations__", {})
+        # NESTS: the first field is the inner map; KINDS: (field, float or
+        # complex) for the rest, so a misplaced inner map fails right here
+        cls.NESTS = bool(cls._fields) and notes[cls._fields[0]] == "MapExpr"
+        cls.KINDS = tuple((name, _SCALARS[notes[name]])
+                          for name in cls._fields[1 if cls.NESTS else 0:])
+
+    def __post_init__(self):
+        for name, kind in self.KINDS:
+            value = getattr(self, name)
+            v = complex(value)
+            if not (math.isfinite(v.real) and math.isfinite(v.imag)):
+                fault = "finite"
+            elif kind is float and v.imag != 0.0:
+                fault = "real"
+            else:
+                object.__setattr__(self, name, v.real if kind is float else v)
+                continue
+            raise ParamOutOfRange(
+                f"{self.NAME} parameter '{name.lower()}' must be {fault}, got {value!r}")
+        self.check_range()
+        if self.NESTS:
+            self.check_depth()
+
+    def check_range(self) -> None:
+        """Refuse parameter values outside the node's range; none by default."""
 
     def children(self) -> tuple["MapExpr", ...]:
         values = (getattr(self, name) for name in fields(self))
         return tuple(v for v in values if isinstance(v, MapExpr))
 
     def depth(self) -> int:
-        kids = self.children()
-        return 1 + (max(k.depth() for k in kids) if kids else 0)
+        return 1 + max((kid.depth() for kid in self.children()), default=0)
 
     def check_depth(self) -> None:
         d = self.depth()
@@ -53,49 +76,46 @@ class MapExpr(Record):
 class Identity(MapExpr):
     """z -> z."""
 
+    NAME = "identity"
+
 
 class Disk(MapExpr):
     """z -> z / (1 + x z), x real in (-1, 1); image a disk."""
 
+    NAME = "disk"
     x: float
 
-    def __post_init__(self):
-        _require_finite("disk parameter", self.x)
-        x = _require_real("disk parameter", self.x)
-        object.__setattr__(self, "x", float(x))
-        if not (-1.0 < x < 1.0):
-            raise ParamOutOfRange(f"disk parameter needs x in (-1, 1), got {x}")
+    def check_range(self):
+        if not (-1.0 < self.x < 1.0):
+            raise ParamOutOfRange(f"disk parameter needs x in (-1, 1), got {self.x}")
 
 
 class Halfplane(MapExpr):
     """z -> z / (1 + c z) with |c| = 1, image a half-plane."""
 
+    NAME = "halfplane"
     c: complex
 
-    def __post_init__(self):
-        _require_finite("halfplane parameter", self.c)
-        object.__setattr__(self, "c", complex(self.c))
+    def check_range(self):
         if abs(abs(self.c) - 1.0) > 1e-9:
-            raise ParamOutOfRange(
-                f"halfplane parameter needs |c| = 1, got |c| = {abs(self.c)}"
-            )
+            raise ParamOutOfRange(f"halfplane parameter needs |c| = 1, got |c| = {abs(self.c)}")
 
 
 class SectorReal(MapExpr):
     """z -> (1/2a) (((1+z)/(1-z))^a - 1), a in (0, 1); sector of opening a*pi."""
 
+    NAME = "sector"
     a: float
 
-    def __post_init__(self):
-        _require_finite("sector exponent", self.a)
-        a = _require_real("sector exponent", self.a)
-        object.__setattr__(self, "a", float(a))
-        if not (0.0 < a < 1.0):
-            raise ParamOutOfRange(f"sector exponent needs 0 < a < 1, got {a}")
+    def check_range(self):
+        if not (0.0 < self.a < 1.0):
+            raise ParamOutOfRange(f"sector exponent needs 0 < a < 1, got {self.a}")
 
 
 class Strip(MapExpr):
     """z -> (1/2) log((1+z)/(1-z)), image the strip |Im w| < pi/4."""
+
+    NAME = "strip"
 
 
 class StripShift(MapExpr):
@@ -107,14 +127,12 @@ class StripShift(MapExpr):
     the strip map exactly.
     """
 
+    NAME = "strip-shift"
     x: float
 
-    def __post_init__(self):
-        _require_finite("strip-shift offset", self.x)
-        x = _require_real("strip-shift offset", self.x)
-        object.__setattr__(self, "x", float(x))
-        if not (0.0 < x < 1.0):
-            raise ParamOutOfRange(f"strip-shift offset needs 0 < x < 1, got {x}")
+    def check_range(self):
+        if not (0.0 < self.x < 1.0):
+            raise ParamOutOfRange(f"strip-shift offset needs 0 < x < 1, got {self.x}")
 
     def lower(self) -> "Koebe":
         return Koebe(Strip(), complex(0.0, self.x))
@@ -123,11 +141,10 @@ class StripShift(MapExpr):
 class MobiusOfStrip(MapExpr):
     """z -> L(z)/(1 + a L(z)) with L the strip map, a != 0."""
 
+    NAME = "mobius-of-strip"
     a: complex
 
-    def __post_init__(self):
-        _require_finite("mobius-of-strip parameter", self.a)
-        object.__setattr__(self, "a", complex(self.a))
+    def check_range(self):
         if self.a == 0:
             raise ParamOutOfRange("mobius-of-strip parameter needs a != 0")
 
@@ -143,15 +160,12 @@ class SectorAuto(MapExpr):
         b    = 1 / (a c - 1).
     """
 
+    NAME = "sector-auto"
     a: complex
 
-    def __post_init__(self):
-        _require_finite("automorphism parameter", self.a)
-        object.__setattr__(self, "a", complex(self.a))
+    def check_range(self):
         if abs(self.a) >= 1.0:
-            raise ParamOutOfRange(
-                f"automorphism parameter needs |a| < 1, got |a| = {abs(self.a)}"
-            )
+            raise ParamOutOfRange(f"automorphism parameter needs |a| < 1, got |a| = {abs(self.a)}")
 
 
 class Koebe(MapExpr):
@@ -162,17 +176,13 @@ class Koebe(MapExpr):
     i.e. g = (f o sigma - f(z0)) / ((1 - |z0|^2) f'(z0)).
     """
 
+    NAME = "koebe"
     inner: MapExpr
     z0: complex
 
-    def __post_init__(self):
-        _require_finite("koebe base point", self.z0)
-        object.__setattr__(self, "z0", complex(self.z0))
+    def check_range(self):
         if abs(self.z0) >= 1.0:
-            raise ParamOutOfRange(
-                f"koebe base point needs |z0| < 1, got |z0| = {abs(self.z0)}"
-            )
-        self.check_depth()
+            raise ParamOutOfRange(f"koebe base point needs |z0| < 1, got |z0| = {abs(self.z0)}")
 
 
 class MobiusShift(MapExpr):
@@ -181,27 +191,22 @@ class MobiusShift(MapExpr):
     Kills the second Taylor coefficient while preserving the Schwarzian.
     """
 
+    NAME = "mobius-shift"
     inner: MapExpr
-
-    def __post_init__(self):
-        self.check_depth()
 
 
 class Affine(MapExpr):
     """Postcomposition w -> A w + B, A != 0."""
 
+    NAME = "affine"
     inner: MapExpr
     A: complex
     B: complex
 
-    def __post_init__(self):
-        _require_finite("affine scale", self.A)
-        _require_finite("affine offset", self.B)
-        object.__setattr__(self, "A", complex(self.A))
-        object.__setattr__(self, "B", complex(self.B))
+    def check_range(self):
         if self.A == 0:
             raise ParamOutOfRange("affine scale must be nonzero")
-        self.check_depth()
 
 
-LEAF_TYPES = (Identity, Disk, Halfplane, SectorReal, Strip, StripShift, MobiusOfStrip, SectorAuto)
+NODES = {cls.NAME: cls for cls in MapExpr.__subclasses__()}
+"""Every node class, by its name in the text grammar."""

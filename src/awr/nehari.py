@@ -62,8 +62,7 @@ def certify_nehari(expr: MapExpr, meta: GridMeta = None) -> CertReport:
     n_failed = int(np.sum(vals[np.isfinite(vals)] > 2.0 + NEHARI_TOL))
 
     def fn(r, theta):
-        z = r * complex(np.cos(theta), np.sin(theta))
-        v = nehari_functional(expr, np.asarray([z], dtype=complex))
+        v = nehari_functional(expr, np.asarray([polar(r, theta)], dtype=complex))
         return float(v[0])
 
     work = np.where(np.isfinite(vals), vals, -np.inf)

@@ -13,6 +13,11 @@ or complex literals in the form `a+bi` where the sign between the two
 parts is mandatory, so `0.7+0i`, `-1+0i` and `0+0.25i` parse while a
 bare `0.25i` does not.  `parse_expr` and `format_expr` are mutually
 inverse on every valid tree.
+
+No node is spelled out here.  Each is declared once, as a class in
+`awr.expr`, and `expr.NODES` gives its name, whether it takes an inner
+map and its keys with their kinds; this module parses, checks and
+prints every node from those alone.
 """
 
 from __future__ import annotations
@@ -20,20 +25,7 @@ from __future__ import annotations
 import re
 
 from .errors import BadParam, MapSyntaxError, UnknownName
-from .expr import (
-    Affine,
-    Disk,
-    Halfplane,
-    Identity,
-    Koebe,
-    MapExpr,
-    MobiusOfStrip,
-    MobiusShift,
-    SectorAuto,
-    SectorReal,
-    Strip,
-    StripShift,
-)
+from .expr import NODES, MapExpr
 
 MAX_TEXT = 4096
 
@@ -43,21 +35,6 @@ _NUMBER_RE = re.compile(
     r"(?P<re>[+-]?" + _FLOAT + r")"
     r"(?:(?P<im>[+-]" + _FLOAT + r")[iI])?"
 )
-
-# name -> (positional inner map?, required keys, key -> real-only?)
-_SIGNATURES = {
-    "identity": (False, (), {}),
-    "disk": (False, ("x",), {"x": True}),
-    "halfplane": (False, ("c",), {"c": False}),
-    "sector": (False, ("a",), {"a": True}),
-    "sector-auto": (False, ("a",), {"a": False}),
-    "strip": (False, (), {}),
-    "strip-shift": (False, ("x",), {"x": True}),
-    "mobius-of-strip": (False, ("a",), {"a": False}),
-    "koebe": (True, ("z0",), {"z0": False}),
-    "mobius-shift": (True, (), {}),
-    "affine": (True, ("a", "b"), {"a": False, "b": False}),
-}
 
 
 class _Scanner:
@@ -100,50 +77,32 @@ class _Scanner:
 
 def _build(name: str, inner: MapExpr | None,
            params: dict[str, complex]) -> MapExpr:
-    wants_inner, required, real_only = _SIGNATURES[name]
-    if wants_inner and inner is None:
+    node = NODES[name]
+    kinds = {field.lower(): kind for field, kind in node.KINDS}
+    if node.NESTS and inner is None:
         raise BadParam(f"{name} needs an inner map as its first argument")
-    if inner is not None and not wants_inner:
+    if inner is not None and not node.NESTS:
         raise BadParam(f"{name} does not take an inner map")
     for key in params:
-        if key not in real_only:
+        if key not in kinds:
             raise BadParam(f"{name} does not take a parameter '{key}'")
-    for key in required:
+    for key in kinds:
         if key not in params:
             raise BadParam(f"{name} needs the parameter '{key}'")
-
-    def real(key: str) -> float:
+    args = [inner] if node.NESTS else []
+    for key, kind in kinds.items():
         v = params[key]
-        if v.imag != 0.0:
-            raise BadParam(f"{name} parameter '{key}' must be real, got {v}")
-        return v.real
-
-    if name == "identity":
-        return Identity()
-    if name == "disk":
-        return Disk(real("x"))
-    if name == "halfplane":
-        return Halfplane(params["c"])
-    if name == "sector":
-        return SectorReal(real("a"))
-    if name == "sector-auto":
-        return SectorAuto(params["a"])
-    if name == "strip":
-        return Strip()
-    if name == "strip-shift":
-        return StripShift(real("x"))
-    if name == "mobius-of-strip":
-        return MobiusOfStrip(params["a"])
-    if name == "koebe":
-        return Koebe(inner, params["z0"])
-    if name == "mobius-shift":
-        return MobiusShift(inner)
-    return Affine(inner, params["a"], params["b"])
+        if kind is float:
+            if v.imag != 0.0:
+                raise BadParam(f"{name} parameter '{key}' must be real, got {v}")
+            v = v.real
+        args.append(v)
+    return node(*args)
 
 
 def _parse_node(scan: _Scanner) -> MapExpr:
     name, name_at = scan.name()
-    if name not in _SIGNATURES:
+    if name not in NODES:
         raise UnknownName(f"unknown map name '{name}' at offset {name_at}")
     inner: MapExpr | None = None
     params: dict[str, complex] = {}
@@ -213,29 +172,10 @@ def format_complex(z: complex) -> str:
 
 def format_expr(expr: MapExpr) -> str:
     """Canonical text form; parse_expr(format_expr(e)) == e."""
-    if isinstance(expr, Identity):
-        return "identity"
-    if isinstance(expr, Strip):
-        return "strip"
-    if isinstance(expr, Disk):
-        return f"disk(x={_fmt_real(expr.x)})"
-    if isinstance(expr, Halfplane):
-        return f"halfplane(c={format_complex(expr.c)})"
-    if isinstance(expr, SectorReal):
-        return f"sector(a={_fmt_real(expr.a)})"
-    if isinstance(expr, SectorAuto):
-        return f"sector-auto(a={format_complex(expr.a)})"
-    if isinstance(expr, StripShift):
-        return f"strip-shift(x={_fmt_real(expr.x)})"
-    if isinstance(expr, MobiusOfStrip):
-        return f"mobius-of-strip(a={format_complex(expr.a)})"
-    if isinstance(expr, Koebe):
-        return f"koebe({format_expr(expr.inner)}, z0={format_complex(expr.z0)})"
-    if isinstance(expr, MobiusShift):
-        return f"mobius-shift({format_expr(expr.inner)})"
-    if isinstance(expr, Affine):
-        return (
-            f"affine({format_expr(expr.inner)}, "
-            f"a={format_complex(expr.A)}, b={format_complex(expr.B)})"
-        )
-    raise UnknownName(f"no text form for {type(expr).__name__}")
+    if not isinstance(expr, MapExpr):
+        raise UnknownName(f"no text form for {type(expr).__name__}")
+    args = [format_expr(kid) for kid in expr.children()]
+    for field, kind in expr.KINDS:
+        v = getattr(expr, field)
+        args.append(f"{field.lower()}={_fmt_real(v) if kind is float else format_complex(v)}")
+    return f"{expr.NAME}({', '.join(args)})" if args else expr.NAME

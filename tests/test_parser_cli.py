@@ -4,12 +4,15 @@ line contract: report lines, CSV determinism, and exit codes."""
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import GRAMMAR_CASES
 
@@ -18,7 +21,7 @@ from awr.errors import BadParam, MapSyntaxError, ParamOutOfRange, UnknownName
 from awr.catalog import CONVEXITY_ANGLES, CONVEXITY_RINGS
 from awr.convexity import COEFF_ANGLES, COEFF_RINGS
 from awr.deepscan import MAX_PASSES
-from awr.expr import Disk, Identity, Koebe, SectorAuto, Strip, StripShift
+from awr.expr import NODES, Disk, Identity, Koebe, MapExpr, SectorAuto, Strip, StripShift
 from awr.grids import DEFAULT_ANGLES, DEFAULT_RINGS, MAX_GRID_POINTS, GridMeta
 from awr.nehari import CERT_ANGLES, CERT_RINGS
 from awr.parser import format_complex, format_expr, parse_complex, parse_expr
@@ -160,6 +163,127 @@ def test_round_trip_identity(text):
 def test_grammar_case_count():
     assert len(GRAMMAR_CASES) == 50
     assert len(set(GRAMMAR_CASES)) == 50
+
+
+# Every node of the grammar, driven from expr.NODES: a valid argument
+# list per node, and the value ranges the random trees draw from.
+NODE_ARGS = {
+    "identity": (),
+    "disk": (("x", "0.5"),),
+    "halfplane": (("c", "-1+0i"),),
+    "sector": (("a", "0.5"),),
+    "sector-auto": (("a", "0.5+0.1i"),),
+    "strip": (),
+    "strip-shift": (("x", "0.7"),),
+    "mobius-of-strip": (("a", "0.25+0i"),),
+    "koebe": (("z0", "0.3-0.2i"),),
+    "mobius-shift": (),
+    "affine": (("a", "2+0i"), ("b", "0+1i")),
+}
+
+
+def _node_text(name, inner, args):
+    parts = [inner] if inner else []
+    parts += [f"{key}={value}" for key, value in args]
+    return f"{name}({', '.join(parts)})"
+
+
+def _node_refusals():
+    for name, node in sorted(NODES.items()):
+        args = NODE_ARGS[name]
+        inner = "strip" if node.NESTS else None
+        yield name, "unknown-key", _node_text(name, inner, args + (("w", "0.5"),))
+        yield name, "duplicate-key", _node_text(name, inner, args + (args or (("w", "0.5"),))[:1])
+        wrong = None if node.NESTS else "strip"
+        yield name, "inner-" + ("missing" if node.NESTS else "unwanted"), _node_text(name, wrong, args)
+        if args:
+            yield name, "missing-key", _node_text(name, inner, args[1:])
+        for key, value in args:
+            if "i" not in value:  # a real-only key
+                yield name, "complex-for-real", _node_text(name, inner, tuple(
+                    (k, "0.5+0.5i" if k == key else v) for k, v in args))
+
+
+NODE_REFUSALS = list(_node_refusals())
+
+
+def _concrete_nodes(cls=MapExpr):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _concrete_nodes(sub)
+
+
+def test_every_node_class_is_in_nodes_under_a_unique_name():
+    classes = list(_concrete_nodes())
+    names = [cls.NAME for cls in classes]
+    assert len(set(names)) == len(names) == len(NODES)
+    assert all(NODES[cls.NAME] is cls for cls in classes)
+    assert set(NODE_ARGS) == set(NODES)
+
+
+@pytest.mark.parametrize("name", sorted(NODES))
+def test_every_node_parses_its_keys_in_field_order(name):
+    node = NODES[name]
+    keys = tuple(key for key, _ in NODE_ARGS[name])
+    assert keys == tuple(field.lower() for field, _ in node.KINDS)
+    # a real-only key is the one whose sample value is written without "i"
+    assert [kind is float for _, kind in node.KINDS] == ["i" not in v for _, v in NODE_ARGS[name]]
+    text = _node_text(name, "strip" if node.NESTS else None, NODE_ARGS[name])
+    expr = parse_expr(text)
+    assert type(expr) is node
+    assert format_expr(expr) == (text if NODE_ARGS[name] or node.NESTS else name)
+
+
+def test_every_refusal_kind_is_exercised():
+    kinds = {kind for _, kind, _ in NODE_REFUSALS}
+    assert kinds == {"unknown-key", "duplicate-key", "inner-missing", "inner-unwanted",
+                     "missing-key", "complex-for-real"}
+
+
+@pytest.mark.parametrize("name,kind,text", NODE_REFUSALS,
+                         ids=[f"{name}-{kind}" for name, kind, _ in NODE_REFUSALS])
+def test_every_node_refuses_bad_arguments(name, kind, text):
+    with pytest.raises(BadParam):
+        parse_expr(text)
+
+
+def _unit_times(radius):
+    return st.tuples(radius, st.floats(-math.pi, math.pi)).map(
+        lambda p: p[0] * complex(math.cos(p[1]), math.sin(p[1])))
+
+
+NODE_VALUES = {
+    ("disk", "x"): st.floats(-0.99, 0.99),
+    ("halfplane", "c"): _unit_times(st.just(1.0)),
+    ("sector", "a"): st.floats(0.01, 0.99),
+    ("sector-auto", "a"): _unit_times(st.floats(0.0, 0.99)),
+    ("strip-shift", "x"): st.floats(0.01, 0.99),
+    ("mobius-of-strip", "a"): _unit_times(st.floats(0.01, 100.0)),
+    ("koebe", "z0"): _unit_times(st.floats(0.0, 0.99)),
+    ("affine", "a"): _unit_times(st.floats(1e-3, 1e3)),
+    ("affine", "b"): st.complex_numbers(max_magnitude=1e3, allow_nan=False),
+}
+
+
+def map_trees(depth):
+    """Trees of every node, at most depth levels deep."""
+    options = []
+    for name, node in sorted(NODES.items()):
+        if node.NESTS and depth == 1:
+            continue
+        parts = [map_trees(depth - 1)] if node.NESTS else []
+        parts += [NODE_VALUES[name, field.lower()] for field, _ in node.KINDS]
+        options.append(st.tuples(*parts).map(lambda args, node=node: node(*args)))
+    return st.one_of(options)
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_trees(3))
+def test_format_then_parse_is_the_identity_on_random_trees(expr):
+    assert expr.depth() <= 3
+    printed = format_expr(expr)
+    assert parse_expr(printed) == expr
+    assert format_expr(parse_expr(printed)) == printed
 
 
 # CLI contract
