@@ -1,5 +1,10 @@
 """Catalog of closed-form disk maps with certification metadata.
 
+`build_map` is the only way to get a `MappingSpec`, and every scan
+takes the `MapExpr` itself.  The paper's Koebe transform at z0, its
+normalization f/(1 + a2 f) and its extremal sector are the nodes
+`Koebe`, `MobiusShift` and `SectorAuto`.
+
 Every entry keeps the normalized expression together with its second
 Taylor coefficient, the outcome of a numerical convexity check, a
 boundedness hint, and whether the omitted point -1/a2 sits on the image
@@ -17,24 +22,21 @@ import math
 import numpy as np
 
 from .deepscan import NormalForm, normal_form
-from .errors import BranchCutViolation, ConsistencyError, PoleInDomain
+from .errors import BranchCutViolation
 from .evaluate import jet_eval, sector_auto_params, taylor
 from .expr import (
     Disk,
     Halfplane,
     Identity,
-    Koebe,
     MapExpr,
     MobiusOfStrip,
-    MobiusShift,
     SectorAuto,
     SectorReal,
     Strip,
     StripShift,
 )
 from .grids import ring_points
-from .record import Record, replace
-from .reflection import local_b2
+from .record import Record
 
 CONVEXITY_RINGS = (0.9, 0.99, 0.999)
 CONVEXITY_ANGLES = 4096
@@ -53,16 +55,6 @@ class MappingSpec(Record):
     convexity_min: float
     bounded_hint: str
     omitted_on_boundary: bool
-    notes: str = ""
-
-
-class SectorParams(Record):
-    """Derived sector quantities for the automorphism construction."""
-
-    a: complex
-    c: complex
-    beta: float
-    b: complex
 
 
 def validate_convexity(expr: MapExpr, rings=CONVEXITY_RINGS, angles=CONVEXITY_ANGLES):
@@ -158,91 +150,6 @@ def build_map(expr: MapExpr) -> MappingSpec:
         bounded_hint=boundedness_hint(nf),
         omitted_on_boundary=omitted_point_on_boundary(nf, a2),
     )
-
-
-def _as_expr(spec_or_expr) -> MapExpr:
-    if isinstance(spec_or_expr, MappingSpec):
-        return spec_or_expr.expr
-    return spec_or_expr
-
-
-def koebe_transform(spec_or_expr, z0) -> MappingSpec:
-    """Renormalized recentering at z0, with the b2 formula cross-checked.
-
-    The new second coefficient must match
-
-        b2 = (1 - |z0|^2) f''(z0) / (2 f'(z0)) - conj(z0)
-
-    within 1e-10 of the jet expansion of the transformed expression.
-    """
-    inner = _as_expr(spec_or_expr)
-    z0 = complex(z0)
-    expr = Koebe(inner, z0)
-    b2_formula = local_b2(jet_eval(inner, z0), z0)
-    spec = build_map(expr)
-    if abs(spec.a2 - b2_formula) > 1e-10 * (1.0 + abs(b2_formula)):
-        raise ConsistencyError(
-            f"koebe coefficient mismatch: jet {spec.a2}, formula {b2_formula}"
-        )
-    return spec
-
-
-def mobius_shift(spec_or_expr) -> MappingSpec:
-    """Post-compose with w -> w/(1 + a2 w), killing the second coefficient.
-
-    When a2 is already zero the shift is the identity; the returned
-    entry is flagged through its notes.  A boundary ring sample guards
-    against 1 + a2 f vanishing inside the disk (no catalog map does).
-    """
-    inner = _as_expr(spec_or_expr)
-    a2 = taylor(inner)[1]
-    notes = ""
-    if abs(a2) < A2_ZERO_TOL:
-        notes = "second coefficient is zero; shift acts as the identity"
-    else:
-        rings = (0.3, 0.6, 0.9, 0.99, 0.999)
-        vals = jet_eval(inner, ring_points(rings, 1024)).f0
-        for r, row in zip(rings, vals):
-            den = np.abs(1.0 + a2 * row)
-            den = den[np.isfinite(den)]
-            if den.size and float(np.min(den)) < 1e-12:
-                raise PoleInDomain(
-                    f"1 + a2 f vanishes near |z| = {r}; shifted map has a pole"
-                )
-    spec = build_map(MobiusShift(inner))
-    if notes:
-        spec = replace(spec, notes=notes)
-    return spec
-
-
-def sector_from_automorphism(a) -> tuple:
-    """Sector map of the extremal construction, with derived parameters.
-
-    For an automorphism parameter a (|a| < 1) the boundary function is
-    the unimodular constant c = -(1 - conj(a))/(1 - a); the map sends
-    the disk onto a sector of opening beta*pi with
-
-        beta = (1 - |a|^2) / (2 (1 - Re a)),    b = 1/(a c - 1),
-        f(z) = -b [((1 + z)/(1 + c z))^beta - 1],
-
-    and second coefficient a2 = -a c + b c (1 - |a|^2) / 2.  Both the
-    coefficient identity and Re(a2 b) = -1/2 are verified numerically.
-    For real a this is the familiar sector map with exponent (1 + a)/2.
-    """
-    a = complex(a)
-    expr = SectorAuto(a)
-    c, beta, b = sector_auto_params(a)
-    a2_formula = -a * c + 0.5 * b * c * (1.0 - abs(a) ** 2)
-    spec = build_map(expr)
-    if abs(spec.a2 - a2_formula) > 1e-10 * (1.0 + abs(a2_formula)):
-        raise ConsistencyError(
-            f"sector coefficient mismatch: jet {spec.a2}, formula {a2_formula}"
-        )
-    if abs((spec.a2 * b).real + 0.5) > 1e-10:
-        raise ConsistencyError(
-            f"Re(a2 b) = {(spec.a2 * b).real}, expected -1/2"
-        )
-    return spec, SectorParams(a=a, c=c, beta=beta, b=b)
 
 
 FIXTURE_EXPRS = (

@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from .catalog import _as_expr
 from .errors import CoincidentPoints, DegenerateDomain
 from .evaluate import jet_eval, taylor, value
 from .expr import MapExpr
@@ -257,7 +256,7 @@ def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
 
 
 def mediatrix_scan(
-    spec_or_expr,
+    expr: MapExpr,
     base_radii: int = 16,
     base_angles: int = 64,
     probe_rings: int = 64,
@@ -272,7 +271,6 @@ def mediatrix_scan(
     point is far from the boundary contact locus.  Probes whose local b2
     vanishes reflect to infinity and are counted as vacuous.
     """
-    expr = _as_expr(spec_or_expr)
     rings = tuple(1.0 - np.logspace(math.log10(0.5), math.log10(probe_floor), probe_rings))
     meta = GridMeta(rings=rings, angles=probe_angles)
     zs, ws, rs, _ = reflect_grid(expr, meta)

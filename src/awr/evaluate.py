@@ -35,7 +35,7 @@ from .expr import (
     Strip,
     StripShift,
 )
-from .jets import Jet3
+from .jets import Jet3, _is_array
 
 
 def sector_auto_params(a: complex) -> tuple[complex, float, complex]:
@@ -62,19 +62,19 @@ def _pow_jet(w: Jet3, p: float) -> Jet3:
     return outer.compose(w)
 
 
-def _guard(den, z, strict: bool, what: str):
-    """Replace vanishing denominators: raise when strict, NaN otherwise."""
-    if strict:
-        if den == 0:
-            raise PoleAtPoint(f"{what} vanishes at z = {z}")
-        return den
-    return np.where(den == 0, np.nan, den)
+def _guard(den, z, what: str):
+    """Replace vanishing denominators: NaN on an array ``z``, raise on a scalar."""
+    if _is_array(z):
+        return np.where(den == 0, np.nan, den)
+    if den == 0:
+        raise PoleAtPoint(f"{what} vanishes at z = {z}")
+    return den
 
 
 @lru_cache(maxsize=None)
 def _koebe_scalars(inner: MapExpr, z0: complex) -> tuple[complex, complex]:
     """(f(z0), f'(z0)) for the renormalized precomposition."""
-    j = _jet(inner, complex(z0), True)
+    j = _jet(inner, complex(z0))
     if j.f1 == 0:
         raise CriticalPoint(f"derivative vanishes at renormalization point {z0}")
     return complex(j.f0), complex(j.f1)
@@ -83,41 +83,41 @@ def _koebe_scalars(inner: MapExpr, z0: complex) -> tuple[complex, complex]:
 @lru_cache(maxsize=None)
 def shift_a2(inner: MapExpr) -> complex:
     """Second Taylor coefficient f''(0)/2 used by the Mobius shift."""
-    return complex(_jet(inner, 0.0 + 0.0j, True).f2) / 2.0
+    return complex(_jet(inner, 0.0 + 0.0j).f2) / 2.0
 
 
-def _jet(expr: MapExpr, z, strict: bool) -> Jet3:
+def _jet(expr: MapExpr, z) -> Jet3:
     if isinstance(expr, Identity):
         return Jet3.identity(z)
 
     if isinstance(expr, (Disk, Halfplane)):
         x = expr.x if isinstance(expr, Disk) else expr.c
-        den = _guard(1.0 + x * z, z, strict, "mobius denominator")
+        den = _guard(1.0 + x * z, z, "mobius denominator")
         d2 = den * den
         return Jet3(z / den, 1.0 / d2, -2.0 * x / (d2 * den), 6.0 * x * x / (d2 * d2), z)
 
     if isinstance(expr, SectorReal):
         a = expr.a
-        om = _guard(1.0 - z, z, strict, "sector denominator")
+        om = _guard(1.0 - z, z, "sector denominator")
         om2 = om * om
         wj = Jet3((1.0 + z) / om, 2.0 / om2, 4.0 / (om2 * om), 12.0 / (om2 * om2), z)
         return (_pow_jet(wj, a) - 1.0) * (0.5 / a)
 
     if isinstance(expr, Strip):
-        d = _guard(1.0 - z * z, z, strict, "strip denominator")
+        d = _guard(1.0 - z * z, z, "strip denominator")
         d2 = d * d
         return Jet3(np.arctanh(z), 1.0 / d, 2.0 * z / d2, (2.0 + 6.0 * z * z) / (d2 * d), z)
 
     if isinstance(expr, StripShift):
-        return _jet(expr.lower(), z, strict)
+        return _jet(expr.lower(), z)
 
     if isinstance(expr, MobiusOfStrip):
-        lj = _jet(Strip(), z, strict)
+        lj = _jet(Strip(), z)
         return lj / (lj * expr.a + 1.0)
 
     if isinstance(expr, SectorAuto):
         c, beta, b = sector_auto_params(expr.a)
-        den = _guard(1.0 + c * z, z, strict, "sector denominator")
+        den = _guard(1.0 + c * z, z, "sector denominator")
         d2 = den * den
         wj = Jet3(
             (1.0 + z) / den,
@@ -142,33 +142,33 @@ def _jet(expr: MapExpr, z, strict: bool) -> Jet3:
             6.0 * zb * zb * r2 / (d2 * d2),
             z,
         )
-        fj = _jet(expr.inner, sj.f0, strict)
+        fj = _jet(expr.inner, sj.f0)
         return (fj.compose(sj) - fz0) * (1.0 / (r2 * fpz0))
 
     if isinstance(expr, MobiusShift):
         a2 = shift_a2(expr.inner)
-        fj = _jet(expr.inner, z, strict)
+        fj = _jet(expr.inner, z)
         if a2 == 0:
             return fj
         return fj / (fj * a2 + 1.0)
 
     if isinstance(expr, Affine):
-        return _jet(expr.inner, z, strict) * expr.A + expr.B
+        return _jet(expr.inner, z) * expr.A + expr.B
 
     raise TypeError(f"unknown expression node {type(expr).__name__}")
 
 
 def jet_eval(expr: MapExpr, z) -> Jet3:
     """Third-order jet of ``expr`` at ``z`` (scalar or ndarray)."""
-    if isinstance(z, np.ndarray) and z.ndim > 0:
+    if _is_array(z):
         z = np.asarray(z, dtype=complex)
         z = np.where(np.abs(z) < 1.0, z, np.nan)
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _jet(expr, z, False)
+            return _jet(expr, z)
     z = complex(z)
     if not abs(z) < 1.0:
         raise DomainViolation(f"|z| = {abs(z)} is not inside the open unit disk")
-    return _jet(expr, z, True)
+    return _jet(expr, z)
 
 
 def value(expr: MapExpr, z):
@@ -179,5 +179,5 @@ def value(expr: MapExpr, z):
 @lru_cache(maxsize=None)
 def taylor(expr: MapExpr) -> tuple[complex, complex, complex]:
     """First three Taylor coefficients (a1, a2, a3) at the origin."""
-    j = _jet(expr, 0.0 + 0.0j, True)
+    j = _jet(expr, 0.0 + 0.0j)
     return complex(j.f1), complex(j.f2) / 2.0, complex(j.f3) / 6.0

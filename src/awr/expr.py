@@ -152,12 +152,17 @@ class MobiusOfStrip(MapExpr):
 class SectorAuto(MapExpr):
     """Sector map precomposed with the disk automorphism moving a to 0.
 
-    Built from the automorphism parameter ``a`` (|a| < 1); the resulting
-    map is normalized (fixes 0, derivative 1 there) and keeps the sector
-    image, with
+    Built from the automorphism parameter ``a`` (|a| < 1), this is the
+    extremal map of the coefficient bound: the boundary function is the
+    unimodular constant c, and the map is normalized (fixes 0, derivative
+    1 there) onto a sector of opening beta*pi, with
         c    = -(1 - conj(a)) / (1 - a)
         beta = (1 - |a|^2) / (2 (1 - Re a))
-        b    = 1 / (a c - 1).
+        b    = 1 / (a c - 1)
+        f(z) = -b [((1 + z)/(1 + c z))^beta - 1].
+    Its second coefficient is a2 = -a c + b c (1 - |a|^2) / 2, and
+    Re(a2 b) = -1/2, so Re(a2 f) > -1/2 is sharp on it.  For real a it is
+    the sector map with exponent (1 + a)/2.
     """
 
     NAME = "sector-auto"

@@ -112,18 +112,13 @@ class Jet3(Record):
             if np.any(bad):
                 w = np.where(bad, np.nan, w)
             with np.errstate(divide="ignore", invalid="ignore"):
-                u = 1.0 / w
-                u2 = u * u
-                g1 = -self.f1 * u2
-                g2 = (2.0 * self.f1 * self.f1 * u - self.f2) * u2
-                g3 = (
-                    -self.f3 * u2
-                    + 6.0 * self.f1 * self.f2 * u * u2
-                    - 6.0 * self.f1**3 * u2 * u2
-                )
-            return Jet3(u, g1, g2, g3, self.at)
+                return self._reciprocal(w)
         if abs(w) == 0.0:
             raise PoleAtPoint(f"division by zero value at base point {self.at}")
+        return self._reciprocal(w)
+
+    def _reciprocal(self, w) -> "Jet3":
+        # a scalar w is not cast to numpy: numpy's complex division rounds unlike Python's
         u = 1.0 / w
         u2 = u * u
         return Jet3(

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .catalog import A2_ZERO_TOL, UNBOUNDED, _as_expr, boundedness_hint
+from .catalog import A2_ZERO_TOL, UNBOUNDED, boundedness_hint
 from .deepscan import check_passes, deep_min, normal_form, strip_structure
 from .errors import DegenerateDomain, PoleInDomain
 from .evaluate import jet_eval, taylor
@@ -63,9 +63,8 @@ class NormalizedSup(Record):
     interior_ok: bool
 
 
-def normalized_sup(spec_or_expr, meta: GridMeta = None) -> NormalizedSup:
+def normalized_sup(expr: MapExpr, meta: GridMeta = None) -> NormalizedSup:
     """Sup over a grid of |a2 f*|; trivially 0 when a2 = 0."""
-    expr = _as_expr(spec_or_expr)
     a2 = taylor(expr)[1]
     if abs(a2) < A2_ZERO_TOL:
         return NormalizedSup(sup=0.0, arg=0j, interior_ok=True)
@@ -89,7 +88,7 @@ class ClusterReport(Record):
     spans: tuple
 
 
-def near_one_clusters(spec_or_expr, ring: float = 0.9999, angles: int = 4096) -> ClusterReport:
+def near_one_clusters(expr: MapExpr, ring: float = 0.9999, angles: int = 4096) -> ClusterReport:
     """Count maximal angular runs with |a2 f*| above an adaptive cut.
 
     The cut tau = 1 - 1.5 (1 - pmax) scales with how close the ring
@@ -97,7 +96,6 @@ def near_one_clusters(spec_or_expr, ring: float = 0.9999, angles: int = 4096) ->
     unbounded catalog maps: one full-circle run for half-plane images,
     two isolated runs for sector and shifted-strip images.
     """
-    expr = _as_expr(spec_or_expr)
     a2 = taylor(expr)[1]
     p = np.abs(a2 * normalize_values(expr, ring_points((ring,), angles)[0]))
     pmax = float(np.nanmax(p))
@@ -157,7 +155,7 @@ def _polar_score(expr: MapExpr, score):
     return fn
 
 
-def delta_f(spec_or_expr, grid: GridMeta = None, passes: int = 3) -> DeltaReport:
+def delta_f(expr: MapExpr, grid: GridMeta = None, passes: int = 3) -> DeltaReport:
     """Inf of the omitted-value distance with boundary-deep refinement.
 
     The coarse grid is refined two ways and the smaller value wins: a
@@ -168,7 +166,6 @@ def delta_f(spec_or_expr, grid: GridMeta = None, passes: int = 3) -> DeltaReport
     value sits on the boundary.
     """
     check_passes(passes)
-    expr = _as_expr(spec_or_expr)
     a2 = taylor(expr)[1]
     metric = CHORDAL if abs(a2) < A2_ZERO_TOL else EUCLIDEAN
     if grid is None:
@@ -227,14 +224,13 @@ class BoundaryPolyline(Record):
         return self.points[self.kept]
 
 
-def boundary_polyline(spec_or_expr, n: int = 8192, r: float = 0.999975,
+def boundary_polyline(expr: MapExpr, n: int = 8192, r: float = 0.999975,
                       clip: float = CLIP_RADIUS) -> BoundaryPolyline:
     """Sample f on the ring |z| = r as a boundary polyline."""
     if not (0.99 <= r < 1.0):
         raise DegenerateDomain(f"polyline radius {r} outside [0.99, 1)")
     if n < 1024:
         raise DegenerateDomain("polyline needs at least 1024 points")
-    expr = _as_expr(spec_or_expr)
     vals = jet_eval(expr, ring_points((r,), n)[0]).f0
     finite = np.isfinite(vals)
     keep = finite & (np.abs(np.where(finite, vals, 0.0)) <= clip)
@@ -266,7 +262,7 @@ INTERIOR_RINGS = (0.3, 0.6, 0.9, 0.975, 0.99, 0.995)
 INTERIOR_ANGLES = 1024
 
 
-def quasidisk_ratio_scan(spec_or_expr, rings=RATIO_RINGS, angles: int = RATIO_ANGLES) -> RatioProfile:
+def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_ANGLES) -> RatioProfile:
     """Reflection distance ratios per probe ring.
 
     The boundary is discretized just beyond the deepest probe ring; the
@@ -277,7 +273,6 @@ def quasidisk_ratio_scan(spec_or_expr, rings=RATIO_RINGS, angles: int = RATIO_AN
     A quasidisk keeps the ratio bounded below; the tangent-disk images
     collapse at the tangency cusp.
     """
-    expr = _as_expr(spec_or_expr)
     a2 = taylor(expr)[1]
     if abs(a2) < A2_ZERO_TOL and boundedness_hint(normal_form(expr)) == UNBOUNDED:
         raise DegenerateDomain(
@@ -362,7 +357,7 @@ PROBE_ANGLES = 64
 
 
 def koebe_omission_scan(
-    spec_or_expr,
+    expr: MapExpr,
     base_grid: GridMeta = None,
     probe_grid: GridMeta = None,
     passes: int = 3,
@@ -378,7 +373,6 @@ def koebe_omission_scan(
     detects omitted values on the image boundary.
     """
     check_passes(passes)
-    expr = _as_expr(spec_or_expr)
     # BASE_ANGLES is below GridMeta's 64-angle floor, so the default is a bare ring set.
     bases = ring_points(BASE_RINGS, BASE_ANGLES) if base_grid is None else grid_points(base_grid)
     bases = np.concatenate([[0j], bases.ravel()])

@@ -361,10 +361,3 @@ def test_tied_zero_margins_keep_the_dense_sign():
     got_m, got_i = _min_margins(base_vals, w, r)
     assert got_i[0] == 0 and got_m.tobytes() == np.array([0.0]).tobytes()
 
-
-def test_mediatrix_scan_takes_a_mapping_spec(catalog):
-    spec = catalog["sector"]
-    got, want = mediatrix_scan(spec), mediatrix_scan(spec.expr)
-    for name in fields(want):
-        a, b = getattr(got, name), getattr(want, name)
-        assert np.array_equal(a, b, equal_nan=True), name

@@ -5,20 +5,21 @@ once on the standard certification grid and are pinned with loose
 brackets so grid tweaks that preserve correctness do not break them.
 """
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from awr.catalog import (
     BOUNDED,
     FIXTURE_EXPRS,
     UNBOUNDED,
     build_map,
-    koebe_transform,
-    mobius_shift,
-    sector_from_automorphism,
 )
 from awr.errors import ParamOutOfRange
-from awr.evaluate import _koebe_scalars, jet_eval, taylor
+from awr.evaluate import _koebe_scalars, jet_eval, sector_auto_params, taylor
 from awr.expr import (
     Affine,
     Disk,
@@ -36,6 +37,7 @@ from awr.grids import GridMeta
 from awr.jets import Jet3
 from awr.nehari import CertReport
 from awr.record import fields, replace
+from awr.reflection import local_b2
 
 A2_TABLE = {
     "identity": 0.0 + 0.0j,
@@ -124,7 +126,7 @@ def test_strip_shift_is_imaginary_base_koebe():
 
 
 def test_koebe_transform_of_identity_is_disk_map():
-    spec = koebe_transform(Identity(), 0.5)
+    spec = build_map(Koebe(Identity(), 0.5))
     assert abs(spec.a2 - (-0.5)) < 1e-12
     zs = np.array([0.1 + 0.2j, -0.4 + 0.1j, 0.6 - 0.3j])
     got = jet_eval(spec.expr, zs).f0
@@ -134,7 +136,7 @@ def test_koebe_transform_of_identity_is_disk_map():
 
 def test_koebe_transform_at_origin_is_identity_op(catalog):
     for name, spec in catalog.items():
-        moved = koebe_transform(spec.expr, 0.0)
+        moved = build_map(Koebe(spec.expr, 0.0))
         assert abs(moved.a2 - spec.a2) < 1e-10, name
 
 
@@ -144,24 +146,26 @@ def test_koebe_transform_of_strip_at_real_base_kills_a2():
     has no direction to point in.  (At imaginary base points it is
     purely imaginary and nonzero.)"""
     for x in (0.3, 0.7, -0.5):
-        spec = koebe_transform(Strip(), x)
+        spec = build_map(Koebe(Strip(), x))
         assert abs(spec.a2) < 1e-12, x
-    spec = koebe_transform(Strip(), 0.7j)
+    spec = build_map(Koebe(Strip(), 0.7j))
     assert abs(spec.a2 - 2j * 0.7 / 1.49) < 1e-12
 
 
 def test_sector_from_automorphism_params():
-    spec, params = sector_from_automorphism(0.5)
-    assert abs(params.c - (-1.0)) < 1e-12
-    assert abs(params.beta - 0.75) < 1e-12
-    assert abs(params.b - (-2.0 / 3.0)) < 1e-12
+    spec = build_map(SectorAuto(0.5))
+    c, beta, b = sector_auto_params(0.5)
+    assert abs(c - (-1.0)) < 1e-12
+    assert abs(beta - 0.75) < 1e-12
+    assert abs(b - (-2.0 / 3.0)) < 1e-12
     assert abs(spec.a2 - 0.75) < 1e-12
-    assert abs((spec.a2 * params.b).real + 0.5) < 1e-12
+    assert abs((spec.a2 * b).real + 0.5) < 1e-12
 
-    _, p0 = sector_from_automorphism(0.0)
-    assert abs(p0.c - (-1.0)) < 1e-12
-    assert abs(p0.beta - 0.5) < 1e-12
-    assert abs(p0.b - (-1.0)) < 1e-12
+    build_map(SectorAuto(0.0))
+    c0, beta0, b0 = sector_auto_params(0.0)
+    assert abs(c0 - (-1.0)) < 1e-12
+    assert abs(beta0 - 0.5) < 1e-12
+    assert abs(b0 - (-1.0)) < 1e-12
 
 
 def test_sector_auto_matches_real_sector_of_mean_aperture():
@@ -177,13 +181,13 @@ def test_sector_auto_matches_real_sector_of_mean_aperture():
 
 def test_mobius_shift_kills_second_coefficient(catalog):
     for name, spec in catalog.items():
-        shifted = mobius_shift(spec.expr)
+        shifted = build_map(MobiusShift(spec.expr))
         assert abs(shifted.a2) < 1e-12, name
 
 
 def test_mobius_shift_of_strip_notes_identity():
-    spec = mobius_shift(Strip())
-    assert "identity" in spec.notes
+    """With a2 = 0 already, the shift acts as the identity."""
+    spec = build_map(MobiusShift(Strip()))
     zs = np.array([0.3 + 0.1j, -0.2 + 0.4j])
     got = jet_eval(spec.expr, zs).f0
     want = jet_eval(Strip(), zs).f0
@@ -191,8 +195,46 @@ def test_mobius_shift_of_strip_notes_identity():
 
 
 def test_mobius_shift_boundedness():
-    assert mobius_shift(StripShift(0.7)).bounded_hint == BOUNDED
-    assert mobius_shift(MobiusOfStrip(0.25)).bounded_hint == UNBOUNDED
+    assert build_map(MobiusShift(StripShift(0.7))).bounded_hint == BOUNDED
+    assert build_map(MobiusShift(MobiusOfStrip(0.25))).bounded_hint == UNBOUNDED
+
+
+def _polar(r, t):
+    return r * complex(math.cos(t), math.sin(t))
+
+
+angles = st.floats(0.0, 2.0 * math.pi)
+# every leaf kind, with the parameter ranges the benchmark draws from
+LEAVES = st.one_of(
+    st.just(Identity()),
+    st.floats(-0.9, 0.9).map(Disk),
+    angles.map(lambda t: Halfplane(_polar(1.0, t))),
+    st.floats(0.1, 0.95).map(SectorReal),
+    st.tuples(st.floats(0.0, 0.8), angles).map(lambda p: SectorAuto(_polar(*p))),
+    st.just(Strip()),
+    st.floats(0.05, 0.95).map(StripShift),
+    st.tuples(st.floats(0.1, 1.0), angles).map(lambda p: MobiusOfStrip(_polar(*p))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LEAVES, st.tuples(st.floats(0.0, 0.95), angles).map(lambda p: _polar(*p)))
+def test_koebe_second_coefficient_is_the_local_b2(leaf, z0):
+    """The Koebe transform at z0 has a2 = (1 - |z0|^2) f''(z0)/(2 f'(z0)) - conj(z0)."""
+    want = local_b2(jet_eval(leaf, z0), z0)
+    assume(np.isfinite(want))
+    got = taylor(Koebe(leaf, z0))[1]
+    assert abs(got - want) <= 1e-10 * (1.0 + abs(want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(st.floats(0.0, 0.95), angles).map(lambda p: _polar(*p)))
+def test_sector_auto_second_coefficient(a):
+    """a2 = -a c + b c (1 - |a|^2)/2, and Re(a2 b) = -1/2: the bound is sharp."""
+    c, _, b = sector_auto_params(a)
+    a2 = taylor(SectorAuto(a))[1]
+    assert abs(a2 - (-a * c + 0.5 * b * c * (1.0 - abs(a) ** 2))) <= 1e-10
+    assert abs((a2 * b).real + 0.5) <= 1e-10
 
 
 def test_taylor_normalization(catalog):
