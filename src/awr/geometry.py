@@ -24,12 +24,11 @@ with every segment.
 
 Both passes score their (probe, leaf) pairs BLOCK_PAIRS at a time and
 fold each block into the running minimum, so a query's memory grows
-with the number of probes, never with the number of pairs.  A query may
-start from a bound instead of +inf: it then returns min(bound, distance)
-and scores no leaf, the seed included, that lies beyond the bound.  The
-ratio scan bounds its cloud query by the segment distances, which the
-cloud rarely beats: on the catalog fixtures that query scores 0 to 2.1
-(probe, segment) pairs per probe instead of 6.5 to 7.9.
+with the number of probes, never with the number of pairs.  The ratio
+scan needs the segment query only: by the paper's theorem, which the
+reflection's equivariance carries to every map the grammar builds, a
+reflected point never lies in the closed image, so its distance to the
+closed image is its distance to the boundary.
 """
 
 from __future__ import annotations
@@ -123,16 +122,15 @@ class _BoxTree:
             i, seg = self._leaf_pairs(probe[k : k + BLOCK_PAIRS], leaf[k : k + BLOCK_PAIRS])
             np.minimum.at(best, i, self._segment_distance(p[i], seg))
 
-    def query(self, p: np.ndarray, bound: np.ndarray) -> np.ndarray:
-        """Least of the bound and the min distance to the segments, for
-        each finite point of p."""
-        best = bound.copy()
+    def query(self, p: np.ndarray) -> np.ndarray:
+        """Min distance to the segments for each finite point of p."""
+        best = np.full(p.size, np.inf)
         px, py = p.real, p.imag
         slack = SLACK * (np.abs(p) + self.scale)
 
         # Pass 1: every probe walks to its nearer child down to one leaf,
         # whose distance is the seed; it keeps each sibling's near gap and
-        # the far corners.  A seed leaf beyond the bound is not scored.
+        # the far corners.
         seed_leaf = np.zeros(p.size, dtype=np.intp)
         far_min = np.full(p.size, np.inf)
         sib_gaps = []
@@ -144,9 +142,7 @@ class _BoxTree:
             seed_leaf = left + right
             sib_gaps.append(np.where(right, near_l, near_r))
             far_min = np.minimum(far_min, np.minimum(far_l, far_r))
-        seed_near = _gaps(self.boxes[-1], seed_leaf, px, py)[0]
-        scored = np.flatnonzero(seed_near <= np.square(best + slack))
-        self._score(p, best, scored, seed_leaf[scored])
+        self._score(p, best, np.arange(p.size), seed_leaf)
 
         # Pass 2: the descent enters at the siblings only.  A box lying
         # beyond the best distance or the least far corner seen, plus the
@@ -180,14 +176,14 @@ def _gaps(box, node, qx, qy):
     return nx * nx + ny * ny, fx * fx + fy * fy
 
 
-def _distances(points, a: np.ndarray, b: np.ndarray, bound=np.inf) -> np.ndarray:
+def _distances(points, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     p = np.asarray(points, dtype=complex).ravel()
-    out = np.full(np.shape(points), bound, dtype=float).ravel()
+    out = np.full(p.size, np.inf)
     if a.size == 0:
         return out.reshape(np.shape(points))
     ok = np.isfinite(p)
     out[~ok] = np.nan
-    out[ok] = _BoxTree(a, b).query(p[ok], out[ok])
+    out[ok] = _BoxTree(a, b).query(p[ok])
     return out.reshape(np.shape(points))
 
 
@@ -203,13 +199,10 @@ def segment_distances(points, seg_a, seg_b) -> np.ndarray:
     return _distances(points, a, np.asarray(seg_b, dtype=complex).ravel())
 
 
-def cloud_distances(points, cloud, bound=None) -> np.ndarray:
-    """Min distance from each point to a finite point cloud, capped at bound.
+def cloud_distances(points, cloud) -> np.ndarray:
+    """Min distance from each point to a finite point cloud.
 
-    The result is min(bound, distance), bitwise; bound broadcasts against
-    points and defaults to +inf.  A tight bound, such as a distance
-    already known, lets the query skip every leaf beyond it.  Points that
-    are not finite get NaN, and an empty cloud gives the bound.
+    Points that are not finite get NaN, and an empty cloud gives +inf.
     """
     c = np.asarray(cloud, dtype=complex).ravel()
-    return _distances(points, c, c, np.inf if bound is None else bound)
+    return _distances(points, c, c)

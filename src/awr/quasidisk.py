@@ -7,6 +7,10 @@ points keep a uniform distance ratio from the boundary.  A collapsing
 ratio or a vanishing omitted-value distance both witness that the image
 fails the quasidisk criteria, which for the catalog happens exactly on
 the strip-conjugate family.
+
+The ratio needs the boundary alone: by the paper's theorem R_w never
+lies in the closed image of a convex leaf, and the reflection's
+equivariance carries this to every map the grammar builds.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from .errors import DegenerateDomain, PoleInDomain
 from .evaluate import jet_eval, taylor
 from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
 from .extended import INFINITY, chordal, is_infinite
-from .geometry import cloud_distances, segment_distances
+from .geometry import segment_distances
 from .grids import (
     DELTA_ANGLES,
     DELTA_RINGS,
@@ -147,10 +151,8 @@ def _omitted_distance(a2: complex):
 
 
 def _polar_score(expr: MapExpr, score):
-    """The local descent's objective: score of f at polar(r, t), inf off the disk."""
+    """The local descent's objective: score of f at polar(r, t)."""
     def fn(r, t):
-        if not (0.0 <= r < 1.0):
-            return math.inf
         return float(score(jet_eval(expr, np.asarray([polar(r, t)])).f0)[0])
     return fn
 
@@ -205,7 +207,6 @@ class BoundaryPolyline(Record):
 
     points: np.ndarray
     kept: np.ndarray
-    radius_used: float
     clipped: bool
 
     def segments(self):
@@ -242,13 +243,14 @@ def boundary_polyline(expr: MapExpr, n: int = 8192, r: float = 0.999975,
     if int(np.sum(keep)) < 2:
         raise DegenerateDomain("boundary polyline collapsed")
     return BoundaryPolyline(
-        points=vals, kept=keep, radius_used=r,
+        points=vals, kept=keep,
         clipped=bool(np.any(~keep & np.isfinite(vals)) or np.any(~finite)),
     )
 
 
 class RatioProfile(Record):
-    """Per-ring infima of d(R_w, closed domain) / d(w, boundary)."""
+    """Per-ring infima of d(R_w, closed image) / d(w, boundary); the
+    numerator is d(R_w, boundary), since R_w is never in the closed image."""
 
     rings: tuple
     inf_ratio_per_ring: tuple
@@ -258,16 +260,18 @@ class RatioProfile(Record):
     collapsed: bool
 
 
-INTERIOR_RINGS = (0.3, 0.6, 0.9, 0.975, 0.99, 0.995)
-INTERIOR_ANGLES = 1024
-
-
 def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_ANGLES) -> RatioProfile:
     """Reflection distance ratios per probe ring.
 
-    The boundary is discretized just beyond the deepest probe ring; the
-    closed domain adds interior ring samples so reflected points that
-    land inside the image measure near-zero distance.  Probes whose
+    The boundary is discretized on the ring of radius
+    max(1 - (1 - r_max)/20, 0.995), beyond the deepest probe ring r_max,
+    and both w and R_w are measured against that polyline alone.  The
+    paper's theorem puts the mediatrix of [w, R_w] outside a convex
+    image, so R_w is never in its closure: otherwise the open segment
+    (w, R_w), midpoint included, would lie in the image.  Every leaf
+    domain is convex and the reflection is equivariant under the
+    disk automorphism before the leaf and the Mobius map after it, so
+    this holds for every map the grammar builds.  Probes whose
     reflection is at infinity contribute +inf and drop out of the
     infimum unless a whole ring reflects to infinity, which is flagged.
     A quasidisk keeps the ratio bounded below; the tangent-disk images
@@ -282,25 +286,17 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     rings = tuple(sorted(float(r) for r in rings))
     meta = GridMeta(rings=rings, angles=angles)
     r_b = 1.0 - (1.0 - rings[-1]) / 20.0
-    poly = boundary_polyline(expr, n=8192, r=max(r_b, 0.99))
+    poly = boundary_polyline(expr, n=8192, r=max(r_b, 0.995))
     seg_a, seg_b = poly.segments()
 
-    inner_grid = GridMeta(rings=INTERIOR_RINGS, angles=INTERIOR_ANGLES)
-    inner = jet_eval(expr, grid_points(inner_grid).ravel()).f0
-    # the segment query covers the polyline's vertices
-    cloud = inner[np.isfinite(inner) & (np.abs(inner) <= CLIP_RADIUS)]
-
     zs, ws, rs, _ = reflect_grid(expr, meta)
-    # One query per kernel for every ring; the segment query takes the
-    # image points and the finite reflections together, and its distances
-    # bound the cloud query, which then skips every leaf beyond them.
+    # One segment query takes the image points and the finite reflections together.
     finite_r = ~is_infinite(rs)
-    rf = rs[finite_r]
-    d_seg = segment_distances(np.concatenate([ws, rf]), seg_a, seg_b)
+    d_seg = segment_distances(np.concatenate([ws, rs[finite_r]]), seg_a, seg_b)
     d_w = d_seg[: ws.size]
     ratio = np.full(ws.size, np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio[finite_r] = cloud_distances(rf, cloud, bound=d_seg[ws.size :]) / d_w[finite_r]
+        ratio[finite_r] = d_seg[ws.size :] / d_w[finite_r]
     zs = zs.reshape(len(rings), angles)
     ratio = ratio.reshape(len(rings), angles)
 

@@ -20,13 +20,25 @@ from awr import geometry, quasidisk
 from awr.catalog import FIXTURE_EXPRS
 from awr.errors import DegenerateDomain
 from awr.evaluate import jet_eval
+from awr.expr import (
+    Affine,
+    Disk,
+    Halfplane,
+    Identity,
+    Koebe,
+    MobiusOfStrip,
+    MobiusShift,
+    SectorAuto,
+    SectorReal,
+    Strip,
+    StripShift,
+)
 from awr.extended import is_infinite
 from awr.geometry import _BoxTree, cloud_distances, segment_distances
 from awr.grids import GridMeta
 from awr.parser import parse_expr
 from awr.quasidisk import (
     CLIP_RADIUS,
-    INTERIOR_RINGS,
     RATIO_RINGS,
     boundary_polyline,
     quasidisk_ratio_scan,
@@ -155,40 +167,6 @@ def test_leaf_block_edges_keep_the_tree_exact(block, verts, seed):
     assert np.array_equal(got_cloud, oracle_cloud_distances(probes, verts))
 
 
-@given(verts=polylines(), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=60, deadline=None)
-@example(verts=GREEDY_MISS_EXAMPLES[0][0], seed=GREEDY_MISS_EXAMPLES[0][1])
-@example(verts=GREEDY_MISS_EXAMPLES[1][0], seed=GREEDY_MISS_EXAMPLES[1][1])
-def test_bounded_cloud_query_is_the_least_of_bound_and_oracle(verts, seed):
-    """Each probe's bound is 0, +inf, the exact distance, the distance
-    times 1 -+ 1e-12, or a random value at the probes' scale."""
-    probes = probe_points(verts, seed)
-    want = oracle_cloud_distances(probes, verts)
-    rng = np.random.default_rng(seed)
-    choices = np.stack([
-        np.zeros_like(want), np.full_like(want, np.inf), want,
-        want * (1.0 - 1e-12), want * (1.0 + 1e-12),
-        np.max(want) * rng.uniform(size=want.size),
-    ])
-    bound = choices[rng.integers(0, len(choices), want.size), np.arange(want.size)]
-    assert np.array_equal(cloud_distances(probes, verts, bound=bound), np.minimum(bound, want))
-    for b in choices[:2, 0]:
-        assert np.array_equal(cloud_distances(probes, verts, bound=b), np.minimum(b, want))
-
-
-def test_bounded_cloud_query_edge_cases():
-    probes = np.array([[np.nan + 0j, 0.5 + 1j], [complex(np.inf, 0.0), 3.0 + 0j]])
-    cloud = np.array([0j, 1 + 0j])
-    got = cloud_distances(probes, cloud, bound=0.25)
-    assert np.isnan(got[0, 0]) and np.isnan(got[1, 0])
-    assert np.array_equal(got[:, 1], [0.25, 0.25])
-    bound = np.array([[1.0, 2.0], [3.0, 4.0]])
-    got = cloud_distances(probes, np.empty(0, dtype=complex), bound=bound)
-    assert np.array_equal(got, bound) and got is not bound
-    assert np.array_equal(cloud_distances(probes[0], cloud, bound=[0.0, 9.0])[1],
-                          abs(0.5 + 1j - 1.0))
-
-
 def greedy_leaf_distances(probes, a, b):
     """Distances to the segments of the leaf a nearer-box walk ends in."""
     tree = _BoxTree(a, b)
@@ -234,12 +212,25 @@ def test_non_finite_probes_get_nan():
     got = segment_distances(probes, [0j], [1 + 0j])
     assert np.isnan(got[0]) and np.isnan(got[1])
     assert got[2] == 1.0
+    got = cloud_distances(probes, [0j, 1 + 0j])
+    assert np.isnan(got[0]) and np.isnan(got[1])
+    assert got[2] == abs(0.5 + 1j - 1.0)
+
+
+# Interior samples of the oracle's closed image, beside the polyline vertices.
+INTERIOR_RINGS = (0.3, 0.6, 0.9, 0.975, 0.99, 0.995)
 
 
 def oracle_inf_ratios(expr, rings, angles):
-    """Per-ring infima of the ratio scan, ring by ring, with the oracles."""
+    """Per-ring infima of the ratio scan, ring by ring, with the oracles.
+
+    The reflected point is measured against the closed image: the
+    polyline and a cloud of interior samples, none on a ring beyond the
+    polyline's.  The scan measures it against the polyline alone; the
+    two agree because R_w never lies in the closed image.
+    """
     rings = tuple(sorted(rings))
-    poly = boundary_polyline(expr, n=8192, r=max(1.0 - (1.0 - rings[-1]) / 20.0, 0.99))
+    poly = boundary_polyline(expr, n=8192, r=max(1.0 - (1.0 - rings[-1]) / 20.0, 0.995))
     seg_a, seg_b = poly.segments()
     cloud = [poly.vertices()]
     for rr in INTERIOR_RINGS:
@@ -273,48 +264,94 @@ def test_ratio_scan_matches_oracle_on_fixtures(name, expr):
     assert got.inf_ratio_per_ring == oracle_inf_ratios(expr, RATIO_RINGS, angles)
 
 
+def _unit(t):
+    return complex(math.cos(t), math.sin(t))
+
+
+_ANGLES = st.floats(0.0, 2.0 * math.pi)
+_POINTS = st.tuples(st.floats(0.0, 0.97), _ANGLES).map(lambda p: p[0] * _unit(p[1]))
+# every leaf kind, with the parameter ranges the benchmark draws from
+_LEAVES = st.one_of(
+    st.just(Identity()),
+    st.floats(-0.9, 0.9).map(Disk),
+    _ANGLES.map(lambda t: Halfplane(_unit(t))),
+    st.floats(0.1, 0.95).map(SectorReal),
+    st.tuples(st.floats(0.0, 0.8), _ANGLES).map(lambda p: SectorAuto(p[0] * _unit(p[1]))),
+    st.just(Strip()),
+    st.floats(0.05, 0.95).map(StripShift),
+    st.tuples(st.floats(0.1, 1.0), _ANGLES).map(lambda p: MobiusOfStrip(p[0] * _unit(p[1]))),
+)
+
+
+@st.composite
+def composites(draw):
+    """A leaf under up to three koebe, affine and mobius-shift layers."""
+    expr = draw(_LEAVES)
+    for kind in draw(st.lists(st.sampled_from("KAM"), max_size=3)):
+        if kind == "K":
+            expr = Koebe(expr, draw(_POINTS))
+        elif kind == "A":
+            scale = draw(st.floats(0.2, 5.0)) * _unit(draw(_ANGLES))
+            expr = Affine(expr, scale, complex(*draw(st.tuples(st.floats(-2.0, 2.0),
+                                                               st.floats(-2.0, 2.0)))))
+        else:
+            expr = MobiusShift(expr)
+    return expr
+
+
+@given(expr=composites(), rings=st.sampled_from([RATIO_RINGS, (0.45, 0.85)]),
+       angles=st.integers(256, 512))
+@settings(max_examples=12, deadline=None)
+def test_ratio_scan_matches_closed_image_oracle_on_composites(expr, rings, angles):
+    """The scan measures R_w against the boundary polyline alone; the
+    oracle measures it against the closed image, interior samples
+    included.  They agree because R_w is never in the closed image: the
+    paper's theorem keeps the mediatrix of [w, R_w] outside each convex
+    leaf domain, and the reflection commutes with the disk automorphism
+    before the leaf and the Mobius map after it.  The shallow ring set
+    puts the polyline on its floor radius, the oracle's deepest interior
+    ring."""
+    try:
+        got = quasidisk_ratio_scan(expr, rings=rings, angles=angles)
+    except DegenerateDomain:
+        return
+    assert got.inf_ratio_per_ring == oracle_inf_ratios(expr, rings, angles)
+
+
 @pytest.mark.parametrize("name", ["halfplane", "strip-shift"])
 def test_ratio_scan_queries_match_oracles_on_unbounded_fixtures(name, monkeypatch):
     """Every distance the ratio scan asks for on the unbounded fixtures,
     whose polylines are truncated short of the boundary and close with
-    long segments, is bitwise equal to exhaustive search, capped at the
-    bound the cloud query is given.  There the greedy leaf is often wrong
-    and the far corner bounds the descent."""
+    long segments, is bitwise equal to exhaustive search.  There the
+    greedy leaf is often wrong and the far corner bounds the descent."""
     seen = []
 
-    def record(kernel):
-        def run(*args, **kwargs):
-            seen.append((kernel, args, kwargs, kernel(*args, **kwargs)))
-            return seen[-1][3]
-        return run
+    def record(*args):
+        seen.append((args, segment_distances(*args)))
+        return seen[-1][1]
 
-    monkeypatch.setattr(quasidisk, "segment_distances", record(segment_distances))
-    monkeypatch.setattr(quasidisk, "cloud_distances", record(cloud_distances))
+    monkeypatch.setattr(quasidisk, "segment_distances", record)
     quasidisk_ratio_scan(dict(FIXTURE_EXPRS)[name], angles=512)
-    oracles = {segment_distances: oracle_segment_distances, cloud_distances: oracle_cloud_distances}
-    assert sorted(k.__name__ for k, _, _, _ in seen) == ["cloud_distances", "segment_distances"]
-    ((_, seg_a, seg_b),) = [args for k, args, _, _ in seen if k is segment_distances]
+    ((args, got),) = seen
+    _, seg_a, seg_b = args
     length = np.abs(seg_b - seg_a)
     assert np.max(length) > 100.0 * np.mean(length)
-    for kernel, args, kwargs, got in seen:
-        assert np.array_equal(got, np.minimum(kwargs.get("bound", np.inf), oracles[kernel](*args)))
+    assert np.array_equal(got, oracle_segment_distances(*args))
 
 
 @pytest.mark.parametrize("name,expr", FIXTURE_EXPRS)
 def test_ratio_scan_queries_evaluate_few_leaf_pairs(name, expr, monkeypatch):
-    """At the default grid, the segment query evaluates at most 24
-    (probe, segment) pairs per probe, seed leaf included; the worst
-    today is about 18, on the strip-shift segment query.  A descent
-    whose cap stops tightening below the seed evaluates far more.  The
-    cloud query, bounded by the segment distances, evaluates at most 4
-    per probe: no reflection of a fixture is nearer to the interior
-    samples than to the polyline, so it scores a few seed leaves only."""
+    """At the default grid, the ratio scan's one query, against the
+    segments, evaluates at most 24 (probe, segment) pairs per probe,
+    seed leaf included; the worst today is about 18, on strip-shift.  A
+    descent whose cap stops tightening below the seed evaluates far
+    more."""
     queries = []
     query, segment_distance = _BoxTree.query, _BoxTree._segment_distance
 
-    def counted_query(tree, p, bound):
+    def counted_query(tree, p):
         queries.append([p.size, 0])
-        return query(tree, p, bound)
+        return query(tree, p)
 
     def counted_segment_distance(tree, q, seg):
         queries[-1][1] += seg.size
@@ -327,10 +364,9 @@ def test_ratio_scan_queries_evaluate_few_leaf_pairs(name, expr, monkeypatch):
     except DegenerateDomain:
         assert name == "strip"
         return
-    assert len(queries) == 2
-    (seg_probes, seg_pairs), (cloud_probes, cloud_pairs) = queries
+    assert len(queries) == 1
+    ((seg_probes, seg_pairs),) = queries
     assert seg_pairs <= 24 * seg_probes
-    assert cloud_pairs <= 4 * cloud_probes
 
 
 def assert_same_fields(got, want):

@@ -28,8 +28,6 @@ from awr.parser import format_complex, format_expr, parse_complex, parse_expr
 from awr.quasidisk import (
     DELTA_ANGLES,
     DELTA_RINGS,
-    INTERIOR_ANGLES,
-    INTERIOR_RINGS,
     NORM_ANGLES,
     NORM_RINGS,
     RATIO_ANGLES,
@@ -479,7 +477,7 @@ def test_grid_cap_sits_above_every_builtin_grid():
         (DEFAULT_RINGS, DEFAULT_ANGLES), (CERT_RINGS, CERT_ANGLES),
         (CONVEXITY_RINGS, CONVEXITY_ANGLES), (COEFF_RINGS, COEFF_ANGLES),
         (NORM_RINGS, NORM_ANGLES), (DELTA_RINGS, DELTA_ANGLES),
-        (RATIO_RINGS, RATIO_ANGLES), (INTERIOR_RINGS, INTERIOR_ANGLES),
+        (RATIO_RINGS, RATIO_ANGLES),
         (range(64), 256),  # mediatrix_scan probe grid
     ]
     parser = cli.build_parser()
