@@ -57,14 +57,14 @@ class MappingSpec(Record):
     omitted_on_boundary: bool
 
 
-def validate_convexity(expr: MapExpr, rings=CONVEXITY_RINGS, angles=CONVEXITY_ANGLES):
-    """Min of Re(1 + z f''/f') over a ring grid; certified when > -1e-9.
+def validate_convexity(expr: MapExpr):
+    """Min of Re(1 + z f''/f') over the convexity grid; certified when > -1e-9.
 
     Convexity of the image is equivalent to that quantity staying
     positive on the disk; sampling rings close to the boundary catches
     every catalog non-convexity by a wide margin.
     """
-    z = ring_points(rings, angles)
+    z = ring_points(CONVEXITY_RINGS, CONVEXITY_ANGLES)
     j = jet_eval(expr, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.real(1.0 + z * j.f2 / j.f1)

@@ -33,7 +33,6 @@ from .record import Record
 from .reflection import reflect_grid
 
 CONTACT_TOL = 1e-3
-VACUOUS_TOL = 1e-12
 
 
 class LineSpec(Record):
@@ -255,27 +254,26 @@ def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
     return margin, support[pos]
 
 
-def mediatrix_scan(
-    expr: MapExpr,
-    base_radii: int = 16,
-    base_angles: int = 64,
-    probe_rings: int = 64,
-    probe_angles: int = 256,
-    probe_floor: float = 1e-4,
-    base_cap: float = 0.55,
-) -> MediatrixReport:
-    """Scan separation margins over probe and base grids.
+# The mediatrix scan's probes: 64 rings approaching the unit circle
+# geometrically from 0.5 down to distance PROBE_FLOOR, 256 angles each.
+PROBE_FLOOR = 1e-4
+PROBE_GRID = GridMeta(
+    rings=tuple(1.0 - np.logspace(math.log10(0.5), math.log10(PROBE_FLOOR), 64)), angles=256
+)
+# Bases stay in |z| <= BASE_CAP, where every catalog image point is far
+# from the boundary contact locus.
+BASE_CAP = 0.55
 
-    Probes approach the unit circle geometrically down to distance
-    probe_floor; bases stay in |z| <= base_cap where every catalog image
-    point is far from the boundary contact locus.  Probes whose local b2
-    vanishes reflect to infinity and are counted as vacuous.
+
+def mediatrix_scan(expr: MapExpr, base_radii: int = 16, base_angles: int = 64) -> MediatrixReport:
+    """Scan separation margins of the PROBE_GRID probes against a base grid.
+
+    Probes whose local b2 vanishes reflect to infinity and are counted
+    as vacuous.
     """
-    rings = tuple(1.0 - np.logspace(math.log10(0.5), math.log10(probe_floor), probe_rings))
-    meta = GridMeta(rings=rings, angles=probe_angles)
-    zs, ws, rs, _ = reflect_grid(expr, meta)
+    zs, ws, rs, _ = reflect_grid(expr, PROBE_GRID)
 
-    bases = ring_points(np.linspace(0.0, base_cap, base_radii), base_angles).ravel()
+    bases = ring_points(np.linspace(0.0, BASE_CAP, base_radii), base_angles).ravel()
     base_vals = jet_eval(expr, bases).f0
 
     vac = is_infinite(rs)
@@ -332,12 +330,9 @@ class CoefficientReport(Record):
     residual_ok: bool
 
 
-def coefficient_bound_scan(
-    expr: MapExpr,
-    rings=COEFF_RINGS,
-    angles: int = COEFF_ANGLES,
-) -> CoefficientReport:
+def coefficient_bound_scan(expr: MapExpr) -> CoefficientReport:
     """Scan Re(a2 f) >= -1/2 and its pointwise strengthening."""
+    rings, angles = COEFF_RINGS, COEFF_ANGLES
     a2 = taylor(expr)[1]
     pts = ring_points(rings, angles)
     f = jet_eval(expr, pts).f0

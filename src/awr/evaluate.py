@@ -1,13 +1,12 @@
 """Jet evaluation of map expressions on the open unit disk.
 
-`jet_eval` returns the third-order jet of an expression at ``z``.  Two
-calling conventions share one recursion:
-
-* scalar ``z``: singular evaluations raise (DomainViolation outside the
-  open disk, PoleAtPoint on a vanishing denominator, CriticalPoint on a
-  vanishing renormalization derivative);
-* ndarray ``z``: singular entries are masked with NaN so grid scans can
-  reduce with nan-aware aggregates.
+`jet_eval` returns the third-order jet of an expression at ``z``.  A
+scalar and an ndarray ``z`` share one recursion and the one rule of
+`jets`: an array masks a singular point with NaN, so grid scans can
+reduce with nan-aware aggregates, and a scalar raises (DomainViolation
+outside the open disk, PoleAtPoint on a vanishing denominator through
+`jets.nonzero`, CriticalPoint on a vanishing renormalization
+derivative).  A masked entry leaves the other entries' bits unchanged.
 
 Per-expression scalars (renormalization data at a base point, the
 second Taylor coefficient used by the Mobius shift) are cached on the
@@ -20,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CriticalPoint, DomainViolation, PoleAtPoint
+from .errors import CriticalPoint, DomainViolation
 from .expr import (
     Affine,
     Disk,
@@ -35,7 +34,7 @@ from .expr import (
     Strip,
     StripShift,
 )
-from .jets import Jet3, _is_array
+from .jets import Jet3, _is_array, nonzero
 
 
 def sector_auto_params(a: complex) -> tuple[complex, float, complex]:
@@ -62,15 +61,6 @@ def _pow_jet(w: Jet3, p: float) -> Jet3:
     return outer.compose(w)
 
 
-def _guard(den, z, what: str):
-    """Replace vanishing denominators: NaN on an array ``z``, raise on a scalar."""
-    if _is_array(z):
-        return np.where(den == 0, np.nan, den)
-    if den == 0:
-        raise PoleAtPoint(f"{what} vanishes at z = {z}")
-    return den
-
-
 @lru_cache(maxsize=None)
 def _koebe_scalars(inner: MapExpr, z0: complex) -> tuple[complex, complex]:
     """(f(z0), f'(z0)) for the renormalized precomposition."""
@@ -92,19 +82,19 @@ def _jet(expr: MapExpr, z) -> Jet3:
 
     if isinstance(expr, (Disk, Halfplane)):
         x = expr.x if isinstance(expr, Disk) else expr.c
-        den = _guard(1.0 + x * z, z, "mobius denominator")
+        den = nonzero(1.0 + x * z, z, "mobius denominator vanishes at z = {}")
         d2 = den * den
         return Jet3(z / den, 1.0 / d2, -2.0 * x / (d2 * den), 6.0 * x * x / (d2 * d2), z)
 
     if isinstance(expr, SectorReal):
         a = expr.a
-        om = _guard(1.0 - z, z, "sector denominator")
+        om = nonzero(1.0 - z, z, "sector denominator vanishes at z = {}")
         om2 = om * om
         wj = Jet3((1.0 + z) / om, 2.0 / om2, 4.0 / (om2 * om), 12.0 / (om2 * om2), z)
         return (_pow_jet(wj, a) - 1.0) * (0.5 / a)
 
     if isinstance(expr, Strip):
-        d = _guard(1.0 - z * z, z, "strip denominator")
+        d = nonzero(1.0 - z * z, z, "strip denominator vanishes at z = {}")
         d2 = d * d
         return Jet3(np.arctanh(z), 1.0 / d, 2.0 * z / d2, (2.0 + 6.0 * z * z) / (d2 * d), z)
 
@@ -117,7 +107,7 @@ def _jet(expr: MapExpr, z) -> Jet3:
 
     if isinstance(expr, SectorAuto):
         c, beta, b = sector_auto_params(expr.a)
-        den = _guard(1.0 + c * z, z, "sector denominator")
+        den = nonzero(1.0 + c * z, z, "sector denominator vanishes at z = {}")
         d2 = den * den
         wj = Jet3(
             (1.0 + z) / den,

@@ -4,8 +4,9 @@ A ``Jet3`` bundles the value and first three derivatives of a map at a
 base point.  Fields may be complex scalars or complex ndarrays (all of
 one shape); arithmetic is numpy-vectorized either way.
 
-Scalar jets raise on division by a vanishing value; array jets mask the
-offending entries with NaN so grid scans can skip them.
+One rule covers singular points: array jets mask them with NaN so grid
+scans can skip them, and scalar jets raise.  `nonzero` applies it to
+denominators, and `_check_base` compares base points on finite entries.
 """
 
 from __future__ import annotations
@@ -16,10 +17,32 @@ from .errors import BasePointMismatch, PoleAtPoint
 from .record import Record
 
 BASE_TOL = 1e-12
+SAME_BASE = "jet base points differ by {:.3e} (> {:.0e})"
 
 
 def _is_array(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim > 0
+
+
+def nonzero(den, at, message: str):
+    """den with zeros masked by NaN on an array jet; a scalar zero raises PoleAtPoint."""
+    if _is_array(den) or _is_array(at):
+        den = np.asarray(den, dtype=complex)
+        return np.where(den == 0, np.nan, den)
+    if den == 0:
+        raise PoleAtPoint(message.format(at))
+    return den
+
+
+def _check_base(at, other, message: str) -> None:
+    """Raise BasePointMismatch when finite entries of at and other differ by
+    more than BASE_TOL; a NaN entry is a masked point, never a mismatch."""
+    if at is other:
+        return
+    gap = np.abs(np.asarray(at) - np.asarray(other))
+    worst = float(np.max(np.where(np.isfinite(gap), gap, 0.0)))
+    if worst > BASE_TOL:
+        raise BasePointMismatch(message.format(worst, BASE_TOL))
 
 
 class Jet3(Record):
@@ -56,16 +79,9 @@ class Jet3(Record):
             return Jet3(c, zero, zero.copy(), zero.copy(), at)
         return Jet3(complex(c), 0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, complex(at))
 
-    def _check_same_base(self, other: "Jet3") -> None:
-        d = np.max(np.abs(np.asarray(self.at) - np.asarray(other.at)))
-        if not (d <= BASE_TOL):
-            raise BasePointMismatch(
-                f"jet base points differ by {float(d):.3e} (> {BASE_TOL:.0e})"
-            )
-
     def __add__(self, other):
         if isinstance(other, Jet3):
-            self._check_same_base(other)
+            _check_base(self.at, other.at, SAME_BASE)
             return Jet3(
                 self.f0 + other.f0,
                 self.f1 + other.f1,
@@ -88,7 +104,7 @@ class Jet3(Record):
 
     def __mul__(self, other):
         if isinstance(other, Jet3):
-            self._check_same_base(other)
+            _check_base(self.at, other.at, SAME_BASE)
             a, b = self, other
             return Jet3(
                 a.f0 * b.f0,
@@ -105,16 +121,10 @@ class Jet3(Record):
 
     def invert(self) -> "Jet3":
         """Jet of 1/f at the same base point."""
-        w = self.f0
+        w = nonzero(self.f0, self.at, "division by zero value at base point {}")
         if _is_array(w) or _is_array(self.at):
-            w = np.asarray(w, dtype=complex)
-            bad = np.abs(w) == 0.0
-            if np.any(bad):
-                w = np.where(bad, np.nan, w)
             with np.errstate(divide="ignore", invalid="ignore"):
                 return self._reciprocal(w)
-        if abs(w) == 0.0:
-            raise PoleAtPoint(f"division by zero value at base point {self.at}")
         return self._reciprocal(w)
 
     def _reciprocal(self, w) -> "Jet3":
@@ -139,13 +149,7 @@ class Jet3(Record):
 
     def compose(self, inner: "Jet3") -> "Jet3":
         """Jet of self o inner.  ``self`` must be based at ``inner.f0``."""
-        mism = np.asarray(np.abs(np.asarray(self.at) - np.asarray(inner.f0)))
-        finite = np.isfinite(mism)
-        if np.any(finite) and np.max(np.where(finite, mism, 0.0)) > BASE_TOL:
-            worst = float(np.max(np.where(finite, mism, 0.0)))
-            raise BasePointMismatch(
-                f"outer jet based {worst:.3e} away from inner value (> {BASE_TOL:.0e})"
-            )
+        _check_base(self.at, inner.f0, "outer jet based {:.3e} away from inner value (> {:.0e})")
         g1, g2, g3 = self.f1, self.f2, self.f3
         h1 = inner.f1
         h2 = inner.f2

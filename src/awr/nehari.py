@@ -62,7 +62,9 @@ def certify_nehari(expr: MapExpr, meta: GridMeta = None) -> CertReport:
     n_failed = int(np.sum(vals[np.isfinite(vals)] > 2.0 + NEHARI_TOL))
 
     def fn(r, theta):
-        v = nehari_functional(expr, np.asarray([polar(r, theta)], dtype=complex))
+        # a refined point may be masked (|z| rounding to 1), as a grid point may
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = nehari_functional(expr, np.asarray([polar(r, theta)], dtype=complex))
         return float(v[0])
 
     work = np.where(np.isfinite(vals), vals, -np.inf)

@@ -47,6 +47,8 @@ COLLAPSE_THRESHOLD = 0.05
 EUCLIDEAN = "euclidean"
 CHORDAL = "chordal"
 R_CAP = 1.0 - 1e-7
+CLUSTER_RING = 0.9999  # near_one_clusters samples this ring at CLUSTER_ANGLES angles
+CLUSTER_ANGLES = 4096
 
 
 def normalize_values(expr: MapExpr, z):
@@ -92,7 +94,7 @@ class ClusterReport(Record):
     spans: tuple
 
 
-def near_one_clusters(expr: MapExpr, ring: float = 0.9999, angles: int = 4096) -> ClusterReport:
+def near_one_clusters(expr: MapExpr) -> ClusterReport:
     """Count maximal angular runs with |a2 f*| above an adaptive cut.
 
     The cut tau = 1 - 1.5 (1 - pmax) scales with how close the ring
@@ -100,6 +102,7 @@ def near_one_clusters(expr: MapExpr, ring: float = 0.9999, angles: int = 4096) -
     unbounded catalog maps: one full-circle run for half-plane images,
     two isolated runs for sector and shifted-strip images.
     """
+    ring, angles = CLUSTER_RING, CLUSTER_ANGLES
     a2 = taylor(expr)[1]
     p = np.abs(a2 * normalize_values(expr, ring_points((ring,), angles)[0]))
     pmax = float(np.nanmax(p))
@@ -225,8 +228,7 @@ class BoundaryPolyline(Record):
         return self.points[self.kept]
 
 
-def boundary_polyline(expr: MapExpr, n: int = 8192, r: float = 0.999975,
-                      clip: float = CLIP_RADIUS) -> BoundaryPolyline:
+def boundary_polyline(expr: MapExpr, n: int = 8192, r: float = 0.999975) -> BoundaryPolyline:
     """Sample f on the ring |z| = r as a boundary polyline."""
     if not (0.99 <= r < 1.0):
         raise DegenerateDomain(f"polyline radius {r} outside [0.99, 1)")
@@ -234,7 +236,7 @@ def boundary_polyline(expr: MapExpr, n: int = 8192, r: float = 0.999975,
         raise DegenerateDomain("polyline needs at least 1024 points")
     vals = jet_eval(expr, ring_points((r,), n)[0]).f0
     finite = np.isfinite(vals)
-    keep = finite & (np.abs(np.where(finite, vals, 0.0)) <= clip)
+    keep = finite & (np.abs(np.where(finite, vals, 0.0)) <= CLIP_RADIUS)
     # Drop consecutive duplicates among kept points.
     kept_idx = np.nonzero(keep)[0]
     if kept_idx.size >= 2:
@@ -355,7 +357,6 @@ PROBE_ANGLES = 64
 def koebe_omission_scan(
     expr: MapExpr,
     base_grid: GridMeta = None,
-    probe_grid: GridMeta = None,
     passes: int = 3,
 ) -> OmissionReport:
     """Scan how close recentered maps come to their omitted value.
@@ -365,16 +366,15 @@ def koebe_omission_scan(
     from g(z) to the omitted value -1/b2.  Bases with b2 = 0 contribute
     the constant 1.  Refinement deepens the probes only: toward the
     strip ends via exponentially close samples when g is strip-built,
-    and by a local polar descent otherwise.  An infimum collapsing to 0
-    detects omitted values on the image boundary.
+    and otherwise by a local polar descent from a probe, all of which lie
+    inside its radius cap R_CAP.  An infimum collapsing to 0 detects
+    omitted values on the image boundary.
     """
     check_passes(passes)
     # BASE_ANGLES is below GridMeta's 64-angle floor, so the default is a bare ring set.
     bases = ring_points(BASE_RINGS, BASE_ANGLES) if base_grid is None else grid_points(base_grid)
     bases = np.concatenate([[0j], bases.ravel()])
-    if probe_grid is None:
-        probe_grid = GridMeta(rings=PROBE_RINGS, angles=PROBE_ANGLES)
-    probes = grid_points(probe_grid).ravel()
+    probes = ring_points(PROBE_RINGS, PROBE_ANGLES).ravel()
 
     best = math.inf
     best_base = 0j
@@ -411,7 +411,7 @@ def koebe_omission_scan(
             pr = abs(best_probe)
             pt = math.atan2(best_probe.imag, best_probe.real)
             v, r_ref, th_ref = refine_on_grid(
-                fn, pr, pt, fn(pr, pt), 2.0 * np.pi / probe_grid.angles, (0.0, R_CAP),
+                fn, pr, pt, fn(pr, pt), 2.0 * np.pi / PROBE_ANGLES, (0.0, R_CAP),
                 dr=max(1.0 - pr, 0.1), passes=passes,
             )
             if v < best:

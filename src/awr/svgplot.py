@@ -22,6 +22,7 @@ MEDIATRIX_COLOR = "#444444"
 VIEW_SIZE = 640.0
 PAD_FRAC = 0.06
 COORD_CLIP = 1e6
+LINE_HALF_LENGTH = 2.0  # of a separating line, in image units
 
 
 def _fmt(x: float) -> str:
@@ -121,8 +122,7 @@ class SvgScene:
             fh.write(self.render())
 
 
-def reflection_scene(boundary, probes, reflections,
-                     mediatrix_lines=(), line_half_length: float = 2.0) -> SvgScene:
+def reflection_scene(boundary, probes, reflections, mediatrix_lines=()) -> SvgScene:
     """Boundary polyline, probe/reflection dot pairs with their segments,
     and optional separating lines drawn dashed through their base points."""
     scene = SvgScene()
@@ -133,8 +133,8 @@ def reflection_scene(boundary, probes, reflections,
         t = complex(tangent)
         t = t / abs(t)
         scene.add_segment(
-            complex(point) - line_half_length * t,
-            complex(point) + line_half_length * t,
+            complex(point) - LINE_HALF_LENGTH * t,
+            complex(point) + LINE_HALF_LENGTH * t,
             color=MEDIATRIX_COLOR, dashed=True, width=1.0,
         )
     for w in np.asarray(probes):

@@ -216,7 +216,7 @@ def test_disk_normalized_sup_half():
 
 
 def test_strip_shift_clusters_at_two_boundary_points():
-    got = near_one_clusters(StripShift(0.7), ring=0.9999)
+    got = near_one_clusters(StripShift(0.7))
     assert got.count == 2
     assert not got.whole_ring
 

@@ -333,13 +333,9 @@ def test_score_block_edges_keep_margins_exact(base_vals, block, monkeypatch):
     assert np.array_equal(got_i, want_i)
 
 
-# a quarter of the default probes, against the default bases
-SMALL_PROBES = dict(probe_rings=32, probe_angles=128)
-
-
 @pytest.fixture(scope="module")
 def default_mediatrix():
-    return {name: mediatrix_scan(expr, **SMALL_PROBES) for name, expr in FIXTURE_EXPRS
+    return {name: mediatrix_scan(expr) for name, expr in FIXTURE_EXPRS
             if name in ("sector", "strip-shift")}
 
 
@@ -347,7 +343,7 @@ def default_mediatrix():
 @pytest.mark.parametrize("name", ["sector", "strip-shift"])
 def test_score_block_size_keeps_mediatrix_reports(name, block, default_mediatrix, monkeypatch):
     monkeypatch.setattr(convexity, "BLOCK_SCORES", block)
-    got = mediatrix_scan(dict(FIXTURE_EXPRS)[name], **SMALL_PROBES)
+    got = mediatrix_scan(dict(FIXTURE_EXPRS)[name])
     want = default_mediatrix[name]
     for name in fields(want):
         a, b = getattr(got, name), getattr(want, name)

@@ -11,8 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awr.catalog import FIXTURE_EXPRS
 from awr.errors import BasePointMismatch, PoleAtPoint
+from awr.evaluate import jet_eval
+from awr.grids import ring_points
 from awr.jets import BASE_TOL, Jet3
+from awr.parser import parse_expr
 
 finite_c = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -154,3 +158,28 @@ def test_array_jets_broadcast():
     w = 1.0 / (at * at + 1.0)
     assert np.allclose(k.f0, w)
     assert np.allclose(k.f1, -2.0 * at * w * w)
+
+
+# One rule for singular points: an array jet masks them with NaN, and the
+# other entries keep the bits they have without them.
+
+MASK_EXPRS = FIXTURE_EXPRS + tuple(
+    (text.split("(")[0], parse_expr(text))
+    for text in ("mobius-shift(sector(a=0.5))", "koebe(strip, z0=0.3+0.2i)",
+                 "affine(mobius-of-strip(a=0.25+0i), a=2+0i, b=0+1i)")
+)
+
+
+@pytest.mark.parametrize("name, expr", MASK_EXPRS, ids=[n for n, _ in MASK_EXPRS])
+def test_array_jet_masks_exactly_the_points_off_the_open_disk(name, expr):
+    # the ring just inside the unit circle, where some moduli round to 1
+    edge = ring_points((np.nextafter(1.0, 0.0),), 4096)[0]
+    inner = ring_points((0.0, 0.5, 0.9, 0.999), 256).ravel()
+    z = np.concatenate([inner, edge])
+    masked = np.abs(z) >= 1.0
+    assert 0 < np.sum(masked) < edge.size
+    got = jet_eval(expr, z)
+    alone = jet_eval(expr, z[~masked])
+    assert np.array_equal(np.isnan(got.f0), masked)
+    for field in ("f0", "f1", "f2", "f3"):
+        assert getattr(got, field)[~masked].tobytes() == getattr(alone, field).tobytes(), field

@@ -593,3 +593,15 @@ def test_awr_leaves_dataclasses_unloaded():
             "print(json.dumps([before, 'dataclasses' in sys.modules]), file=sys.stderr)\n")
     before, after = json.loads(fresh_python(code))
     assert after == before
+
+
+@pytest.mark.parametrize("command", ["certify", "delta"])
+@pytest.mark.parametrize("text", ["mobius-of-strip(a=0.25+0i)", "mobius-shift(sector(a=0.5))"])
+def test_masked_ring_runs_clean(command, text, tmp_path):
+    """A ring whose points partly round to |z| = 1 is masked, not a base-point
+    mismatch, and the masked points warn nowhere."""
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-m", "awr.cli", command, "--map", text,
+                          "--rings", "0.5,0.9999999999999999"],
+                         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr) == (0, "")

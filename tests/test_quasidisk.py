@@ -10,11 +10,14 @@ mobius-of-strip, which collapses in every metric.
 import numpy as np
 import pytest
 
+from awr.deepscan import strip_structure
 from awr.errors import DegenerateDomain
-from awr.expr import Halfplane, MobiusOfStrip, Strip
+from awr.expr import Halfplane, Koebe, MobiusOfStrip, Strip
 from awr.quasidisk import (
     CHORDAL,
     EUCLIDEAN,
+    PROBE_RINGS,
+    R_CAP,
     boundary_polyline,
     delta_f,
     lemma32_demo,
@@ -181,6 +184,16 @@ def test_koebe_omission_scan(name, omission_reports):
     assert not got.collapsed, name
     assert abs(got.inf_value - want) < 1e-5, (name, got.inf_value)
     assert got.inf_value > 0.45
+
+
+@pytest.mark.parametrize("name", sorted(OMISSION_TABLE) + ["mobius-of-strip"])
+def test_omission_probe_stays_inside_the_descent_cap(name, catalog, omission_reports):
+    """The polar descent starts on a probe ring inside R_CAP and stays there;
+    only the deep strip-end probes of a strip-built recentering go beyond."""
+    assert max(PROBE_RINGS) < R_CAP
+    got = omission_reports[name]
+    deep = strip_structure(Koebe(catalog[name].expr, got.base_at)) is not None
+    assert abs(got.probe_at) <= (np.nextafter(1.0, 0.0) if deep else R_CAP), name
 
 
 def test_omission_scan_collapses_on_tangent_disk(omission_reports):
