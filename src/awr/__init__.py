@@ -1,46 +1,2 @@
 """Closed-form disk mappings with Schwarzian certification, boundary
 reflection, and quasidisk diagnostics."""
-
-from .errors import AwrError
-from .expr import (
-    Affine,
-    Disk,
-    Halfplane,
-    Identity,
-    Koebe,
-    MapExpr,
-    MobiusOfStrip,
-    MobiusShift,
-    SectorAuto,
-    SectorReal,
-    Strip,
-    StripShift,
-)
-from .evaluate import jet_eval, taylor, value
-from .extended import INFINITY, chordal, is_infinite
-from .jets import Jet3
-
-__all__ = [
-    "AwrError",
-    "Affine",
-    "Disk",
-    "Halfplane",
-    "Identity",
-    "INFINITY",
-    "Jet3",
-    "Koebe",
-    "MapExpr",
-    "MobiusOfStrip",
-    "MobiusShift",
-    "SectorAuto",
-    "SectorReal",
-    "Strip",
-    "StripShift",
-    "chordal",
-    "is_infinite",
-    "jet_eval",
-    "taylor",
-    "value",
-]
-
-__version__ = "0.1.0"

@@ -162,8 +162,3 @@ FIXTURE_EXPRS = (
     ("strip-shift", StripShift(0.7)),
     ("mobius-of-strip", MobiusOfStrip(0.25)),
 )
-
-
-def catalog_fixtures():
-    """The standard fixture set, as (name, MappingSpec) pairs."""
-    return [(name, build_map(expr)) for name, expr in FIXTURE_EXPRS]

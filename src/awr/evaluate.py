@@ -10,7 +10,8 @@ derivative).  A masked entry leaves the other entries' bits unchanged.
 
 Per-expression scalars (renormalization data at a base point, the
 second Taylor coefficient used by the Mobius shift) are cached on the
-hashable expression nodes.
+hashable expression nodes, in least-recently-used caches of
+CACHE_SIZE entries each.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ from .expr import (
     StripShift,
 )
 from .jets import Jet3, _is_array, nonzero
+
+# Each koebe_omission_scan caches one recentered node per base point (49),
+# so an unbounded cache grows with every map a long process scans; every
+# subcommand run on the eight catalog fixtures needs 400 entries.
+CACHE_SIZE = 1024
 
 
 def sector_auto_params(a: complex) -> tuple[complex, float, complex]:
@@ -61,7 +67,7 @@ def _pow_jet(w: Jet3, p: float) -> Jet3:
     return outer.compose(w)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _koebe_scalars(inner: MapExpr, z0: complex) -> tuple[complex, complex]:
     """(f(z0), f'(z0)) for the renormalized precomposition."""
     j = _jet(inner, complex(z0))
@@ -70,7 +76,7 @@ def _koebe_scalars(inner: MapExpr, z0: complex) -> tuple[complex, complex]:
     return complex(j.f0), complex(j.f1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def shift_a2(inner: MapExpr) -> complex:
     """Second Taylor coefficient f''(0)/2 used by the Mobius shift."""
     return complex(_jet(inner, 0.0 + 0.0j).f2) / 2.0
@@ -166,7 +172,7 @@ def value(expr: MapExpr, z):
     return jet_eval(expr, z).f0
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def taylor(expr: MapExpr) -> tuple[complex, complex, complex]:
     """First three Taylor coefficients (a1, a2, a3) at the origin."""
     j = _jet(expr, 0.0 + 0.0j)

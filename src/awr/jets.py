@@ -65,9 +65,13 @@ class Jet3(Record):
 
     @staticmethod
     def identity(at) -> "Jet3":
-        at = np.asarray(at, dtype=complex) if _is_array(at) else complex(at)
-        one = np.ones_like(at) if _is_array(at) else 1.0 + 0.0j
-        zero = np.zeros_like(at) if _is_array(at) else 0.0 + 0.0j
+        if not _is_array(at):
+            return Jet3(complex(at), 1.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, complex(at))
+        at = np.asarray(at, dtype=complex)
+        # a masked (NaN) base point masks every derivative too
+        masked = np.isnan(at)
+        one = np.where(masked, np.nan, 1.0 + 0.0j)
+        zero = np.where(masked, np.nan, 0.0 + 0.0j)
         return Jet3(at, one, zero, zero, at)
 
     @staticmethod

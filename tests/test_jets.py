@@ -16,6 +16,7 @@ from awr.errors import BasePointMismatch, PoleAtPoint
 from awr.evaluate import jet_eval
 from awr.grids import ring_points
 from awr.jets import BASE_TOL, Jet3
+from awr.nehari import nehari_functional
 from awr.parser import parse_expr
 
 finite_c = st.complex_numbers(
@@ -168,18 +169,30 @@ MASK_EXPRS = FIXTURE_EXPRS + tuple(
     for text in ("mobius-shift(sector(a=0.5))", "koebe(strip, z0=0.3+0.2i)",
                  "affine(mobius-of-strip(a=0.25+0i), a=2+0i, b=0+1i)")
 )
+# the ring just inside the unit circle, where some moduli round to 1
+EDGE = ring_points((np.nextafter(1.0, 0.0),), 4096)[0]
 
 
 @pytest.mark.parametrize("name, expr", MASK_EXPRS, ids=[n for n, _ in MASK_EXPRS])
 def test_array_jet_masks_exactly_the_points_off_the_open_disk(name, expr):
-    # the ring just inside the unit circle, where some moduli round to 1
-    edge = ring_points((np.nextafter(1.0, 0.0),), 4096)[0]
     inner = ring_points((0.0, 0.5, 0.9, 0.999), 256).ravel()
-    z = np.concatenate([inner, edge])
+    z = np.concatenate([inner, EDGE])
     masked = np.abs(z) >= 1.0
-    assert 0 < np.sum(masked) < edge.size
+    assert 0 < np.sum(masked) < EDGE.size
     got = jet_eval(expr, z)
     alone = jet_eval(expr, z[~masked])
     assert np.array_equal(np.isnan(got.f0), masked)
     for field in ("f0", "f1", "f2", "f3"):
+        assert np.all(np.isnan(getattr(got, field)[masked])), field
         assert getattr(got, field)[~masked].tobytes() == getattr(alone, field).tobytes(), field
+
+
+@pytest.mark.parametrize("text", ["identity", "affine(identity, a=2+0i, b=0+1i)", "disk(x=0.5)"])
+def test_masked_points_score_nan(text):
+    """The Nehari functional skips a masked point on every map: the identity
+    jet masks its derivatives like any other leaf."""
+    masked = np.abs(EDGE) >= 1.0
+    assert np.sum(masked) == 598
+    with np.errstate(invalid="ignore"):
+        score = nehari_functional(parse_expr(text), EDGE)
+    assert np.array_equal(np.isnan(score), masked)

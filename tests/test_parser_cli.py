@@ -535,10 +535,11 @@ if sys.argv[1:]:
         code = stop.code
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("awr."))]), file=sys.stderr)
 """
-# what `import awr.cli` loads: the package, the parser, the grids and
-# the error types, and none of the scans
-CLI_BASE = {"awr.cli", "awr.errors", "awr.evaluate", "awr.expr", "awr.extended",
-            "awr.grids", "awr.jets", "awr.parser", "awr.record"}
+# what `import awr.cli` loads: the parser, the grids and the error types,
+# and none of the scans; every scan loads the jet layer
+CLI_BASE = {"awr.cli", "awr.errors", "awr.expr", "awr.extended", "awr.grids",
+            "awr.parser", "awr.record"}
+JETS = {"awr.evaluate", "awr.jets"}
 CONVEX = {"awr.catalog", "awr.convexity", "awr.deepscan", "awr.reflection"}
 QUASIDISK = {"awr.catalog", "awr.deepscan", "awr.geometry", "awr.quasidisk", "awr.reflection"}
 SCOPES = {
@@ -573,12 +574,24 @@ def test_cli_import_loads_no_scan_module():
     assert code is None and set(loaded) == CLI_BASE
 
 
+def test_parser_import_leaves_numpy_unloaded():
+    """The grammar (parser, expression nodes, errors) needs no numpy, and the
+    package itself imports nothing."""
+    code = ("import json, sys\n"
+            "import awr.parser\n"
+            "print(json.dumps(['numpy' in sys.modules,"
+            " sorted(m for m in sys.modules if m.startswith('awr'))]), file=sys.stderr)\n")
+    numpy_loaded, loaded = json.loads(fresh_python(code))
+    assert not numpy_loaded
+    assert set(loaded) == {"awr", "awr.errors", "awr.expr", "awr.parser", "awr.record"}
+
+
 @pytest.mark.parametrize("command", sorted(SCOPES))
 def test_subcommand_loads_only_its_scans(command, tmp_path):
     argv, scans = SCOPES[command]
     code, loaded = json.loads(fresh_python(SCOPE_SCRIPT, argv, cwd=tmp_path))
     assert code == 0
-    assert set(loaded) == CLI_BASE | scans
+    assert set(loaded) == CLI_BASE | JETS | scans
 
 
 def test_awr_leaves_dataclasses_unloaded():

@@ -10,9 +10,10 @@ mobius-of-strip, which collapses in every metric.
 import numpy as np
 import pytest
 
+from awr import evaluate
 from awr.deepscan import strip_structure
 from awr.errors import DegenerateDomain
-from awr.expr import Halfplane, Koebe, MobiusOfStrip, Strip
+from awr.expr import Disk, Halfplane, Koebe, MobiusOfStrip, MobiusShift, Strip
 from awr.quasidisk import (
     CHORDAL,
     EUCLIDEAN,
@@ -20,6 +21,7 @@ from awr.quasidisk import (
     R_CAP,
     boundary_polyline,
     delta_f,
+    koebe_omission_scan,
     lemma32_demo,
     near_one_clusters,
     normalized_sup,
@@ -200,6 +202,21 @@ def test_omission_scan_collapses_on_tangent_disk(omission_reports):
     got = omission_reports["mobius-of-strip"]
     assert got.collapsed
     assert got.inf_value < 5e-3
+
+
+def test_scan_caches_stay_bounded():
+    """Each omission scan caches a recentered node per base point, so a
+    process scanning many distinct maps fills the caches past their bound;
+    they evict rather than grow."""
+    caches = (evaluate.taylor, evaluate._koebe_scalars, evaluate.shift_a2)
+    misses = evaluate.taylor.cache_info().misses
+    for k in range(25):
+        koebe_omission_scan(MobiusShift(Disk(0.1 + 0.01 * k)), passes=0)
+    assert evaluate.taylor.cache_info().misses - misses > evaluate.CACHE_SIZE
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize == evaluate.CACHE_SIZE
+        assert info.currsize <= evaluate.CACHE_SIZE
 
 
 def test_omission_and_ratio_verdicts_agree(ratio_reports, omission_reports):
