@@ -11,8 +11,8 @@ boundedness hint, and whether the omitted point -1/a2 sits on the image
 boundary.  The last flag is what the Mobius shift cares about: shifting
 a map whose omitted point touches the boundary produces the strip map
 up to rotation (unbounded), while every other shift is bounded.  Both
-flags read the normal form f = post(leaf(pre(z))): the image is
-post(leaf domain).
+flags read the normal form f = post(leaf(pre(z))) from `evaluate`:
+the image is post(leaf domain).
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import math
 
 import numpy as np
 
-from .deepscan import NormalForm, normal_form
-from .errors import BranchCutViolation
-from .evaluate import jet_eval, sector_auto_params, taylor
+from .evaluate import NormalForm, jet_eval, normal_form, taylor
 from .expr import (
     Disk,
     Halfplane,
@@ -77,26 +75,6 @@ def validate_convexity(expr: MapExpr):
     return certified, best, arg
 
 
-def _branch_cut_check(leaf: MapExpr) -> None:
-    """Dense boundary sample: power-map arguments stay off (-inf, 0].
-
-    The sector leaves raise (1+z)/(1+cz) to a fractional power; the
-    principal branch is safe iff that ratio never meets the cut.  A
-    near-boundary ring sample is checked at construction time.
-    """
-    if isinstance(leaf, SectorReal):
-        c = -1.0 + 0j
-    elif isinstance(leaf, SectorAuto):
-        c, _, _ = sector_auto_params(leaf.a)
-    else:
-        return
-    z = ring_points((0.999999,), 4096)[0]
-    w = (1.0 + z) / (1.0 + c * z)
-    on_cut = (w.real <= 0.0) & (np.abs(w.imag) < 1e-12)
-    if np.any(on_cut):
-        raise BranchCutViolation(f"power-map argument crosses (-inf, 0] for {leaf!r}")
-
-
 def omitted_point_on_boundary(nf: NormalForm, a2: complex) -> bool:
     """Whether -1/a2 lies on the image boundary (the delta_f = 0 family).
 
@@ -137,9 +115,8 @@ def boundedness_hint(nf: NormalForm) -> str:
 
 
 def build_map(expr: MapExpr) -> MappingSpec:
-    """Construct a catalog entry, running the construction-time checks."""
+    """Construct a catalog entry, running the convexity check."""
     nf = normal_form(expr)
-    _branch_cut_check(nf.leaf)
     a2 = taylor(expr)[1]
     certified, conv_min, _ = validate_convexity(expr)
     return MappingSpec(

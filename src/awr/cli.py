@@ -24,23 +24,22 @@ unwritable output path, or a request the map cannot support).
 Imports.  A request is one short process, so importing this module
 loads only the parser, the grids (every default grid and cap the flags
 name) and the error types: `build_parser` and every usage error need no
-scan.  Each command imports the scan modules it runs when it runs, and
-calls each library function through its module (`nehari.certify_nehari`),
-never through a name bound here, a table or a default argument, so
-patching a module attribute (as the tests and bench/tracing.py do)
-reaches every call.
+scan, and an ill-posed request exits 2 without loading numpy.  Each
+command imports the scan modules it runs when it runs (the reflect rows
+and the figures import numpy themselves), and calls each library
+function through its module (`nehari.certify_nehari`), never through a
+name bound here, a table or a default argument, so patching a module
+attribute (as the tests and bench/tracing.py do) reaches every call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
-import numpy as np
-
 from .errors import AwrError, MapSyntaxError
-from .extended import is_infinite
 from .grids import (
     CERT_ANGLES,
     CERT_RINGS,
@@ -68,7 +67,7 @@ def _fmt_float(x: float) -> str:
     x = float(x)
     if x != x:
         return "nan"
-    if is_infinite(x):
+    if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     if x == 0.0 or 1e-3 <= abs(x) < 1e7:
         return f"{x:.6f}"
@@ -177,6 +176,7 @@ def _reflection_figure(expr, ws, rs, marked=()):
     """Boundary, probe-reflection pairs, and the mediatrix of each marked
     (w, r) pair whose reflection is finite."""
     from . import convexity, svgplot
+    from .extended import is_infinite
 
     lines = [convexity.mediatrix(w, r) for w, r in marked if not is_infinite(r)]
     return svgplot.reflection_scene(_plot_boundary(expr), ws, rs,
@@ -224,6 +224,8 @@ def _cmd_reflect(args, expr):
         return grid
 
     def rows():
+        from .extended import is_infinite
+
         zs, ws, rs, b2s = scan()
         for z, w, r, inf, b2 in zip(zs, ws, rs, is_infinite(rs), b2s):
             yield [("z", z), ("w", w), ("r", r), ("r_is_inf", inf), ("b2", b2)]
@@ -246,6 +248,8 @@ def _cmd_mediatrix_scan(args, expr):
                                   report.probe_r, report.probe_margin))
 
     def figure():
+        import numpy as np
+
         order = np.argsort(report.probe_margin)[:24]
         ws, rs = report.probe_w[order], report.probe_r[order]
         return _reflection_figure(expr, ws, rs, zip(ws, rs))
@@ -307,6 +311,8 @@ def _cmd_quasidisk(args, expr):
                                              profile.arg_inf, profile.all_infinite))
 
     def figure():
+        import numpy as np
+
         from . import reflection, svgplot
 
         meta = GridMeta(rings=(max(rings),), angles=min(angles, 512), seed=args.seed)

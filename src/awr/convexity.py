@@ -145,7 +145,10 @@ def _hull_support(vals: np.ndarray, allowance: float):
             out.append(p)
         return out[:-1]
 
-    pts = np.unique(vals[cand])  # sorted by real part, then imaginary part
+    # distinct values by real, then imaginary part: np.unique's bits (the stable
+    # sort keeps the first of +-0.0) without its first call's numpy.ma import
+    pts = np.sort(vals[cand], kind="stable")
+    pts = pts[np.concatenate(([True], pts[1:] != pts[:-1]))]
     hull = np.asarray(chain(pts.tolist()) + chain(pts[::-1].tolist()))
     if hull.size < 3:
         return everything

@@ -1,17 +1,11 @@
-"""The normal form of every map, and log-parametrized strip-end probes.
+"""Log-parametrized probes along the strip ends.
 
-Every map is one Mobius map after one closed-form leaf after one disk
-automorphism, f = post(leaf(pre(z))) with pre(z) = lam (z - a) / (1 -
-conj(a) z), |lam| = 1.  `normal_form` is the one walk over the
-combinator nodes.  Recenterings move (lam, a) in closed form, so pre
-never leaves the automorphism group; every other layer multiplies into
-the Mobius matrix post.
-
-Maps with the strip leaf L degenerate along the two boundary points
-carrying the ends of the image strip.  Limits like the omitted-point
-distance are only reached at probe depths far beyond double resolution
-(after a few refinement passes 1 - |z| is around 1e-2048), so instead
-of raising precision the probes are parametrized by (E, tau) with
+Maps whose normal form f = post(L(pre(z))) (see `evaluate`) has the
+strip leaf L degenerate along the two boundary points carrying the ends
+of the image strip.  Limits like the omitted-point distance are only
+reached at probe depths far beyond double resolution (after a few
+refinement passes 1 - |z| is around 1e-2048), so instead of raising
+precision the probes are parametrized by (E, tau) with
 
     z = omega_e (1 - eps) exp(i tau eps),   eps = 10^{-E},
 
@@ -37,11 +31,10 @@ import math
 import numpy as np
 
 from .errors import BadParam, ConsistencyError
-from .evaluate import _koebe_scalars, taylor
-from .expr import Affine, Koebe, MapExpr, MobiusOfStrip, MobiusShift, Strip, StripShift
+from .evaluate import NormalForm, normal_form
+from .expr import MapExpr, Strip
 from .grids import MAX_PASSES
-from .record import Record, replace
-from .reflection import Mobius
+from .record import Record
 
 LN2 = float(np.log(2.0))
 LN10 = float(np.log(10.0))
@@ -59,57 +52,6 @@ def check_passes(passes: int) -> None:
     """Refuse more than MAX_PASSES refinement passes."""
     if passes > MAX_PASSES:
         raise BadParam(f"{passes} refinement passes exceed the cap of {MAX_PASSES}")
-
-
-class DiskAutomorphism(Record):
-    """z -> lam (z - a) / (1 - conj(a) z) with |lam| = 1 and |a| < 1."""
-
-    lam: complex = 1.0 + 0.0j
-    a: complex = 0.0j
-
-    def after(self, z0: complex) -> "DiskAutomorphism":
-        """self o sigma_z0, sigma_z0(z) = (z + z0) / (1 + conj(z0) z): with
-        u = 1 - a conj(z0), a -> (a - z0) / u and lam -> lam u / conj(u),
-        renormalized so rounding keeps |lam| = 1."""
-        u = 1.0 - self.a * z0.conjugate()
-        lam = self.lam * u / u.conjugate()
-        return DiskAutomorphism(lam / abs(lam), (self.a - z0) / u)
-
-
-class NormalForm(Record):
-    """f = post(leaf(pre(z))): a disk automorphism, a closed-form leaf, a Mobius map."""
-
-    pre: DiskAutomorphism
-    leaf: MapExpr
-    post: Mobius
-
-
-def normal_form(expr: MapExpr) -> NormalForm:
-    """Collapse an expression tree to (pre, leaf, post).
-
-    strip-shift lowers to koebe(strip), and mobius-of-strip(a) is the
-    strip leaf with post w/(1 + a w).  koebe at z0 moves pre by sigma_z0
-    and puts w -> (w - f(z0)) / ((1 - |z0|^2) f'(z0)) after post.
-    """
-    if isinstance(expr, StripShift):
-        return normal_form(expr.lower())
-    if isinstance(expr, MobiusOfStrip):
-        return NormalForm(DiskAutomorphism(), Strip(), Mobius(1.0, 0.0, expr.a, 1.0))
-    if isinstance(expr, Koebe):
-        inner = normal_form(expr.inner)
-        z0 = expr.z0
-        f0, f1 = _koebe_scalars(expr.inner, z0)
-        k = 1.0 / ((1.0 - abs(z0) ** 2) * f1)
-        renorm = Mobius(k, -k * f0, 0.0, 1.0)
-        return NormalForm(inner.pre.after(z0), inner.leaf, renorm.compose(inner.post))
-    if isinstance(expr, MobiusShift):
-        inner = normal_form(expr.inner)
-        shift = Mobius(1.0, 0.0, taylor(expr.inner)[1], 1.0)
-        return replace(inner, post=shift.compose(inner.post))
-    if isinstance(expr, Affine):
-        inner = normal_form(expr.inner)
-        return replace(inner, post=Mobius(expr.A, expr.B, 0.0, 1.0).compose(inner.post))
-    return NormalForm(DiskAutomorphism(), expr, Mobius.identity())
 
 
 def strip_structure(expr: MapExpr):

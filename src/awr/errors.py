@@ -37,10 +37,6 @@ class ParamOutOfRange(AwrError):
     """A map parameter violates its documented range."""
 
 
-class BranchCutViolation(AwrError):
-    """A power-map argument meets the negative real axis."""
-
-
 class ConsistencyError(AwrError):
     """Two independent computations of the same quantity disagree."""
 

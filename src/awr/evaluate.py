@@ -1,4 +1,4 @@
-"""Jet evaluation of map expressions on the open unit disk.
+"""Jet evaluation of map expressions on the open unit disk, and their normal form.
 
 `jet_eval` returns the third-order jet of an expression at ``z``.  A
 scalar and an ndarray ``z`` share one recursion and the one rule of
@@ -7,6 +7,13 @@ reduce with nan-aware aggregates, and a scalar raises (DomainViolation
 outside the open disk, PoleAtPoint on a vanishing denominator through
 `jets.nonzero`, CriticalPoint on a vanishing renormalization
 derivative).  A masked entry leaves the other entries' bits unchanged.
+
+Every map is one Mobius map after one closed-form leaf after one disk
+automorphism, f = post(leaf(pre(z))) with pre(z) = lam (z - a) / (1 -
+conj(a) z), |lam| = 1.  `normal_form` is the one walk over the
+combinator nodes that builds it.  Recenterings move (lam, a) in closed
+form, so pre never leaves the automorphism group; every other layer
+multiplies into the Mobius matrix post.
 
 Per-expression scalars (renormalization data at a base point, the
 second Taylor coefficient used by the Mobius shift) are cached on the
@@ -20,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CriticalPoint, DomainViolation
+from .errors import CoincidentPoints, CriticalPoint, DomainViolation
 from .expr import (
     Affine,
     Disk,
@@ -35,7 +42,9 @@ from .expr import (
     Strip,
     StripShift,
 )
+from .extended import INFINITY, is_infinite
 from .jets import Jet3, _is_array, nonzero
+from .record import Record, replace
 
 # Each koebe_omission_scan caches one recentered node per base point (49),
 # so an unbounded cache grows with every map a long process scans; every
@@ -177,3 +186,131 @@ def taylor(expr: MapExpr) -> tuple[complex, complex, complex]:
     """First three Taylor coefficients (a1, a2, a3) at the origin."""
     j = _jet(expr, 0.0 + 0.0j)
     return complex(j.f1), complex(j.f2) / 2.0, complex(j.f3) / 6.0
+
+
+class Mobius(Record):
+    """w -> (a w + b) / (c w + d) on the extended plane."""
+
+    a: complex
+    b: complex
+    c: complex
+    d: complex
+
+    def __post_init__(self):
+        # singular only when ad - bc cancels: w -> 1e-15 w has a tiny det but is regular
+        det = self.a * self.d - self.b * self.c
+        if abs(det) < 1e-14 * min(1.0, abs(self.a * self.d) + abs(self.b * self.c)):
+            raise CoincidentPoints(f"mobius coefficients are singular, det = {det}")
+
+    def __call__(self, w):
+        if np.isscalar(w) or isinstance(w, complex):
+            if is_infinite(w):
+                if abs(self.c) < 1e-300:
+                    return INFINITY
+                return self.a / self.c
+            den = self.c * w + self.d
+            if den == 0:
+                return INFINITY
+            return (self.a * w + self.b) / den
+        w = np.asarray(w, dtype=complex)
+        out = np.empty_like(w)
+        inf_mask = is_infinite(w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            den = self.c * w + self.d
+            vals = (self.a * w + self.b) / den
+        vals = np.where(den == 0, INFINITY, vals)
+        if abs(self.c) < 1e-300:
+            vals = np.where(inf_mask, INFINITY, vals)
+        else:
+            vals = np.where(inf_mask, self.a / self.c, vals)
+        out[...] = vals
+        return out
+
+    def compose(self, other: "Mobius") -> "Mobius":
+        """self after other: (self.compose(other))(w) = self(other(w))."""
+        return Mobius(
+            self.a * other.a + self.b * other.c,
+            self.a * other.b + self.b * other.d,
+            self.c * other.a + self.d * other.c,
+            self.c * other.b + self.d * other.d,
+        )
+
+    def inverse(self) -> "Mobius":
+        return Mobius(self.d, -self.b, -self.c, self.a)
+
+    @property
+    def is_affine(self) -> bool:
+        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
+        return abs(self.c) <= 1e-13 * scale
+
+    def pole(self):
+        """Preimage of infinity."""
+        if self.is_affine:
+            return INFINITY
+        return -self.d / self.c
+
+    def at_infinity(self):
+        """Image of infinity."""
+        if self.is_affine:
+            return INFINITY
+        return self.a / self.c
+
+    @staticmethod
+    def identity() -> "Mobius":
+        return Mobius(1.0, 0.0, 0.0, 1.0)
+
+    def apply_jet(self, j: Jet3) -> Jet3:
+        num = j * self.a + Jet3.constant(self.b, j.at)
+        den = j * self.c + Jet3.constant(self.d, j.at)
+        return num / den
+
+
+class DiskAutomorphism(Record):
+    """z -> lam (z - a) / (1 - conj(a) z) with |lam| = 1 and |a| < 1."""
+
+    lam: complex = 1.0 + 0.0j
+    a: complex = 0.0j
+
+    def after(self, z0: complex) -> "DiskAutomorphism":
+        """self o sigma_z0, sigma_z0(z) = (z + z0) / (1 + conj(z0) z): with
+        u = 1 - a conj(z0), a -> (a - z0) / u and lam -> lam u / conj(u),
+        renormalized so rounding keeps |lam| = 1."""
+        u = 1.0 - self.a * z0.conjugate()
+        lam = self.lam * u / u.conjugate()
+        return DiskAutomorphism(lam / abs(lam), (self.a - z0) / u)
+
+
+class NormalForm(Record):
+    """f = post(leaf(pre(z))): a disk automorphism, a closed-form leaf, a Mobius map."""
+
+    pre: DiskAutomorphism
+    leaf: MapExpr
+    post: Mobius
+
+
+def normal_form(expr: MapExpr) -> NormalForm:
+    """Collapse an expression tree to (pre, leaf, post).
+
+    strip-shift lowers to koebe(strip), and mobius-of-strip(a) is the
+    strip leaf with post w/(1 + a w).  koebe at z0 moves pre by sigma_z0
+    and puts w -> (w - f(z0)) / ((1 - |z0|^2) f'(z0)) after post.
+    """
+    if isinstance(expr, StripShift):
+        return normal_form(expr.lower())
+    if isinstance(expr, MobiusOfStrip):
+        return NormalForm(DiskAutomorphism(), Strip(), Mobius(1.0, 0.0, expr.a, 1.0))
+    if isinstance(expr, Koebe):
+        inner = normal_form(expr.inner)
+        z0 = expr.z0
+        f0, f1 = _koebe_scalars(expr.inner, z0)
+        k = 1.0 / ((1.0 - abs(z0) ** 2) * f1)
+        renorm = Mobius(k, -k * f0, 0.0, 1.0)
+        return NormalForm(inner.pre.after(z0), inner.leaf, renorm.compose(inner.post))
+    if isinstance(expr, MobiusShift):
+        inner = normal_form(expr.inner)
+        shift = Mobius(1.0, 0.0, taylor(expr.inner)[1], 1.0)
+        return replace(inner, post=shift.compose(inner.post))
+    if isinstance(expr, Affine):
+        inner = normal_form(expr.inner)
+        return replace(inner, post=Mobius(expr.A, expr.B, 0.0, 1.0).compose(inner.post))
+    return NormalForm(DiskAutomorphism(), expr, Mobius.identity())

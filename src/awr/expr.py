@@ -163,6 +163,11 @@ class SectorAuto(MapExpr):
     Its second coefficient is a2 = -a c + b c (1 - |a|^2) / 2, and
     Re(a2 b) = -1/2, so Re(a2 f) > -1/2 is sharp on it.  For real a it is
     the sector map with exponent (1 + a)/2.
+
+    The power base w = (1 + z)/(1 + c z) never meets the branch cut
+    (-inf, 0]: c = 1 would need Re a = 1, so w maps the disk onto an
+    open half-plane whose edge is a line through w(-1) = 0 and which
+    holds w(0) = 1.  For `sector(a)`, c = -1 and Re w > 0.
     """
 
     NAME = "sector-auto"

@@ -15,14 +15,13 @@ is enough.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from .errors import BadParam
 from .record import Record
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-EPS = float(np.finfo(float).eps)
+EPS = sys.float_info.epsilon
 
 DEFAULT_RINGS = (0.5, 0.9, 0.99, 0.999)
 DEFAULT_ANGLES = 1024
@@ -102,7 +101,7 @@ class GridMeta(Record):
         object.__setattr__(self, "seed", int(self.seed))
 
 
-def ring_points(rings, angles: int) -> np.ndarray:
+def ring_points(rings, angles: int):
     """r exp(2 pi i k / angles) for each ring r, shape (len(rings), angles).
 
     Every ring sample set of the package comes from here; the angles
@@ -110,11 +109,13 @@ def ring_points(rings, angles: int) -> np.ndarray:
     may use grids outside GridMeta's limits (a ring at 0, fewer than 64
     angles).
     """
+    import numpy as np  # here, so the command line reads the defaults above without it
+
     theta = 2.0 * np.pi * np.arange(angles) / angles
     return np.asarray(rings, dtype=float)[:, None] * np.exp(1j * theta)
 
 
-def grid_points(meta: GridMeta) -> np.ndarray:
+def grid_points(meta: GridMeta):
     """Complex samples of a validated grid, ring-major."""
     return ring_points(meta.rings, meta.angles)
 

@@ -20,9 +20,9 @@ import math
 import numpy as np
 
 from .catalog import A2_ZERO_TOL, UNBOUNDED, boundedness_hint
-from .deepscan import check_passes, deep_min, normal_form, strip_structure
+from .deepscan import check_passes, deep_min, strip_structure
 from .errors import DegenerateDomain, PoleInDomain
-from .evaluate import jet_eval, taylor
+from .evaluate import jet_eval, normal_form, taylor
 from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
 from .extended import INFINITY, chordal, is_infinite
 from .geometry import segment_distances

@@ -13,15 +13,13 @@ along the whole real diameter.
 
 `jet_reflection` holds the one copy of the formula and works on scalar
 and array jets alike; `reflect` and `reflect_grid` both go through it.
-The module also holds the Mobius maps of the extended plane that the
-normal form of every map uses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CoincidentPoints, CriticalPoint, DomainViolation
+from .errors import CriticalPoint, DomainViolation
 from .evaluate import jet_eval
 from .extended import INFINITY, is_infinite
 from .grids import GridMeta, grid_points
@@ -43,83 +41,6 @@ class ReflectionSample(Record):
     @property
     def r_is_inf(self) -> bool:
         return bool(is_infinite(self.r))
-
-
-class Mobius(Record):
-    """w -> (a w + b) / (c w + d) on the extended plane."""
-
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-
-    def __post_init__(self):
-        # singular only when ad - bc cancels: w -> 1e-15 w has a tiny det but is regular
-        det = self.a * self.d - self.b * self.c
-        if abs(det) < 1e-14 * min(1.0, abs(self.a * self.d) + abs(self.b * self.c)):
-            raise CoincidentPoints(f"mobius coefficients are singular, det = {det}")
-
-    def __call__(self, w):
-        if np.isscalar(w) or isinstance(w, complex):
-            if is_infinite(w):
-                if abs(self.c) < 1e-300:
-                    return INFINITY
-                return self.a / self.c
-            den = self.c * w + self.d
-            if den == 0:
-                return INFINITY
-            return (self.a * w + self.b) / den
-        w = np.asarray(w, dtype=complex)
-        out = np.empty_like(w)
-        inf_mask = is_infinite(w)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            den = self.c * w + self.d
-            vals = (self.a * w + self.b) / den
-        vals = np.where(den == 0, INFINITY, vals)
-        if abs(self.c) < 1e-300:
-            vals = np.where(inf_mask, INFINITY, vals)
-        else:
-            vals = np.where(inf_mask, self.a / self.c, vals)
-        out[...] = vals
-        return out
-
-    def compose(self, other: "Mobius") -> "Mobius":
-        """self after other: (self.compose(other))(w) = self(other(w))."""
-        return Mobius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "Mobius":
-        return Mobius(self.d, -self.b, -self.c, self.a)
-
-    @property
-    def is_affine(self) -> bool:
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        return abs(self.c) <= 1e-13 * scale
-
-    def pole(self):
-        """Preimage of infinity."""
-        if self.is_affine:
-            return INFINITY
-        return -self.d / self.c
-
-    def at_infinity(self):
-        """Image of infinity."""
-        if self.is_affine:
-            return INFINITY
-        return self.a / self.c
-
-    @staticmethod
-    def identity() -> "Mobius":
-        return Mobius(1.0, 0.0, 0.0, 1.0)
-
-    def apply_jet(self, j: Jet3) -> Jet3:
-        num = j * self.a + Jet3.constant(self.b, j.at)
-        den = j * self.c + Jet3.constant(self.d, j.at)
-        return num / den
 
 
 def local_b2(j: Jet3, z) -> complex:

@@ -1,11 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from awr.catalog import FIXTURE_EXPRS, build_map
-from awr.evaluate import jet_eval
+from awr.evaluate import Mobius, jet_eval
 from awr.extended import chordal
 from awr.grids import grid_points
-from awr.reflection import Mobius, jet_reflection
+from awr.reflection import jet_reflection
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_python(code, args=(), cwd=None):
+    """Run code in a new interpreter on this checkout; its last stderr line."""
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stderr.splitlines()[-1]
 
 
 @pytest.fixture(scope="session")

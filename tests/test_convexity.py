@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_python
+
 from awr import convexity
 from awr.catalog import FIXTURE_EXPRS
 from awr.convexity import (
@@ -357,3 +359,14 @@ def test_tied_zero_margins_keep_the_dense_sign():
     got_m, got_i = _min_margins(base_vals, w, r)
     assert got_i[0] == 0 and got_m.tobytes() == np.array([0.0]).tobytes()
 
+
+def test_mediatrix_scan_leaves_numpy_ma_unloaded():
+    """The hull windows drop repeated values with a stable sort, not np.unique,
+    whose first call imports numpy.ma."""
+    code = ("import sys\n"
+            "from awr.convexity import mediatrix_scan\n"
+            "from awr.expr import Disk, SectorReal\n"
+            "mediatrix_scan(Disk(0.5))\n"
+            "mediatrix_scan(SectorReal(0.5))\n"
+            "print('numpy.ma' in sys.modules, file=sys.stderr)\n")
+    assert fresh_python(code) == "False"

@@ -33,7 +33,7 @@ from awr.expr import (
     Strip,
     StripShift,
 )
-from awr.grids import GridMeta
+from awr.grids import GridMeta, ring_points
 from awr.jets import Jet3
 from awr.nehari import CertReport
 from awr.record import fields, replace
@@ -235,6 +235,23 @@ def test_sector_auto_second_coefficient(a):
     a2 = taylor(SectorAuto(a))[1]
     assert abs(a2 - (-a * c + 0.5 * b * c * (1.0 - abs(a) ** 2))) <= 1e-10
     assert abs((a2 * b).real + 0.5) <= 1e-10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(SectorReal),
+    st.tuples(st.floats(-12.0, 0.0), angles).map(
+        lambda p: SectorAuto(_polar(1.0 - 10.0 ** p[0], p[1]))),
+))
+def test_sector_power_base_misses_the_branch_cut(leaf):
+    """The power base w = (1 + z)/(1 + c z) of a sector leaf maps the disk onto
+    an open half-plane whose edge passes through 0 and which holds 1 (see
+    expr.SectorAuto), so the ring r = 0.999999 never meets (-inf, 0], down
+    to 1 - |a| = 1e-12."""
+    c = -1.0 if isinstance(leaf, SectorReal) else sector_auto_params(leaf.a)[0]
+    z = ring_points((0.999999,), 4096)[0]
+    w = (1.0 + z) / (1.0 + c * z)
+    assert not np.any((w.real <= 0.0) & (np.abs(w.imag) < 1e-12))
 
 
 def test_taylor_normalization(catalog):

@@ -14,9 +14,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from awr.catalog import BOUNDED, FIXTURE_EXPRS, boundedness_hint, build_map
-from awr.deepscan import deep_min, normal_form, strip_ends, strip_structure
+from awr.deepscan import deep_min, strip_ends, strip_structure
 from awr.errors import CoincidentPoints
-from awr.evaluate import jet_eval
+from awr.evaluate import Mobius, jet_eval, normal_form
 from awr.expr import (
     Affine,
     Disk,
@@ -33,7 +33,6 @@ from awr.expr import (
 from awr.nehari import certify_nehari
 from awr.parser import parse_expr
 from awr.quasidisk import delta_f, koebe_omission_scan
-from awr.reflection import Mobius
 
 # Composites of the seed-3 composite-certify stream whose deep recentering
 # drove a matrix-product pre off the automorphism group: the strip-end

@@ -8,21 +8,19 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAMMAR_CASES
+from conftest import GRAMMAR_CASES, SRC, fresh_python
 
 from awr import cli
 from awr.errors import BadParam, MapSyntaxError, ParamOutOfRange, UnknownName
 from awr.catalog import CONVEXITY_ANGLES, CONVEXITY_RINGS
 from awr.convexity import COEFF_ANGLES, COEFF_RINGS
-from awr.deepscan import MAX_PASSES
 from awr.expr import NODES, Disk, Identity, Koebe, MapExpr, SectorAuto, Strip, StripShift
-from awr.grids import DEFAULT_ANGLES, DEFAULT_RINGS, MAX_GRID_POINTS, GridMeta
+from awr.grids import DEFAULT_ANGLES, DEFAULT_RINGS, MAX_GRID_POINTS, MAX_PASSES, GridMeta
 from awr.nehari import CERT_ANGLES, CERT_RINGS
 from awr.parser import format_complex, format_expr, parse_complex, parse_expr
 from awr.quasidisk import (
@@ -523,7 +521,6 @@ def test_svg_written(tmp_path):
 # Import scope: a request is one short process, so each subcommand loads
 # only the scan modules it runs (see the cli module docstring).
 
-SRC = Path(__file__).resolve().parent.parent / "src"
 SCOPE_SCRIPT = """
 import json, sys
 from awr import cli
@@ -536,14 +533,13 @@ if sys.argv[1:]:
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("awr."))]), file=sys.stderr)
 """
 # what `import awr.cli` loads: the parser, the grids and the error types,
-# and none of the scans; every scan loads the jet layer
-CLI_BASE = {"awr.cli", "awr.errors", "awr.expr", "awr.extended", "awr.grids",
-            "awr.parser", "awr.record"}
-JETS = {"awr.evaluate", "awr.jets"}
-CONVEX = {"awr.catalog", "awr.convexity", "awr.deepscan", "awr.reflection"}
+# and none of the scans; every scan loads the jet layer and the normal form
+CLI_BASE = {"awr.cli", "awr.errors", "awr.expr", "awr.grids", "awr.parser", "awr.record"}
+JETS = {"awr.evaluate", "awr.extended", "awr.jets"}
+CONVEX = {"awr.catalog", "awr.convexity", "awr.reflection"}
 QUASIDISK = {"awr.catalog", "awr.deepscan", "awr.geometry", "awr.quasidisk", "awr.reflection"}
 SCOPES = {
-    "catalog": (["catalog"], {"awr.catalog", "awr.deepscan", "awr.nehari", "awr.reflection"}),
+    "catalog": (["catalog"], {"awr.catalog", "awr.nehari"}),
     "certify": (["certify", "--map", "sector(a=0.5)", "--angles", "64"], {"awr.nehari"}),
     "reflect": (["reflect", "--map", "disk(x=0.5)", "--z", "0.3+0.4i"], {"awr.reflection"}),
     "mediatrix-scan": (["mediatrix-scan", "--map", "disk(x=0.5)"], CONVEX),
@@ -562,16 +558,20 @@ SCOPES = {
 }
 
 
-def fresh_python(code, args=(), cwd=None):
-    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
-                         capture_output=True, text=True, check=True, timeout=120)
-    return out.stderr.splitlines()[-1]
-
-
 def test_cli_import_loads_no_scan_module():
     code, loaded = json.loads(fresh_python(SCOPE_SCRIPT))
     assert code is None and set(loaded) == CLI_BASE
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """`import awr.cli` loads no numpy, and neither does a request refused at
+    the parser: it exits 2 before any scan runs."""
+    code = ("import json, sys\n"
+            "import awr.cli\n"
+            "before = 'numpy' in sys.modules\n"
+            "code = awr.cli.main(['certify', '--map', 'sector(a=2)'])\n"
+            "print(json.dumps([before, code, 'numpy' in sys.modules]), file=sys.stderr)\n")
+    assert json.loads(fresh_python(code)) == [False, 2, False]
 
 
 def test_parser_import_leaves_numpy_unloaded():
