@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extended import is_infinite
-
 BOUNDARY_COLOR = "#000000"
 PROBE_COLOR = "#1f6fd6"
 REFLECTION_COLOR = "#d62728"
@@ -48,8 +46,8 @@ class SvgScene:
     def add_polyline(self, points, color: str = BOUNDARY_COLOR,
                      width: float = 1.5, dashed: bool = False,
                      closed: bool = False) -> None:
-        pts = [complex(p) for p in points
-               if not is_infinite(p) and abs(complex(p)) <= COORD_CLIP]
+        # abs is inf where either part is, and a NaN fails the test
+        pts = [z for z in map(complex, points) if abs(z) <= COORD_CLIP]
         if len(pts) < 2:
             return
         if closed:
@@ -63,7 +61,7 @@ class SvgScene:
 
     def add_dot(self, z: complex, color: str, radius: float = 2.5) -> None:
         z = complex(z)
-        if is_infinite(z) or abs(z) > COORD_CLIP:
+        if abs(z) > COORD_CLIP:  # an infinite z too; a NaN one is kept
             return
         self._dots.append((z, color, radius))
 
@@ -149,14 +147,13 @@ def ratio_scene(boundary, probes, reflections, ratios) -> SvgScene:
     scene = SvgScene()
     scene.add_polyline(boundary, color=BOUNDARY_COLOR, closed=True)
     ratios = np.asarray(ratios, dtype=float)
-    finite = ratios[np.isfinite(ratios)]
+    keep = np.isfinite(ratios)
+    finite = ratios[keep]
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 1.0
     spread = max(hi - lo, 1e-12)
     for w in np.asarray(probes):
         scene.add_dot(w, PROBE_COLOR, radius=1.5)
-    for r, q in zip(np.asarray(reflections), ratios):
-        if not np.isfinite(q):
-            continue
+    for r, q in zip(np.asarray(reflections)[keep], finite.tolist()):
         scene.add_dot(r, ratio_color((q - lo) / spread), radius=1.5)
     return scene

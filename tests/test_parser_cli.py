@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from conftest import GRAMMAR_CASES, SRC, fresh_python
 
-from awr import cli
+from awr import cli, svgplot
 from awr.errors import BadParam, MapSyntaxError, ParamOutOfRange, UnknownName
 from awr.catalog import CONVEXITY_ANGLES, CONVEXITY_RINGS
 from awr.convexity import COEFF_ANGLES, COEFF_RINGS
+from awr.extended import is_infinite
 from awr.expr import NODES, Disk, Identity, Koebe, MapExpr, SectorAuto, Strip, StripShift
 from awr.grids import DEFAULT_ANGLES, DEFAULT_RINGS, MAX_GRID_POINTS, MAX_PASSES, GridMeta
 from awr.nehari import CERT_ANGLES, CERT_RINGS
@@ -35,7 +36,7 @@ from awr.quasidisk import (
 
 
 def run(argv):
-    """Run the CLI in-process; returns (exit code, stdout text)."""
+    """Run the CLI in-process; returns (exit code, stdout text, stderr text)."""
     out = io.StringIO()
     err = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -518,6 +519,81 @@ def test_svg_written(tmp_path):
     assert "#1f6fd6" in blob and "#d62728" in blob
 
 
+INF, NAN, CLIP = math.inf, math.nan, svgplot.COORD_CLIP
+
+
+@pytest.mark.parametrize("z", [
+    0.5 + 0.5j, complex(CLIP, 0.0), complex(0.0, -CLIP),
+    complex(INF, 0.0), complex(-INF, 1.0), complex(0.0, INF), complex(2.0, -INF),
+    complex(INF, INF), complex(NAN, 0.0), complex(0.0, NAN), complex(NAN, NAN),
+    complex(INF, NAN), complex(NAN, -INF), complex(-INF, NAN),
+    complex(math.nextafter(CLIP, INF), 0.0), complex(0.0, -math.nextafter(CLIP, INF)),
+    complex(CLIP, 1.0),
+])
+def test_svg_scene_drops_what_is_infinite_drops(z):
+    """Each scene site keeps a point by the rule it had when it asked
+    extended.is_infinite: a polyline drops infinite, NaN and clipped points,
+    and a dot drops infinite and clipped ones but keeps a NaN one."""
+    scene = svgplot.SvgScene()
+    scene.add_polyline([0j, z])
+    scene.add_dot(z, svgplot.PROBE_COLOR)
+    blob = scene.render()
+    assert blob.count("<polyline") == (not is_infinite(z) and abs(z) <= CLIP)
+    assert blob.count("<circle") == (not (is_infinite(z) or abs(z) > CLIP))
+
+
+# The process entry: `python -m awr.cli` (and the installed `awr` script)
+# runs cli.run, which freezes the heap after main returns.
+
+ENTRY_REQUESTS = [
+    (["delta", "--map", "disk(x=0.5)", "--csv", "out.csv"], 0),
+    (["reflect", "--map", "disk(x=0.5)", "--z", "0.3+0.1i", "--csv", "out.csv"], 0),
+    (["svg", "--map", "disk(x=0.5)", "--z", "0.3+0.1i", "--svg", "fig.svg"], 0),
+    (["quasidisk", "--map", "mobius-of-strip(a=0.25+0i)", "--rings", "0.99,0.999,0.9995"], 1),
+    (["certify", "--map", "sector(a=2)"], 2),
+]
+
+
+def awr_process(argv, cwd):
+    """`python -m awr.cli ARGV` in a new interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "awr.cli", *argv],
+                          env=env, cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv, want", ENTRY_REQUESTS, ids=[argv[0] for argv, _ in ENTRY_REQUESTS])
+def test_process_entry_matches_main(argv, want, tmp_path, monkeypatch):
+    """A fresh `python -m awr.cli` process gives main's exit code, stdout,
+    stderr and output files, byte for byte."""
+    inproc, proc = tmp_path / "main", tmp_path / "process"
+    inproc.mkdir()
+    proc.mkdir()
+    monkeypatch.chdir(inproc)
+    expected = run(argv)
+    out = awr_process(argv, proc)
+    assert expected[0] == want
+    assert (out.returncode, out.stdout, out.stderr) == expected
+    files = {p.name: p.read_bytes() for p in inproc.iterdir()}
+    assert files == {p.name: p.read_bytes() for p in proc.iterdir()}
+    assert bool(files) == (want < 2)
+
+
+def test_only_the_process_entry_freezes_the_heap():
+    """main leaves the collector's view of the heap alone; run freezes it."""
+    code = ("import contextlib, gc, io, json, sys\n"
+            "from awr import cli\n"
+            "argv = ['delta', '--map', 'disk(x=0.5)', '--rings', '0.5', '--angles', '64']\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(argv)]\n"
+            "    counts = [gc.get_freeze_count()]\n"
+            "    codes.append(cli.run(argv))\n"
+            "counts.append(gc.get_freeze_count())\n"
+            "print(json.dumps([codes, counts]), file=sys.stderr)\n")
+    codes, (after_main, after_run) = json.loads(fresh_python(code))
+    assert codes == [0, 0]
+    assert after_main == 0 and after_run > 0
+
+
 # Import scope: a request is one short process, so each subcommand loads
 # only the scan modules it runs (see the cli module docstring).
 
@@ -613,8 +689,5 @@ def test_awr_leaves_dataclasses_unloaded():
 def test_masked_ring_runs_clean(command, text, tmp_path):
     """A ring whose points partly round to |z| = 1 is masked, not a base-point
     mismatch, and the masked points warn nowhere."""
-    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run([sys.executable, "-m", "awr.cli", command, "--map", text,
-                          "--rings", "0.5,0.9999999999999999"],
-                         env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = awr_process([command, "--map", text, "--rings", "0.5,0.9999999999999999"], tmp_path)
     assert (out.returncode, out.stderr) == (0, "")
