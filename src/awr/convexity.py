@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import CoincidentPoints, DegenerateDomain
+from .errors import BadParam, CoincidentPoints, DegenerateDomain
 from .evaluate import jet_eval, taylor, value
 from .expr import MapExpr
 from .extended import is_infinite
@@ -369,6 +369,7 @@ def coefficient_bound_scan(expr: MapExpr) -> CoefficientReport:
 
 
 TAYLOR_SWITCH = 1e-4
+ZETA_MIN = 1e-2
 
 
 class ProofSample(Record):
@@ -413,7 +414,16 @@ def proof_machinery_check(expr: MapExpr, zetas=DEFAULT_ZETAS):
 
     computed from third-order jets at the origin.  Half-plane images
     sit exactly on the equality case, with h a unimodular constant.
+
+    A zeta with |zeta| < ZETA_MIN raises BadParam: the slack comes from
+    the quotient (f(z) - f(zeta))/(z - zeta) at z = 0, whose rounding
+    error grows like eps/|zeta|^2, so a small zeta makes the equality
+    case fail falsely (slack -1.3e-8 on the half-plane at 1e-4).
     """
+    for size in (abs(complex(z)) for z in zetas):
+        if size < ZETA_MIN:
+            raise BadParam(f"|zeta| = {size:.3g} is below ZETA_MIN = {ZETA_MIN}, "
+                           "where the slack loses eps/|zeta|^2")
     a1f, a2f, a3f = taylor(expr)
     samples = []
     all_pass = True

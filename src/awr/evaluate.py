@@ -203,28 +203,15 @@ class Mobius(Record):
             raise CoincidentPoints(f"mobius coefficients are singular, det = {det}")
 
     def __call__(self, w):
-        if np.isscalar(w) or isinstance(w, complex):
-            if is_infinite(w):
-                if abs(self.c) < 1e-300:
-                    return INFINITY
-                return self.a / self.c
-            den = self.c * w + self.d
-            if den == 0:
-                return INFINITY
-            return (self.a * w + self.b) / den
+        """Values at w as a complex ndarray: a 0-d array for a scalar w."""
         w = np.asarray(w, dtype=complex)
-        out = np.empty_like(w)
         inf_mask = is_infinite(w)
         with np.errstate(divide="ignore", invalid="ignore"):
             den = self.c * w + self.d
             vals = (self.a * w + self.b) / den
         vals = np.where(den == 0, INFINITY, vals)
-        if abs(self.c) < 1e-300:
-            vals = np.where(inf_mask, INFINITY, vals)
-        else:
-            vals = np.where(inf_mask, self.a / self.c, vals)
-        out[...] = vals
-        return out
+        at_inf = INFINITY if abs(self.c) < 1e-300 else self.a / self.c
+        return np.where(inf_mask, at_inf, vals)
 
     def compose(self, other: "Mobius") -> "Mobius":
         """self after other: (self.compose(other))(w) = self(other(w))."""
@@ -254,10 +241,6 @@ class Mobius(Record):
         if self.is_affine:
             return INFINITY
         return self.a / self.c
-
-    @staticmethod
-    def identity() -> "Mobius":
-        return Mobius(1.0, 0.0, 0.0, 1.0)
 
     def apply_jet(self, j: Jet3) -> Jet3:
         num = j * self.a + Jet3.constant(self.b, j.at)
@@ -313,4 +296,4 @@ def normal_form(expr: MapExpr) -> NormalForm:
     if isinstance(expr, Affine):
         inner = normal_form(expr.inner)
         return replace(inner, post=Mobius(expr.A, expr.B, 0.0, 1.0).compose(inner.post))
-    return NormalForm(DiskAutomorphism(), expr, Mobius.identity())
+    return NormalForm(DiskAutomorphism(), expr, Mobius(1.0, 0.0, 0.0, 1.0))

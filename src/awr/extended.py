@@ -3,7 +3,7 @@
 The point at infinity is represented by the sentinel ``INFINITY``
 (``complex(inf, inf)``).  Any complex value with a non-finite real or
 imaginary part is treated as infinite; NaN payloads are *not* conflated
-with infinity and are handled by the vectorized mask helpers instead.
+with infinity, and `chordal` passes them through as NaN.
 """
 
 from __future__ import annotations
@@ -20,15 +20,6 @@ def is_infinite(w) -> bool:
     """
     w = np.asarray(w, dtype=complex)
     out = np.isinf(w.real) | np.isinf(w.imag)
-    if out.ndim == 0:
-        return bool(out)
-    return out
-
-
-def is_nan(w):
-    """True where ``w`` has a NaN component (and is not infinite)."""
-    w = np.asarray(w, dtype=complex)
-    out = (np.isnan(w.real) | np.isnan(w.imag)) & ~is_infinite(w)
     if out.ndim == 0:
         return bool(out)
     return out
@@ -61,7 +52,7 @@ def chordal(u, v):
     )
     # NaN payloads survive the masking above only on the finite branch;
     # reinstate them explicitly so callers can filter.
-    nan_mask = is_nan(u) | is_nan(v)
+    nan_mask = (np.isnan(u) & np.logical_not(u_inf)) | (np.isnan(v) & np.logical_not(v_inf))
     out = np.where(nan_mask, np.nan, out)
     if out.ndim == 0:
         return float(out)

@@ -103,9 +103,6 @@ class Jet3(Record):
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet3) else -other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Jet3):
             _check_base(self.at, other.at, SAME_BASE)
@@ -147,9 +144,6 @@ class Jet3(Record):
         if isinstance(other, Jet3):
             return self * other.invert()
         return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return self.invert() * other
 
     def compose(self, inner: "Jet3") -> "Jet3":
         """Jet of self o inner.  ``self`` must be based at ``inner.f0``."""

@@ -113,23 +113,17 @@ def near_one_clusters(expr: MapExpr) -> ClusterReport:
             ring=ring, pmax=pmax, tau=tau, count=1, whole_ring=True,
             spans=((0.0, 2.0 * np.pi),),
         )
-    if not np.any(above):
-        return ClusterReport(ring=ring, pmax=pmax, tau=tau, count=0,
-                             whole_ring=False, spans=())
-    # Build runs with wraparound: rotate so the series starts outside a run.
+    # Rolled to its first sample below the cut, no run wraps past the end;
+    # a run starts where its left neighbour is below and ends where its right one is.
     first_out = int(np.argmin(above))
     rolled = np.roll(above, -first_out)
-    edges = np.diff(np.concatenate([[0], rolled.astype(int), [0]]))
-    run_starts = np.nonzero(edges == 1)[0]
-    run_ends = np.nonzero(edges == -1)[0]
-    spans = []
-    for s, e in zip(run_starts, run_ends):
-        a = 2.0 * math.pi * ((s + first_out) % angles) / angles
-        b = 2.0 * math.pi * ((e - 1 + first_out) % angles) / angles
-        spans.append((float(a), float(b)))
+    starts = np.nonzero(rolled & ~np.roll(rolled, 1))[0]
+    ends = np.nonzero(rolled & ~np.roll(rolled, -1))[0]
+    a = 2.0 * math.pi * ((starts + first_out) % angles) / angles
+    b = 2.0 * math.pi * ((ends + first_out) % angles) / angles
+    spans = tuple(zip(a.tolist(), b.tolist()))
     return ClusterReport(
-        ring=ring, pmax=pmax, tau=tau, count=len(spans), whole_ring=False,
-        spans=tuple(spans),
+        ring=ring, pmax=pmax, tau=tau, count=len(spans), whole_ring=False, spans=spans,
     )
 
 
@@ -302,25 +296,16 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     zs = zs.reshape(len(rings), angles)
     ratio = ratio.reshape(len(rings), angles)
 
-    inf_ratios = []
-    args = []
-    flags = []
-    for i in range(len(rings)):
-        usable = np.isfinite(ratio[i])
-        if not np.any(usable):
-            inf_ratios.append(math.inf)
-            args.append(complex(np.nan, np.nan))
-            flags.append(True)
-            continue
-        j = int(np.argmin(np.where(usable, ratio[i], np.inf)))
-        inf_ratios.append(float(ratio[i, j]))
-        args.append(complex(zs[i, j]))
-        flags.append(False)
-
-    usable_r = [v for v in inf_ratios if math.isfinite(v)]
-    if not usable_r:
+    # Per ring: the least finite ratio, or inf at nan+nanj when none is finite.
+    usable = np.isfinite(ratio)
+    flags = ~np.any(usable, axis=1)
+    if np.all(flags):
         raise DegenerateDomain("every probe ring reflected to infinity")
-    c_est = float(min(usable_r))
+    rows = np.arange(len(rings))
+    j = np.argmin(np.where(usable, ratio, np.inf), axis=1)
+    inf_ratios = np.where(flags, np.inf, ratio[rows, j]).tolist()
+    args = np.where(flags, complex(np.nan, np.nan), zs[rows, j]).tolist()
+    c_est = min(inf_ratios)
     deepest = inf_ratios[-1]
     shallowest = inf_ratios[0]
     collapsed = bool(
@@ -334,7 +319,7 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
         inf_ratio_per_ring=tuple(inf_ratios),
         arg_inf=tuple(args),
         c_estimate=c_est,
-        all_infinite=tuple(flags),
+        all_infinite=tuple(flags.tolist()),
         collapsed=collapsed,
     )
 

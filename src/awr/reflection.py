@@ -64,19 +64,14 @@ def jet_reflection(j: Jet3, z):
     return (INFINITY if abs(b2) < B2_TOL else r), b2
 
 
-def reflect_jet(j: Jet3, z):
-    """Reflection value from a scalar jet at z; returns (w, r, b2)."""
-    if abs(j.f1) < DERIV_TOL:
-        raise CriticalPoint(f"derivative vanishes at z = {z}")
-    return (j.f0, *jet_reflection(j, z))
-
-
 def reflect(expr, z) -> ReflectionSample:
     """Ahlfors-Weill reflection of w = f(z) for a point z in the disk."""
     z = complex(z)
     j = jet_eval(expr, z)
-    w, r, b2 = reflect_jet(j, z)
-    return ReflectionSample(z=z, w=complex(w), r=r, b2=complex(b2))
+    if abs(j.f1) < DERIV_TOL:
+        raise CriticalPoint(f"derivative vanishes at z = {z}")
+    r, b2 = jet_reflection(j, z)
+    return ReflectionSample(z=z, w=complex(j.f0), r=r, b2=complex(b2))
 
 
 def reflect_grid(expr, meta: GridMeta):
@@ -88,7 +83,7 @@ def reflect_grid(expr, meta: GridMeta):
     zs = grid_points(meta).ravel()
     j = jet_eval(expr, zs)
     r, b2 = jet_reflection(j, zs)
-    return zs, j.f0.copy() if isinstance(j.f0, np.ndarray) else np.full_like(zs, j.f0), r, b2
+    return zs, j.f0.copy(), r, b2
 
 
 def extend(expr, z):

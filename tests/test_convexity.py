@@ -24,9 +24,10 @@ from awr.convexity import (
     coefficient_bound_scan,
     mediatrix,
     mediatrix_scan,
+    ZETA_MIN,
     proof_machinery_check,
 )
-from awr.errors import CoincidentPoints, DegenerateDomain
+from awr.errors import BadParam, CoincidentPoints, DegenerateDomain
 from awr.expr import Disk, Halfplane, Identity, SectorReal, Strip
 from awr.extended import INFINITY, is_infinite
 from awr.evaluate import jet_eval
@@ -173,6 +174,19 @@ def test_identity_proof_values_are_exact():
     for s in samples:
         assert abs(s.re_g_min - 1.0) < 1e-9
         assert s.slack >= -1e-12
+
+
+def test_proof_check_refuses_recentering_points_near_the_origin():
+    """The slack's quotient at z = 0 loses about eps/|zeta|^2, so the
+    half-plane's equality case read -1.3e-8 at zeta = 1e-4.  From
+    ZETA_MIN on, the equality case and the disk pass on a full circle."""
+    circle = ZETA_MIN * np.exp(2j * np.pi * np.arange(16) / 16)
+    for expr in (Halfplane(-1.0), Disk(0.5)):
+        all_pass, samples = proof_machinery_check(expr, circle)
+        assert all_pass, (expr, [s.slack for s in samples])
+    for zeta in (1e-4, 0.5 * ZETA_MIN * 1j, 0.0):
+        with pytest.raises(BadParam, match="ZETA_MIN"):
+            proof_machinery_check(Halfplane(-1.0), (0.3, zeta))
 
 
 def oracle_min_margins(base_vals, w, r):

@@ -17,6 +17,7 @@ from awr.catalog import BOUNDED, FIXTURE_EXPRS, boundedness_hint, build_map
 from awr.deepscan import deep_min, strip_ends, strip_structure
 from awr.errors import CoincidentPoints
 from awr.evaluate import Mobius, jet_eval, normal_form
+from awr.extended import INFINITY, is_infinite
 from awr.expr import (
     Affine,
     Disk,
@@ -89,6 +90,38 @@ def test_tiny_affine_scales_are_not_singular():
     for singular in ((1.0, 1.0, 1.0, 1.0), (1e-8, 1e-8, 1e-8, 1e-8)):
         with pytest.raises(CoincidentPoints):
             Mobius(*singular)
+
+
+NAN = complex(np.nan, 0.0)
+
+
+def _same_point(got, want):
+    """Equal, or both the point at infinity, or both NaN."""
+    if is_infinite(want):
+        return bool(is_infinite(got))
+    if np.isnan(want):
+        return bool(np.isnan(got)) and not is_infinite(got)
+    return got == want
+
+
+@pytest.mark.parametrize("mob, special, images", [
+    # affine: infinity is fixed, and no finite point is a pole
+    (Mobius(2.0, 1.0 - 1.0j, 0.0, 1.0), [INFINITY, NAN], [INFINITY, NAN]),
+    # infinity goes to a/c = 2, and the pole -d/c = -3 to infinity
+    (Mobius(2.0, 1.0, 1.0, 3.0), [INFINITY, -3.0, NAN], [2.0, INFINITY, NAN]),
+])
+def test_mobius_values_at_infinity_pole_nan_and_finite_points(mob, special, images):
+    finite = [0.5 + 0.25j, -1.0j, 7.0 - 2.0j]
+    got = mob(np.array(special + finite, dtype=complex))
+    assert got.dtype == complex and got.shape == (len(special) + len(finite),)
+    for g, want in zip(got, images):
+        assert _same_point(g, want), (g, want)
+    want = [(mob.a * z + mob.b) / (mob.c * z + mob.d) for z in finite]
+    np.testing.assert_allclose(got[len(special):], want, rtol=1e-15, atol=0.0)
+    # a scalar takes the same path: a 0-d array with the same bits
+    for z, w in zip(special + finite, got):
+        out = mob(z)
+        assert np.ndim(out) == 0 and _same_point(out[()], w), (z, out, w)
 
 
 def _unit(t):

@@ -410,6 +410,16 @@ def test_negative_passes_exit_two(command):
         assert f"cap of {MAX_PASSES}" in err
 
 
+def test_proof_check_near_the_origin_exits_two():
+    """The half-plane is the equality case, with slack exactly 0; at
+    zeta = 1e-4 rounding read -1.3e-8 and the check exited 1."""
+    code, out, err = run(["proof-check", "--map", "halfplane(c=-1+0i)", "--zetas=0.0001+0i"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: BadParam: |zeta| = 0.0001")
+    code, out, _ = run(["proof-check", "--map", "halfplane(c=-1+0i)", "--zetas=0.01+0i"])
+    assert code == 0 and out.endswith("passed = True\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["proof-check", "--map", "disk(x=0.5)", "--zetas", ""],
     ["proof-check", "--map", "disk(x=0.5)", "--zetas", " , "],

@@ -7,13 +7,16 @@ stay bounded away from the degenerate regime, and the tangent-disk map
 mobius-of-strip, which collapses in every metric.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from awr import evaluate
+from awr import evaluate, quasidisk
 from awr.deepscan import strip_structure
 from awr.errors import DegenerateDomain
 from awr.expr import Disk, Halfplane, Koebe, MobiusOfStrip, MobiusShift, Strip
+from awr.extended import INFINITY
 from awr.quasidisk import (
     CHORDAL,
     EUCLIDEAN,
@@ -27,6 +30,7 @@ from awr.quasidisk import (
     normalized_sup,
     quasidisk_ratio_scan,
 )
+from awr.reflection import reflect_grid
 
 # name -> (sup, abs tol, interior_ok)
 NORMALIZED_SUP_TABLE = {
@@ -177,6 +181,98 @@ def test_ratio_scan_rejects_strip_conjugates(catalog, ratio_reports):
     with pytest.raises(DegenerateDomain):
         quasidisk_ratio_scan(Strip())
     assert ratio_reports["strip"] is None
+
+
+def _reflect_to_infinity(monkeypatch, rings, angles, lost):
+    """Patch the ratio scan's reflect_grid so every probe on the rings
+    whose indices are in lost reflects to the point at infinity."""
+    def patched(expr, meta):
+        zs, ws, rs, b2 = reflect_grid(expr, meta)
+        rs = rs.reshape(len(rings), angles).copy()
+        rs[list(lost)] = INFINITY
+        return zs, ws, rs.ravel(), b2
+
+    monkeypatch.setattr(quasidisk, "reflect_grid", patched)
+
+
+def test_ratio_scan_flags_a_ring_that_reflects_to_infinity(monkeypatch):
+    expr, rings, angles = Disk(0.5), (0.9, 0.99, 0.999), 256
+    plain = quasidisk_ratio_scan(expr, rings, angles)
+    _reflect_to_infinity(monkeypatch, rings, angles, lost=(0,))
+    got = quasidisk_ratio_scan(expr, rings, angles)
+    assert got.all_infinite == (True, False, False)
+    assert got.inf_ratio_per_ring[0] == math.inf
+    assert repr(got.arg_inf[0]) == "(nan+nanj)"
+    assert got.inf_ratio_per_ring[1:] == plain.inf_ratio_per_ring[1:]
+    assert got.arg_inf[1:] == plain.arg_inf[1:]
+    assert got.c_estimate == min(plain.inf_ratio_per_ring[1:])
+    assert plain.all_infinite == (False, False, False)
+
+
+def test_ratio_scan_refuses_when_every_ring_reflects_to_infinity(monkeypatch):
+    rings, angles = (0.9, 0.99), 128
+    _reflect_to_infinity(monkeypatch, rings, angles, lost=(0, 1))
+    with pytest.raises(DegenerateDomain, match="every probe ring"):
+        quasidisk_ratio_scan(Disk(0.5), rings, angles)
+
+
+def test_cluster_runs_wrap_past_angle_zero(monkeypatch):
+    """A run that straddles angle 0 is one span from its last sample
+    before 2 pi to its first after 0; spans follow the ring from the
+    first sample below the cut, and a one-sample run starts and ends at
+    the same angle."""
+    expr = Halfplane(-1.0)
+    a2 = evaluate.taylor(expr)[1]
+    n = quasidisk.CLUSTER_ANGLES
+    assert n == 4096
+    profile = np.full(n, 0.5)
+    profile[4090:] = profile[:4] = 0.99  # wraps: samples 4090..4095 and 0..3
+    profile[100:200] = 0.99
+    profile[2048] = 0.99
+    monkeypatch.setattr(quasidisk, "normalize_values", lambda e, z: profile / a2)
+    got = near_one_clusters(expr)
+    assert got.pmax == pytest.approx(0.99, abs=1e-15)
+    assert got.tau == pytest.approx(0.985, abs=1e-14)
+    assert (got.count, got.whole_ring) == (3, False)
+    step = math.pi / 2048  # 2 pi / 4096
+    want = ((100 * step, 199 * step), (math.pi, math.pi), (4090 * step, 3 * step))
+    np.testing.assert_allclose(got.spans, want, rtol=1e-15, atol=0.0)
+    assert got.spans[1] == (math.pi, math.pi)
+    # a ring maximum at or above 1 puts the cut above it: no run at all
+    profile[2048] = 1.2
+    got = near_one_clusters(expr)
+    assert (got.count, got.whole_ring, got.spans) == (0, False, ())
+
+
+def _reference_spans(above, angles):
+    """The loop the cluster scan replaced: runs from the diff of the
+    0-padded ring, rolled to its first sample below the cut."""
+    first_out = int(np.argmin(above))
+    rolled = np.roll(above, -first_out)
+    edges = np.diff(np.concatenate([[0], rolled.astype(int), [0]]))
+    spans = []
+    for s, e in zip(np.nonzero(edges == 1)[0], np.nonzero(edges == -1)[0]):
+        a = 2.0 * math.pi * ((s + first_out) % angles) / angles
+        b = 2.0 * math.pi * ((e - 1 + first_out) % angles) / angles
+        spans.append((float(a), float(b)))
+    return tuple(spans)
+
+
+def test_cluster_runs_match_the_reference_loop(monkeypatch):
+    expr = Halfplane(-1.0)
+    a2 = evaluate.taylor(expr)[1]
+    n = quasidisk.CLUSTER_ANGLES
+    rng = np.random.default_rng(20)
+    rings = [rng.uniform(size=n) < share for share in (1e-3, 0.02, 0.3, 0.7, 0.98, 0.999)]
+    rings += [np.repeat(rng.uniform(size=n // 64) < 0.5, 64) for _ in range(4)]
+    rings += [np.roll(np.arange(n) < k, -j) for k, j in ((1, 0), (1, 5), (n - 1, 7), (100, 50))]
+    for above in rings:
+        profile = np.where(above, 0.99, 0.5)
+        monkeypatch.setattr(quasidisk, "normalize_values", lambda e, z: profile / a2)
+        got = near_one_clusters(expr)
+        assert np.array_equal(np.abs(a2 * (profile / a2)) > got.tau, above)
+        assert got.spans == _reference_spans(above, n)
+        assert got.count == len(got.spans) and not got.whole_ring
 
 
 @pytest.mark.parametrize("name", sorted(OMISSION_TABLE))
