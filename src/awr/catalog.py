@@ -56,7 +56,7 @@ class MappingSpec(Record):
 
 
 def validate_convexity(expr: MapExpr):
-    """Min of Re(1 + z f''/f') over the convexity grid; certified when > -1e-9.
+    """(certified, min) of Re(1 + z f''/f') over the convexity grid; certified when min > -1e-9.
 
     Convexity of the image is equivalent to that quantity staying
     positive on the disk; sampling rings close to the boundary catches
@@ -66,13 +66,8 @@ def validate_convexity(expr: MapExpr):
     j = jet_eval(expr, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.real(1.0 + z * j.f2 / j.f1)
-    ok = np.isfinite(vals)
-    best, arg = math.inf, 0j
-    if np.any(ok):
-        i = np.unravel_index(int(np.nanargmin(np.where(ok, vals, np.nan))), vals.shape)
-        best, arg = float(vals[i]), complex(z[i])
-    certified = best > -1e-9
-    return certified, best, arg
+    best = float(np.min(np.where(np.isfinite(vals), vals, np.inf)))
+    return best > -1e-9, best
 
 
 def omitted_point_on_boundary(nf: NormalForm, a2: complex) -> bool:
@@ -118,7 +113,7 @@ def build_map(expr: MapExpr) -> MappingSpec:
     """Construct a catalog entry, running the convexity check."""
     nf = normal_form(expr)
     a2 = taylor(expr)[1]
-    certified, conv_min, _ = validate_convexity(expr)
+    certified, conv_min = validate_convexity(expr)
     return MappingSpec(
         expr=expr,
         a2=complex(a2),

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import math
 import sys
@@ -51,7 +52,9 @@ from .errors import AwrError, MapSyntaxError
 from .grids import (
     CERT_ANGLES,
     CERT_RINGS,
+    DEFAULT_A_LIST,
     DEFAULT_ANGLES,
+    DEFAULT_PASSES,
     DEFAULT_RINGS,
     DEFAULT_ZETAS,
     DELTA_ANGLES,
@@ -140,7 +143,7 @@ def _grid(args, raw=False):
     rings, angles = args.grid_fallback
     rings = rings if args.rings is None else args.rings
     angles = angles if args.angles is None else args.angles
-    return (rings, angles) if raw else GridMeta(rings=rings, angles=angles, seed=args.seed)
+    return (rings, angles) if raw else GridMeta(rings=rings, angles=angles)
 
 
 def _rings_list(text: str):
@@ -224,12 +227,8 @@ def _cmd_reflect(args, expr):
 
     sample = reflection.reflect(expr, args.z)
     lines = _pick(sample, "z w r b2 r_is_inf") + [("seed", args.seed)]
-    grid = ()  # reflect_grid's (z, w, r, b2), scanned once for --csv and --svg
-
-    def scan():
-        nonlocal grid
-        grid = grid or reflection.reflect_grid(expr, _grid(args))
-        return grid
+    # reflect_grid's (z, w, r, b2), scanned once for --csv and --svg
+    scan = functools.cache(lambda: reflection.reflect_grid(expr, _grid(args)))
 
     def rows():
         from .extended import is_infinite
@@ -324,7 +323,7 @@ def _cmd_quasidisk(args, expr):
 
         from . import reflection, svgplot
 
-        meta = GridMeta(rings=(max(rings),), angles=min(angles, 512), seed=args.seed)
+        meta = GridMeta(rings=(max(rings),), angles=min(angles, 512))
         _, ws, rs, _ = reflection.reflect_grid(expr, meta)
         return svgplot.ratio_scene(_plot_boundary(expr), ws, rs, np.abs(rs - ws))
 
@@ -397,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="probe point, complex literal like 0.5+0i; "
                                 "write --z=-0.5+0.1i for a negative real part")
         if passes:
-            p.add_argument("--passes", type=_passes_arg, default=3,
+            p.add_argument("--passes", type=_passes_arg, default=DEFAULT_PASSES,
                            help=f"refinement passes, at most {MAX_PASSES}")
         p.add_argument("--seed", type=int, default=0,
                        help="seed recorded with the run (scans are "
@@ -437,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "inf |b2 g + 1| over recentered maps", passes=True)
     lem = add("lemma32", _cmd_lemma32,
               "strip-conjugate family demonstration", mapped=False)
-    lem.add_argument("--a-list", type=_complex_list,
-                     default=(0.25, 0.01, 0.25j),
+    lem.add_argument("--a-list", type=_complex_list, default=DEFAULT_A_LIST,
                      help="comma-separated parameter values"
                           + negative.format("a-list"))
     s = add("svg", _cmd_svg, "figure of boundary, probes, and reflections",
@@ -477,14 +475,11 @@ def main(argv=None) -> int:
         if args.svg and figure:
             figure().write(args.svg)
         return 0 if passed else 1
-    except MapSyntaxError as err:
+    except (MapSyntaxError, OSError) as err:  # OSError: an unwritable --csv or --svg path
         print(f"error: {err}", file=sys.stderr)
         return 2
     except AwrError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:  # an unwritable --csv or --svg path
-        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

@@ -203,15 +203,15 @@ class Mobius(Record):
             raise CoincidentPoints(f"mobius coefficients are singular, det = {det}")
 
     def __call__(self, w):
-        """Values at w as a complex ndarray: a 0-d array for a scalar w."""
+        """Values at w as a complex ndarray: a 0-d array for a scalar w.
+        Infinity maps to at_infinity(), so is_affine decides it."""
         w = np.asarray(w, dtype=complex)
         inf_mask = is_infinite(w)
         with np.errstate(divide="ignore", invalid="ignore"):
             den = self.c * w + self.d
             vals = (self.a * w + self.b) / den
         vals = np.where(den == 0, INFINITY, vals)
-        at_inf = INFINITY if abs(self.c) < 1e-300 else self.a / self.c
-        return np.where(inf_mask, at_inf, vals)
+        return np.where(inf_mask, self.at_infinity(), vals)
 
     def compose(self, other: "Mobius") -> "Mobius":
         """self after other: (self.compose(other))(w) = self(other(w))."""

@@ -5,8 +5,9 @@ rings, each sampled at equally spaced angles from 0.  `ring_points`
 builds every such sample set; `GridMeta` is the validated, size-capped
 grid a report records, and `grid_points` samples it.
 
-`refine_on_grid` polishes an extremal sample with golden-section sweeps,
-one in angle, then one in radius, repeated with shrinking brackets.
+`refine_on_grid` polishes a least sample with golden-section sweeps,
+one in angle, then one in radius, repeated with shrinking brackets (a
+maximum is refined as the least value of -fn).
 Every quantity refined here is smooth along rings and radii away from
 the finitely many boundary singularities, so one coordinate at a time
 is enough.
@@ -47,6 +48,7 @@ DEFAULT_ZETAS = (
     -0.99 + 0.0j,
     0.9j,
 )
+DEFAULT_A_LIST = (0.25, 0.01, 0.25j)  # quasidisk.lemma32_demo
 
 # Cap on the refinement passes of the deep strip-end probes (deepscan).
 # Pass k probes strip values of size about 8^k: on the catalog, squaring
@@ -56,6 +58,7 @@ DEFAULT_ZETAS = (
 # smaller each pass) have been under double resolution near the unit
 # circle since about pass 20, and a scan takes under a second.
 MAX_PASSES = 64
+DEFAULT_PASSES = 3  # quasidisk.delta_f and koebe_omission_scan
 
 # Cap on rings x angles.  The largest built-in grid has 5 x 4096 points;
 # the cap leaves room for finer user grids while bounding the memory a
@@ -76,13 +79,11 @@ class GridMeta(Record):
     rings must be strictly increasing in [0, 1); angles >= 64, and the
     grid holds at most MAX_GRID_POINTS points.  Angles are equally spaced
     from 0, so axis points (where several extremals sit) are hit
-    exactly.  The seed is only recorded with the run: every scan is
-    deterministic.
+    exactly.
     """
 
     rings: tuple = DEFAULT_RINGS
     angles: int = DEFAULT_ANGLES
-    seed: int = 0
 
     def __post_init__(self):
         rings = tuple(float(r) for r in self.rings)
@@ -98,7 +99,6 @@ class GridMeta(Record):
             raise BadParam(f"need at least 64 angles, got {self.angles}")
         check_grid_size(len(rings), int(self.angles))
         object.__setattr__(self, "angles", int(self.angles))
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def ring_points(rings, angles: int):
@@ -125,19 +125,15 @@ def polar(r: float, theta: float) -> complex:
     return r * complex(math.cos(theta), math.sin(theta))
 
 
-def golden_section(fn, lo: float, hi: float, iters: int = 48, minimize: bool = True):
-    """Scalar golden-section search; returns (x, fn(x)).
+def golden_section(fn, lo: float, hi: float, iters: int = 48):
+    """Scalar golden-section minimization; returns (x, fn(x)).
 
-    fn is evaluated pointwise; NaN values are treated as +inf (or -inf
-    when maximizing) so that failed samples never win.
+    fn is evaluated pointwise; NaN values are treated as +inf so that
+    failed samples never win.  To maximize, minimize -fn.
     """
-    sign = 1.0 if minimize else -1.0
-
     def val(x):
         v = fn(x)
-        if v != v:  # NaN
-            return math.inf
-        return sign * v
+        return math.inf if v != v else v
 
     a, b = float(lo), float(hi)
     c = b - GOLDEN * (b - a)
@@ -152,14 +148,12 @@ def golden_section(fn, lo: float, hi: float, iters: int = 48, minimize: bool = T
             a, c, fc = c, d, fd
             d = a + GOLDEN * (b - a)
             fd = val(d)
-    x = c if fc <= fd else d
-    best = min(fc, fd)
-    return x, sign * best
+    return (c, fc) if fc <= fd else (d, fd)
 
 
 def refine_on_grid(fn, r: float, theta: float, best: float, dth: float, r_range,
-                   dr: float = 1.0, passes: int = 1, minimize: bool = True):
-    """Polar refinement of fn(r, theta) from a start point.
+                   dr: float = 1.0, passes: int = 1):
+    """Polar minimization of fn(r, theta) from a start point.
 
     Each pass runs a golden-section sweep in theta over theta +- dth at
     the current radius, then a sweep in r over r +- dr, kept inside
@@ -174,15 +168,14 @@ def refine_on_grid(fn, r: float, theta: float, best: float, dth: float, r_range,
     Returns (best, r, theta).
     """
     r_min, r_max = r_range
-    sign = 1.0 if minimize else -1.0
     for _ in range(max(passes, 1)):
-        th, v = golden_section(lambda t: fn(r, t), theta - dth, theta + dth, minimize=minimize)
-        if sign * v < sign * best:
+        th, v = golden_section(lambda t: fn(r, t), theta - dth, theta + dth)
+        if v < best:
             best, theta = v, th
         lo, hi = max(r - dr, r_min), min(r + dr, r_max)
         if lo < hi:
-            rr, v = golden_section(lambda s: fn(s, theta), lo, hi, minimize=minimize)
-            if sign * v < sign * best:
+            rr, v = golden_section(lambda s: fn(s, theta), lo, hi)
+            if v < best:
                 best, r = v, rr
         elif dth <= EPS * max(abs(theta), 1.0):
             break  # both brackets below double resolution: later passes only round

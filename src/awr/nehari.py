@@ -61,19 +61,21 @@ def certify_nehari(expr: MapExpr, meta: GridMeta = None) -> CertReport:
         vals = np.asarray(nehari_functional(expr, pts), dtype=float)
     n_failed = int(np.sum(vals[np.isfinite(vals)] > 2.0 + NEHARI_TOL))
 
-    def fn(r, theta):
-        # a refined point may be masked (|z| rounding to 1), as a grid point may
+    def neg_fn(r, theta):
+        # the refinement minimizes, so it refines minus the functional; a
+        # refined point may be masked (|z| rounding to 1), as a grid point may
         with np.errstate(divide="ignore", invalid="ignore"):
             v = nehari_functional(expr, np.asarray([polar(r, theta)], dtype=complex))
-        return float(v[0])
+        return -float(v[0])
 
     work = np.where(np.isfinite(vals), vals, -np.inf)
     i, j = np.unravel_index(np.argmax(work), work.shape)
     rings, step = meta.rings, 2.0 * np.pi / meta.angles
-    sup, r, theta = refine_on_grid(
-        fn, rings[i], 2.0 * np.pi * j / meta.angles, float(work[i, j]), step,
-        (rings[max(i - 1, 0)], rings[min(i + 1, len(rings) - 1)]), minimize=False,
+    neg_sup, r, theta = refine_on_grid(
+        neg_fn, rings[i], 2.0 * np.pi * j / meta.angles, -float(work[i, j]), step,
+        (rings[max(i - 1, 0)], rings[min(i + 1, len(rings) - 1)]),
     )
+    sup = -neg_sup
     passed = bool(np.isfinite(sup) and sup <= 2.0 + NEHARI_TOL and n_failed == 0)
     return CertReport(
         sup_estimate=float(sup),

@@ -30,11 +30,17 @@ from .expr import NODES, MapExpr
 MAX_TEXT = 4096
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9-]*")
+_KEY_RE = re.compile(r"([A-Za-z][A-Za-z0-9-]*)[ \t\r\n]*=")  # a key through its '='
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _NUMBER_RE = re.compile(
     r"(?P<re>[+-]?" + _FLOAT + r")"
     r"(?:(?P<im>[+-]" + _FLOAT + r")[iI])?"
 )
+
+
+def _number(m: re.Match) -> complex:
+    imag = m.group("im")
+    return complex(float(m.group("re")), float(imag) if imag else 0.0)
 
 
 class _Scanner:
@@ -71,8 +77,7 @@ class _Scanner:
         if m is None:
             raise MapSyntaxError("expected a number", self.pos)
         self.pos = m.end()
-        imag = m.group("im")
-        return complex(float(m.group("re")), float(imag) if imag else 0.0)
+        return _number(m)
 
 
 def _build(name: str, inner: MapExpr | None,
@@ -112,14 +117,10 @@ def _parse_node(scan: _Scanner) -> MapExpr:
             while True:
                 scan.skip_ws()
                 here = scan.pos
-                m = _NAME_RE.match(scan.text, here)
-                after = m.end() if m else here
-                while after < len(scan.text) and scan.text[after] in " \t\r\n":
-                    after += 1
-                is_kv = m is not None and after < len(scan.text) and scan.text[after] == "="
-                if is_kv:
-                    key, _ = scan.name()
-                    scan.expect("=")
+                m = _KEY_RE.match(scan.text, here)
+                if m:
+                    key = m.group(1).lower()
+                    scan.pos = m.end()
                     if key in params:
                         raise BadParam(f"duplicate parameter '{key}'")
                     params[key] = scan.number()
@@ -142,8 +143,7 @@ def parse_complex(text: str) -> complex:
     m = _NUMBER_RE.fullmatch(text.strip())
     if m is None:
         raise MapSyntaxError(f"bad number literal {text!r}", 0)
-    imag = m.group("im")
-    return complex(float(m.group("re")), float(imag) if imag else 0.0)
+    return _number(m)
 
 
 def parse_expr(text: str) -> MapExpr:

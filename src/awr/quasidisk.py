@@ -27,6 +27,8 @@ from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
 from .extended import INFINITY, chordal, is_infinite
 from .geometry import segment_distances
 from .grids import (
+    DEFAULT_A_LIST,
+    DEFAULT_PASSES,
     DELTA_ANGLES,
     DELTA_RINGS,
     NORM_ANGLES,
@@ -154,7 +156,7 @@ def _polar_score(expr: MapExpr, score):
     return fn
 
 
-def delta_f(expr: MapExpr, grid: GridMeta = None, passes: int = 3) -> DeltaReport:
+def delta_f(expr: MapExpr, grid: GridMeta = None, passes: int = DEFAULT_PASSES) -> DeltaReport:
     """Inf of the omitted-value distance with boundary-deep refinement.
 
     The coarse grid is refined two ways and the smaller value wins: a
@@ -342,7 +344,7 @@ PROBE_ANGLES = 64
 def koebe_omission_scan(
     expr: MapExpr,
     base_grid: GridMeta = None,
-    passes: int = 3,
+    passes: int = DEFAULT_PASSES,
 ) -> OmissionReport:
     """Scan how close recentered maps come to their omitted value.
 
@@ -419,7 +421,7 @@ class Lemma32Row(Record):
     sup_norm_dev: float
 
 
-def lemma32_demo(a_sequence=(0.25, 0.01, 0.25j)):
+def lemma32_demo(a_sequence=DEFAULT_A_LIST):
     """Normalization collapse along the tangent-disk family.
 
     For each parameter a, the map v -> v/(1 + a v) composed with the

@@ -54,11 +54,6 @@ class SvgScene:
             pts.append(pts[0])
         self._lines.append((pts, color, width, dashed))
 
-    def add_segment(self, a: complex, b: complex,
-                    color: str = SEGMENT_COLOR, width: float = 0.8,
-                    dashed: bool = False) -> None:
-        self.add_polyline([a, b], color=color, width=width, dashed=dashed)
-
     def add_dot(self, z: complex, color: str, radius: float = 2.5) -> None:
         z = complex(z)
         if abs(z) > COORD_CLIP:  # an infinite z too; a NaN one is kept
@@ -126,15 +121,13 @@ def reflection_scene(boundary, probes, reflections, mediatrix_lines=()) -> SvgSc
     scene = SvgScene()
     scene.add_polyline(boundary, color=BOUNDARY_COLOR, closed=True)
     for w, r in zip(np.asarray(probes), np.asarray(reflections)):
-        scene.add_segment(w, r)
+        scene.add_polyline([w, r], color=SEGMENT_COLOR, width=0.8)
     for point, tangent in mediatrix_lines:
         t = complex(tangent)
         t = t / abs(t)
-        scene.add_segment(
-            complex(point) - LINE_HALF_LENGTH * t,
-            complex(point) + LINE_HALF_LENGTH * t,
-            color=MEDIATRIX_COLOR, dashed=True, width=1.0,
-        )
+        scene.add_polyline([complex(point) - LINE_HALF_LENGTH * t,
+                            complex(point) + LINE_HALF_LENGTH * t],
+                           color=MEDIATRIX_COLOR, dashed=True, width=1.0)
     for w in np.asarray(probes):
         scene.add_dot(w, PROBE_COLOR, radius=2.0)
     for r in np.asarray(reflections):

@@ -11,6 +11,8 @@ under the collapse threshold that the strip-conjugate maps meet.
 import contextlib
 import io
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,7 +131,7 @@ def test_halfplane_reflection_is_line_mirror():
     sample = reflect(Halfplane(-1.0), 0.5 + 0.0j)
     assert abs(sample.w - 1.0) < 1e-12
     assert abs(sample.r - (-2.0)) < 1e-12
-    zs, ws, rs, _ = reflect_grid(Halfplane(-1.0), GridMeta(seed=0))
+    zs, ws, rs, _ = reflect_grid(Halfplane(-1.0), GridMeta())
     finite = ~np.array([is_infinite(r) for r in rs])
     mirror = -1.0 - np.conjugate(ws[finite])
     assert np.max(np.abs(rs[finite] - mirror)) < 1e-10
@@ -353,3 +355,16 @@ def test_catalog_command_passes_whole_suite():
     assert code == 0
     assert "all_passed = True" in out
     assert len(FIXTURE_EXPRS) == 8
+
+
+def test_readme_quickstart_prints_its_commented_values(capsys):
+    """The README's Python block runs, and each print shows the value its
+    `# value` comment names (the comment's first word, less a colon)."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    wanted = [line.split("#", 1)[1].split()[0].rstrip(":")
+              for line in block.splitlines() if line.startswith("print(")]
+    assert len(wanted) == 3
+    assert printed == wanted

@@ -376,10 +376,10 @@ def test_reprs_are_unchanged():
     assert {name: repr(expr) for name, expr in FIXTURE_EXPRS} == FIXTURE_REPRS
     assert repr(nested()) == ("Affine(inner=Koebe(inner=MobiusShift(inner=SectorReal(a=0.5)), "
                               "z0=(0.3+0.2j)), A=(2+0j), B=-1j)")
-    grid = GridMeta(rings=(0.5, 0.9), angles=128, seed=7)
-    assert repr(grid) == "GridMeta(rings=(0.5, 0.9), angles=128, seed=7)"
+    grid = GridMeta(rings=(0.5, 0.9), angles=128)
+    assert repr(grid) == "GridMeta(rings=(0.5, 0.9), angles=128)"
     report = CertReport(sup_estimate=1.5, arg_sup=0.25 - 0.5j, grid=grid, passed=True,
                         t_parameter=0.75, n_failed=0)
     assert repr(report) == (
         "CertReport(sup_estimate=1.5, arg_sup=(0.25-0.5j), grid=GridMeta(rings=(0.5, 0.9), "
-        "angles=128, seed=7), passed=True, t_parameter=0.75, n_failed=0)")
+        "angles=128), passed=True, t_parameter=0.75, n_failed=0)")

@@ -42,11 +42,12 @@ def test_refinement_stays_inside_the_radius_range_and_maximizes():
     def peak(r, t):
         return r + math.cos(t)
 
-    best, r, t = refine_on_grid(peak, 0.5, 0.01, peak(0.5, 0.01), 0.1, (0.4, 0.6),
-                                minimize=False)
+    # the refinement minimizes, so a maximum is refined as the least -peak
+    neg, r, t = refine_on_grid(lambda r, t: -peak(r, t), 0.5, 0.01, -peak(0.5, 0.01), 0.1,
+                               (0.4, 0.6))
     assert 0.4 <= r <= 0.6 and r > 0.59
     assert abs(t) < 1e-6
-    assert best == pytest.approx(peak(r, t))
+    assert -neg == pytest.approx(peak(r, t))
 
 
 def test_refinement_runs_at_least_one_pass():
@@ -86,11 +87,11 @@ def test_refinement_stops_once_the_brackets_collapse():
     assert t == 1.0 and abs(r - 0.37) < 1e-6
 
 
-def refine_pass_by_pass(fn, r, theta, best, dth, r_range, dr=1.0, passes=1, minimize=True):
+def refine_pass_by_pass(fn, r, theta, best, dth, r_range, dr=1.0, passes=1):
     """refine_on_grid run one pass per call, so every pass runs."""
     for k in range(max(passes, 1)):
         best, r, theta = refine_on_grid(fn, r, theta, best, dth / 8.0**k, r_range,
-                                        dr / 8.0**k, 1, minimize)
+                                        dr / 8.0**k, 1)
     return best, r, theta
 
 
@@ -115,8 +116,8 @@ def test_polar():
 def test_grid_meta_checks_every_construction():
     """Positional, keyword, default and replaced grids all pass through
     the same checks and normalization."""
-    grid = GridMeta((0.5, 0.9), 64, 3)
-    assert grid == GridMeta(rings=[0.5, 0.9], angles=64, seed=3)
+    grid = GridMeta((0.5, 0.9), 64)
+    assert grid == GridMeta(rings=[0.5, 0.9], angles=64)
     assert grid.rings == (0.5, 0.9) and isinstance(grid.rings, tuple)
     assert GridMeta(angles=128) == replace(GridMeta(), angles=128)
     for bad in (lambda: GridMeta((0.5, 0.4)), lambda: GridMeta(rings=()),

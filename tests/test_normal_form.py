@@ -32,7 +32,7 @@ from awr.expr import (
     StripShift,
 )
 from awr.nehari import certify_nehari
-from awr.parser import parse_expr
+from awr.parser import format_expr, parse_expr
 from awr.quasidisk import delta_f, koebe_omission_scan
 
 # Composites of the seed-3 composite-certify stream whose deep recentering
@@ -122,6 +122,31 @@ def test_mobius_values_at_infinity_pole_nan_and_finite_points(mob, special, imag
     for z, w in zip(special + finite, got):
         out = mob(z)
         assert np.ndim(out) == 0 and _same_point(out[()], w), (z, out, w)
+
+
+# Maps whose post is not affine, so post sends infinity to a finite a/c.
+NON_AFFINE_POSTS = (
+    "mobius-shift(sector(a=0.5))",
+    "mobius-of-strip(a=0.25+0i)",
+    "koebe(mobius-shift(disk(x=0.5)), z0=0.3+0.2i)",
+    "affine(mobius-shift(halfplane(c=0.6+0.8i)), a=2+1i, b=0+1i)",
+    "mobius-shift(strip-shift(x=0.7))",
+)
+
+
+@pytest.mark.parametrize("text", [format_expr(expr) for _, expr in FIXTURE_EXPRS]
+                         + ["mobius-shift(koebe(strip, z0=0.3+0i))", *NON_AFFINE_POSTS])
+def test_post_sends_infinity_where_at_infinity_says(text):
+    """One rule for "affine": post(inf) is at_infinity() on both paths.
+
+    a2 of koebe(strip, z0=0.3+0i) reads -5.55e-17 rather than 0, so its
+    shift's post has that c: it is affine, and sends infinity to
+    infinity, where it once went to a/c = -1.8e16."""
+    post = normal_form(parse_expr(text)).post
+    assert _same_point(post(INFINITY)[()], post.at_infinity())
+    assert _same_point(post(np.array([INFINITY, 1.0]))[0], post.at_infinity())
+    if text in NON_AFFINE_POSTS:
+        assert not post.is_affine and not is_infinite(post.at_infinity())
 
 
 def _unit(t):
