@@ -32,11 +32,13 @@ name bound here, a table or a default argument, so patching a module
 attribute (as the tests and bench/tracing.py do) reaches every call.
 
 Exit.  `run`, the entry of `python -m awr.cli` and the `awr` script,
-freezes the heap (`gc.freeze()`) once `main` returns, so the collections
-at shutdown skip the numpy and scan objects the process is about to
-discard (some 15% of a request that loads numpy); flushes, `atexit`
-and file closing run as usual.  `main` never freezes: the tests and the
-bench run many requests in one process, and their heaps stay collectable.
+sets OPENBLAS_NUM_THREADS=1 unless it is set (no scan calls BLAS, and an
+idle thread pool costs CPU), then freezes the heap (`gc.freeze()`) once
+`main` returns, so the collections at shutdown skip the numpy and scan
+objects the process is about to discard (some 15% of a request that
+loads numpy); flushes, `atexit` and file closing run as usual.  `main`
+does neither: the tests and the bench run many requests in one process,
+and their heaps stay collectable.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import argparse
 import csv
 import functools
 import gc
-import math
+import os
 import sys
 
 from .errors import AwrError, MapSyntaxError
@@ -76,10 +78,6 @@ PLOT_RADIUS = 0.995
 
 def _fmt_float(x: float) -> str:
     x = float(x)
-    if x != x:
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     if x == 0.0 or 1e-3 <= abs(x) < 1e7:
         return f"{x:.6f}"
     return f"{x:.6e}"
@@ -463,10 +461,9 @@ def main(argv=None) -> int:
         if args.convex:
             from . import catalog
 
-            spec = catalog.build_map(expr)
-            if not spec.convexity_certified:
-                _emit(head + [("convexity_certified", False),
-                              ("convexity_min", spec.convexity_min)])
+            certified, conv_min = catalog.validate_convexity(expr)
+            if not certified:
+                _emit(head + [("convexity_certified", False), ("convexity_min", conv_min)])
                 return 1
         passed, lines, rows, figure = args.fn(args, expr)
         _emit(head + lines)
@@ -484,7 +481,9 @@ def main(argv=None) -> int:
 
 
 def run(argv=None) -> int:
-    """`main` as a process entry: its exit code, with the heap frozen."""
+    """`main` as a process entry: its exit code, with one BLAS thread
+    unless the environment names a count, and the heap frozen."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     code = main(argv)
     gc.freeze()
     return code

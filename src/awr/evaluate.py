@@ -61,7 +61,7 @@ def sector_auto_params(a: complex) -> tuple[complex, float, complex]:
     c = -(1.0 - np.conj(a)) / (1.0 - a)
     beta = (1.0 - abs(a) ** 2) / (2.0 * (1.0 - a.real))
     b = 1.0 / (a * c - 1.0)
-    return complex(c), float(beta.real if isinstance(beta, complex) else beta), complex(b)
+    return complex(c), beta, complex(b)
 
 
 def _pow_jet(w: Jet3, p: float) -> Jet3:
@@ -227,8 +227,9 @@ class Mobius(Record):
 
     @property
     def is_affine(self) -> bool:
-        scale = max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
-        return abs(self.c) <= 1e-13 * scale
+        # The pole -d/c lies beyond 1e13.  c and d alone decide it, so an
+        # affine map composed after (koebe, affine) never changes the answer.
+        return abs(self.c) <= 1e-13 * abs(self.d)
 
     def pole(self):
         """Preimage of infinity."""

@@ -95,8 +95,6 @@ class Jet3(Record):
             )
         return Jet3(self.f0 + other, self.f1, self.f2, self.f3, self.at)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Jet3(-self.f0, -self.f1, -self.f2, -self.f3, self.at)
 
@@ -118,8 +116,6 @@ class Jet3(Record):
             self.f0 * other, self.f1 * other, self.f2 * other, self.f3 * other, self.at
         )
 
-    __rmul__ = __mul__
-
     def invert(self) -> "Jet3":
         """Jet of 1/f at the same base point."""
         w = nonzero(self.f0, self.at, "division by zero value at base point {}")
@@ -140,10 +136,8 @@ class Jet3(Record):
             self.at,
         )
 
-    def __truediv__(self, other):
-        if isinstance(other, Jet3):
-            return self * other.invert()
-        return self * (1.0 / other)
+    def __truediv__(self, other: "Jet3"):
+        return self * other.invert()
 
     def compose(self, inner: "Jet3") -> "Jet3":
         """Jet of self o inner.  ``self`` must be based at ``inner.f0``."""

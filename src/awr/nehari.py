@@ -47,15 +47,14 @@ class CertReport(Record):
     n_failed: int
 
 
-def certify_nehari(expr: MapExpr, meta: GridMeta = None) -> CertReport:
+def certify_nehari(expr: MapExpr,
+                   meta: GridMeta = GridMeta(rings=CERT_RINGS, angles=CERT_ANGLES)) -> CertReport:
     """Certify sup (1 - |z|^2)^2 |Sf| <= 2 on a refined polar grid.
 
     The raw grid count of violations is kept separately from the
     refined supremum: a passing map has both n_failed = 0 and the
     refined value at most 2 + 1e-9.
     """
-    if meta is None:
-        meta = GridMeta(rings=CERT_RINGS, angles=CERT_ANGLES)
     pts = grid_points(meta)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.asarray(nehari_functional(expr, pts), dtype=float)

@@ -71,13 +71,12 @@ class NormalizedSup(Record):
     interior_ok: bool
 
 
-def normalized_sup(expr: MapExpr, meta: GridMeta = None) -> NormalizedSup:
+def normalized_sup(expr: MapExpr,
+                   meta: GridMeta = GridMeta(rings=NORM_RINGS, angles=NORM_ANGLES)) -> NormalizedSup:
     """Sup over a grid of |a2 f*|; trivially 0 when a2 = 0."""
     a2 = taylor(expr)[1]
     if abs(a2) < A2_ZERO_TOL:
         return NormalizedSup(sup=0.0, arg=0j, interior_ok=True)
-    if meta is None:
-        meta = GridMeta(rings=NORM_RINGS, angles=NORM_ANGLES)
     pts = grid_points(meta)
     vals = np.abs(a2 * normalize_values(expr, pts))
     i, j = np.unravel_index(int(np.nanargmax(vals)), vals.shape)
@@ -145,7 +144,7 @@ class DeltaReport(Record):
 def _omitted_distance(a2: complex):
     """f values -> their distances to -1/a2, chordal to infinity when a2 = 0."""
     if abs(a2) < A2_ZERO_TOL:
-        return lambda f: np.asarray(chordal(f, INFINITY), dtype=float).reshape(np.shape(f))
+        return lambda f: chordal(f, INFINITY)
     return lambda f: np.abs(f + 1.0 / a2)
 
 
@@ -156,7 +155,8 @@ def _polar_score(expr: MapExpr, score):
     return fn
 
 
-def delta_f(expr: MapExpr, grid: GridMeta = None, passes: int = DEFAULT_PASSES) -> DeltaReport:
+def delta_f(expr: MapExpr, grid: GridMeta = GridMeta(rings=DELTA_RINGS, angles=DELTA_ANGLES),
+            passes: int = DEFAULT_PASSES) -> DeltaReport:
     """Inf of the omitted-value distance with boundary-deep refinement.
 
     The coarse grid is refined two ways and the smaller value wins: a
@@ -169,8 +169,6 @@ def delta_f(expr: MapExpr, grid: GridMeta = None, passes: int = DEFAULT_PASSES) 
     check_passes(passes)
     a2 = taylor(expr)[1]
     metric = CHORDAL if abs(a2) < A2_ZERO_TOL else EUCLIDEAN
-    if grid is None:
-        grid = GridMeta(rings=DELTA_RINGS, angles=DELTA_ANGLES)
     pts = grid_points(grid)
     dist = _omitted_distance(a2)
     vals = dist(jet_eval(expr, pts).f0)

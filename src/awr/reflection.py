@@ -45,7 +45,6 @@ class ReflectionSample(Record):
 
 def local_b2(j: Jet3, z) -> complex:
     """(1 - |z|^2) f''/(2 f') - conj(z) from a jet of f at z."""
-    z = np.asarray(z) if not np.isscalar(z) else z
     return (1.0 - np.abs(z) ** 2) * j.f2 / (2.0 * j.f1) - np.conjugate(z)
 
 

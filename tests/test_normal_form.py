@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from awr.catalog import BOUNDED, FIXTURE_EXPRS, boundedness_hint, build_map
@@ -190,6 +190,8 @@ def _build(leaf, layers):
 
 @settings(max_examples=150, deadline=None)
 @given(LEAVES, LAYERS, st.one_of(KOEBE, AFFINE))
+# post's c is 1.7e-13 against a = d = 1; scaling a by 2 once made it "affine"
+@example(Strip(), [("K", 1e-13 * _unit(1.0)), ("M",)], ("A", (2.0 + 0j, 0j)))
 def test_boundedness_is_invariant_under_koebe_and_affine(leaf, layers, extra):
     expr = _build(leaf, layers)
     hint = boundedness_hint(normal_form(expr))

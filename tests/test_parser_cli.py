@@ -116,6 +116,19 @@ def test_syntax_error_carries_offset():
     assert info.value.offset == len("disk(x=0.5) ")
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("disk(x=)", "expected a number", 7),
+    ("koebe(z0=0.3+0i, strip)", "inner map must be the first argument", 17),
+])
+def test_refusal_names_its_offset(text, message, offset):
+    """A key with no number, and an inner map after a parameter, are refused
+    at the offending character."""
+    with pytest.raises(MapSyntaxError) as info:
+        parse_expr(text)
+    assert info.value.offset == offset
+    assert str(info.value) == f"{message} (at offset {offset})"
+
+
 def test_unknown_name():
     with pytest.raises(UnknownName):
         parse_expr("wedge(a=0.5)")
@@ -602,6 +615,36 @@ def test_only_the_process_entry_freezes_the_heap():
     codes, (after_main, after_run) = json.loads(fresh_python(code))
     assert codes == [0, 0]
     assert after_main == 0 and after_run > 0
+
+
+# run loads numpy (through a patched main) with the variable as the script
+# leaves it, and reports the thread count and the variable's value
+BLAS_SCRIPT = """
+import json, os, sys
+from awr import cli
+
+def main(argv=None):
+    import numpy  # noqa: F401
+    return len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+
+cli.main = main
+threads = cli.run([])
+print(json.dumps([threads, os.environ.get("OPENBLAS_NUM_THREADS")]), file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc thread list")
+def test_process_entry_starts_one_blas_thread():
+    """With OPENBLAS_NUM_THREADS unset, run caps the pool before numpy loads:
+    the process holds its main thread alone."""
+    code = "import os\nos.environ.pop('OPENBLAS_NUM_THREADS', None)\n" + BLAS_SCRIPT
+    assert json.loads(fresh_python(code)) == [1, "1"]
+
+
+def test_process_entry_keeps_a_set_blas_thread_count():
+    """A thread count the environment names is left as it is."""
+    code = "import os\nos.environ['OPENBLAS_NUM_THREADS'] = '2'\n" + BLAS_SCRIPT
+    assert json.loads(fresh_python(code))[1] == "2"
 
 
 # Import scope: a request is one short process, so each subcommand loads
