@@ -23,7 +23,8 @@ unwritable output path, or a request the map cannot support).
 
 Imports.  A request is one short process, so importing this module
 loads only the parser, the grids (every default grid and cap the flags
-name) and the error types: `build_parser` and every usage error need no
+name; --rings and --angles default, in argparse itself, to the scan's
+own grid) and the error types: `build_parser` and every usage error need no
 scan, and an ill-posed request exits 2 without loading numpy.  Each
 command imports the scan modules it runs when it runs (the reflect rows
 and the figures import numpy themselves), and calls each library
@@ -84,11 +85,7 @@ def _fmt_float(x: float) -> str:
 
 
 def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, str):
-        return v
-    if isinstance(v, int):
+    if isinstance(v, (str, int)):  # bool is an int
         return str(v)
     if isinstance(v, complex):
         return format_complex(v)
@@ -134,14 +131,9 @@ def _write_csv(path: str, rows) -> None:
         writer.writerows(_cells(row) for row in rows)
 
 
-def _grid(args, raw=False):
-    """The grid of the --rings and --angles flags, the command's fallback
-    (the scan's own default grid) filling in a missing one: a GridMeta,
-    or with raw the unvalidated (rings, angles)."""
-    rings, angles = args.grid_fallback
-    rings = rings if args.rings is None else args.rings
-    angles = angles if args.angles is None else args.angles
-    return (rings, angles) if raw else GridMeta(rings=rings, angles=angles)
+def _grid(args):
+    """The validated grid of the --rings and --angles flags."""
+    return GridMeta(rings=args.rings, angles=args.angles)
 
 
 def _rings_list(text: str):
@@ -307,7 +299,7 @@ def _cmd_delta(args, expr):
 def _cmd_quasidisk(args, expr):
     from . import quasidisk
 
-    rings, angles = _grid(args, raw=True)
+    rings, angles = args.rings, args.angles
     profile = quasidisk.quasidisk_ratio_scan(expr, rings=rings, angles=angles)
     lines = [(f"inf_ratio[{_fmt_float(ring)}]", ratio)
              for ring, ratio in zip(profile.rings, profile.inf_ratio_per_ring)]
@@ -383,11 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--map", required=True,
                            help="map expression, e.g. 'koebe(strip, z0=0.7+0i)'")
         if grid:
-            # (rings, angles) filling in for a missing --rings or --angles
-            p.set_defaults(grid_fallback=grid)
-            p.add_argument("--rings", type=_rings_list, default=None,
+            # the scan's own grid; argparse converts only string defaults
+            p.add_argument("--rings", type=_rings_list, default=grid[0],
                            help="comma-separated ring radii in [0,1)")
-            p.add_argument("--angles", type=int, default=None,
+            p.add_argument("--angles", type=int, default=grid[1],
                            help="angle count per ring")
         if z:
             p.add_argument("--z", type=_complex_arg, default=None,
@@ -452,10 +443,9 @@ def main(argv=None) -> int:
     if getattr(args, "svg_required", False) and args.svg is None:
         parser.error("svg needs --svg PATH")
     try:
-        if hasattr(args, "grid_fallback"):
+        if hasattr(args, "rings"):
             # refuse an oversized grid before any command allocates it
-            rings, angles = _grid(args, raw=True)
-            check_grid_size(len(rings), angles)
+            check_grid_size(len(args.rings), args.angles)
         expr = None if args.map is None else parse_expr(args.map)
         head = [("map", format_expr(expr))] if args.map_line else []
         if args.convex:

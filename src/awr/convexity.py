@@ -27,7 +27,7 @@ from .errors import BadParam, CoincidentPoints, DegenerateDomain
 from .evaluate import jet_eval, taylor, value
 from .expr import MapExpr
 from .extended import is_infinite
-from .grids import DEFAULT_ZETAS, GridMeta, polar, refine_on_grid, ring_points
+from .grids import DEFAULT_ZETAS, R_CAP, GridMeta, polar, refine_on_grid, ring_points
 from .jets import Jet3
 from .record import Record
 from .reflection import reflect_grid
@@ -308,13 +308,12 @@ def mediatrix_scan(expr: MapExpr, base_radii: int = 16, base_angles: int = 64) -
 
 COEFF_RINGS = (0.3, 0.6, 0.9, 0.99, 0.999, 0.9999)
 COEFF_ANGLES = 2048
-COEFF_R_CAP = 1.0 - 1e-7
 
 
 class CoefficientReport(Record):
     """Worst cases of the second-coefficient functional scan.
 
-    inf_lhs refines inf Re(a2 f) with radii allowed up to COEFF_R_CAP,
+    inf_lhs refines inf Re(a2 f) with radii allowed up to R_CAP,
     since the infimum is attained only on the boundary.  The residual
     field is the pointwise slack of the strengthened bound
 
@@ -348,7 +347,7 @@ def coefficient_bound_scan(expr: MapExpr) -> CoefficientReport:
     def lhs_at(r, t):
         return float(np.real(a2 * value(expr, np.asarray([polar(r, t)]))[0]))
 
-    r_hi = rings[i + 1] if i + 1 < len(rings) else COEFF_R_CAP
+    r_hi = rings[i + 1] if i + 1 < len(rings) else R_CAP
     best_v, best_r, best_th = refine_on_grid(
         lhs_at, rings[i], 2.0 * np.pi * j / angles, float(lhs_all[i, j]),
         2.0 * np.pi / angles, (rings[max(i - 1, 0)], r_hi),

@@ -30,10 +30,9 @@ import math
 
 import numpy as np
 
-from .errors import BadParam, ConsistencyError
+from .errors import ConsistencyError
 from .evaluate import NormalForm, normal_form
 from .expr import MapExpr, Strip
-from .grids import MAX_PASSES
 from .record import Record
 
 LN2 = float(np.log(2.0))
@@ -46,12 +45,6 @@ BASE_EXPONENT = 4.0
 def pass_exponent(k: int) -> float:
     """Depth exponent for refinement pass k (pass 0 is the plain grid)."""
     return BASE_EXPONENT * (8.0 ** k)
-
-
-def check_passes(passes: int) -> None:
-    """Refuse more than MAX_PASSES refinement passes."""
-    if passes > MAX_PASSES:
-        raise BadParam(f"{passes} refinement passes exceed the cap of {MAX_PASSES}")
 
 
 def strip_structure(expr: MapExpr):

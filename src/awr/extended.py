@@ -50,10 +50,6 @@ def chordal(u, v):
             np.where(v_inf, 2.0 / su, 2.0 * np.abs(u_fin - v_fin) / (su * sv)),
         ),
     )
-    # NaN payloads survive the masking above only on the finite branch;
-    # reinstate them explicitly so callers can filter.
-    nan_mask = (np.isnan(u) & np.logical_not(u_inf)) | (np.isnan(v) & np.logical_not(v_inf))
-    out = np.where(nan_mask, np.nan, out)
     if out.ndim == 0:
         return float(out)
     return out.astype(float)

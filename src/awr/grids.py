@@ -60,6 +60,13 @@ DEFAULT_A_LIST = (0.25, 0.01, 0.25j)  # quasidisk.lemma32_demo
 MAX_PASSES = 64
 DEFAULT_PASSES = 3  # quasidisk.delta_f and koebe_omission_scan
 
+
+def check_passes(passes: int) -> None:
+    """Refuse more than MAX_PASSES refinement passes."""
+    if passes > MAX_PASSES:
+        raise BadParam(f"{passes} refinement passes exceed the cap of {MAX_PASSES}")
+
+
 # Cap on rings x angles.  The largest built-in grid has 5 x 4096 points;
 # the cap leaves room for finer user grids while bounding the memory a
 # single scan can ask for.
@@ -149,6 +156,9 @@ def golden_section(fn, lo: float, hi: float, iters: int = 48):
             d = a + GOLDEN * (b - a)
             fd = val(d)
     return (c, fc) if fc <= fd else (d, fd)
+
+
+R_CAP = 1.0 - 1e-7  # radius cap of every refinement that runs toward the unit circle
 
 
 def refine_on_grid(fn, r: float, theta: float, best: float, dth: float, r_range,

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .catalog import A2_ZERO_TOL, UNBOUNDED, boundedness_hint
-from .deepscan import check_passes, deep_min, strip_structure
+from .deepscan import deep_min, strip_structure
 from .errors import DegenerateDomain, PoleInDomain
 from .evaluate import jet_eval, normal_form, taylor
 from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
@@ -33,9 +33,11 @@ from .grids import (
     DELTA_RINGS,
     NORM_ANGLES,
     NORM_RINGS,
+    R_CAP,
     RATIO_ANGLES,
     RATIO_RINGS,
     GridMeta,
+    check_passes,
     grid_points,
     polar,
     refine_on_grid,
@@ -48,7 +50,6 @@ CLIP_RADIUS = 1e6
 COLLAPSE_THRESHOLD = 0.05
 EUCLIDEAN = "euclidean"
 CHORDAL = "chordal"
-R_CAP = 1.0 - 1e-7
 CLUSTER_RING = 0.9999  # near_one_clusters samples this ring at CLUSTER_ANGLES angles
 CLUSTER_ANGLES = 4096
 
@@ -142,10 +143,10 @@ class DeltaReport(Record):
 
 
 def _omitted_distance(a2: complex):
-    """f values -> their distances to -1/a2, chordal to infinity when a2 = 0."""
+    """(metric, f values -> their distances to -1/a2), chordal when a2 = 0."""
     if abs(a2) < A2_ZERO_TOL:
-        return lambda f: chordal(f, INFINITY)
-    return lambda f: np.abs(f + 1.0 / a2)
+        return CHORDAL, lambda f: chordal(f, INFINITY)
+    return EUCLIDEAN, lambda f: np.abs(f + 1.0 / a2)
 
 
 def _polar_score(expr: MapExpr, score):
@@ -167,10 +168,8 @@ def delta_f(expr: MapExpr, grid: GridMeta = GridMeta(rings=DELTA_RINGS, angles=D
     value sits on the boundary.
     """
     check_passes(passes)
-    a2 = taylor(expr)[1]
-    metric = CHORDAL if abs(a2) < A2_ZERO_TOL else EUCLIDEAN
+    metric, dist = _omitted_distance(taylor(expr)[1])
     pts = grid_points(grid)
-    dist = _omitted_distance(a2)
     vals = dist(jet_eval(expr, pts).f0)
     i, j = np.unravel_index(int(np.nanargmin(vals)), vals.shape)
     best = float(vals[i, j])
@@ -204,7 +203,6 @@ class BoundaryPolyline(Record):
 
     points: np.ndarray
     kept: np.ndarray
-    clipped: bool
 
     def segments(self):
         """Endpoint arrays of segments joining consecutive kept points."""
@@ -238,10 +236,7 @@ def boundary_polyline(expr: MapExpr, n: int = 8192, r: float = 0.999975) -> Boun
         keep[kept_idx[1:][same]] = False
     if int(np.sum(keep)) < 2:
         raise DegenerateDomain("boundary polyline collapsed")
-    return BoundaryPolyline(
-        points=vals, kept=keep,
-        clipped=bool(np.any(~keep & np.isfinite(vals)) or np.any(~finite)),
-    )
+    return BoundaryPolyline(points=vals, kept=keep)
 
 
 class RatioProfile(Record):

@@ -135,13 +135,14 @@ def reflection_scene(boundary, probes, reflections, mediatrix_lines=()) -> SvgSc
     return scene
 
 
-def ratio_scene(boundary, probes, reflections, ratios) -> SvgScene:
-    """Boundary plus reflected points whose red shade encodes the ratio."""
+def ratio_scene(boundary, probes, reflections, shades) -> SvgScene:
+    """Boundary plus reflected points, each red by its finite shade value
+    scaled to the shades' range (`awr quasidisk` shades by |R_w - w|)."""
     scene = SvgScene()
     scene.add_polyline(boundary, color=BOUNDARY_COLOR, closed=True)
-    ratios = np.asarray(ratios, dtype=float)
-    keep = np.isfinite(ratios)
-    finite = ratios[keep]
+    shades = np.asarray(shades, dtype=float)
+    keep = np.isfinite(shades)
+    finite = shades[keep]
     lo = float(finite.min()) if finite.size else 0.0
     hi = float(finite.max()) if finite.size else 1.0
     spread = max(hi - lo, 1e-12)

@@ -5,7 +5,9 @@ once on the standard certification grid and are pinned with loose
 brackets so grid tweaks that preserve correctness do not break them.
 """
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from awr.catalog import (
     build_map,
 )
 from awr.errors import ParamOutOfRange
-from awr.evaluate import _koebe_scalars, jet_eval, sector_auto_params, taylor
+from awr.evaluate import _koebe_scalars, jet_eval, normal_form, sector_auto_params, taylor
 from awr.expr import (
     Affine,
     Disk,
@@ -357,6 +359,19 @@ def test_records_take_fields_by_position_or_keyword():
         replace(Disk(0.5), x=2.0)
     with pytest.raises(ParamOutOfRange):
         Koebe(z0=1.0, inner=Strip())
+
+
+@pytest.mark.parametrize("build", [nested, GridMeta, lambda: normal_form(nested())],
+                         ids=["MapExpr", "GridMeta", "NormalForm"])
+def test_records_copy_and_pickle_through_the_constructor(build):
+    """Copies and pickles rebuild a record from its field values, also
+    after its hash has filled the frozen slot."""
+    record = build()
+    h = hash(record)
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record)
+        assert twin == record and hash(twin) == h
 
 
 # the reprs the nodes have always printed

@@ -360,7 +360,8 @@ def test_grid_fallback_is_the_scan_default():
     for command, default in (("certify", (CERT_RINGS, CERT_ANGLES)),
                              ("normalize", (NORM_RINGS, NORM_ANGLES)),
                              ("delta", (DELTA_RINGS, DELTA_ANGLES))):
-        assert parser.parse_args([command, "--map", "identity"]).grid_fallback == default
+        args = parser.parse_args([command, "--map", "identity"])
+        assert (args.rings, args.angles) == default
 
 
 def test_exit_zero_on_passing_fixtures():
@@ -404,6 +405,19 @@ def test_exit_two_on_usage_errors(tmp_path, monkeypatch):
     code, _, err = run(["quasidisk", "--map", "strip"])
     assert code == 2
     assert "DegenerateDomain" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["certify", "--map", "identity", "--rings", "0.5,abc"], "bad ring list"),
+    (["delta", "--map", "disk(x=0.5)", "--passes", "x"], "bad pass count"),
+    (["reflect", "--map", "identity", "--z", "1+i"], "bad number literal"),
+])
+def test_malformed_flag_values_exit_two(argv, message):
+    """A ring list, pass count or probe point that does not parse is
+    refused by argparse itself."""
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 @pytest.mark.parametrize("command", ["delta", "omission-scan"])
@@ -504,7 +518,8 @@ def test_grid_cap_sits_above_every_builtin_grid():
     ]
     parser = cli.build_parser()
     for command in ("certify", "reflect", "normalize", "delta", "quasidisk", "svg"):
-        builtin.append(parser.parse_args([command, "--map", "identity"]).grid_fallback)
+        args = parser.parse_args([command, "--map", "identity"])
+        builtin.append((args.rings, args.angles))
     assert max(len(rings) * angles for rings, angles in builtin) < MAX_GRID_POINTS
 
 

@@ -149,7 +149,6 @@ def test_boundary_polyline_guards(catalog):
 def test_boundary_polyline_defaults(catalog):
     for name in ("identity", "halfplane", "strip"):
         poly = boundary_polyline(catalog[name].expr)
-        assert not poly.clipped, name
         assert poly.vertices().size == 8192, name
         seg_a, seg_b = poly.segments()
         assert seg_a.size == 8192
