@@ -69,6 +69,7 @@ from .grids import (
     RATIO_RINGS,
     GridMeta,
     check_grid_size,
+    check_passes,
 )
 from .parser import format_complex, format_expr, parse_complex, parse_expr
 
@@ -146,10 +147,9 @@ def _rings_list(text: str):
 def _passes_arg(text: str) -> int:
     try:
         passes = int(text)
-    except ValueError as err:
+        check_passes(passes)
+    except (ValueError, AwrError) as err:
         raise argparse.ArgumentTypeError(f"bad pass count {text!r}: {err}")
-    if passes < 0:
-        raise argparse.ArgumentTypeError(f"pass count must be >= 0, got {passes}")
     return passes
 
 

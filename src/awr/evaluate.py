@@ -43,7 +43,7 @@ from .expr import (
     StripShift,
 )
 from .extended import INFINITY, is_infinite
-from .jets import Jet3, _is_array, nonzero
+from .jets import Jet3, _is_array, mobius_jet, nonzero
 from .record import Record, replace
 
 # Each koebe_omission_scan caches one recentered node per base point (49),
@@ -96,17 +96,15 @@ def _jet(expr: MapExpr, z) -> Jet3:
         return Jet3.identity(z)
 
     if isinstance(expr, (Disk, Halfplane)):
+        # not mobius_jet: its det = 1 rounds halfplane(c=-1+0i)'s a2 to 1+0j, not 1-0j
         x = expr.x if isinstance(expr, Disk) else expr.c
         den = nonzero(1.0 + x * z, z, "mobius denominator vanishes at z = {}")
         d2 = den * den
         return Jet3(z / den, 1.0 / d2, -2.0 * x / (d2 * den), 6.0 * x * x / (d2 * d2), z)
 
     if isinstance(expr, SectorReal):
-        a = expr.a
-        om = nonzero(1.0 - z, z, "sector denominator vanishes at z = {}")
-        om2 = om * om
-        wj = Jet3((1.0 + z) / om, 2.0 / om2, 4.0 / (om2 * om), 12.0 / (om2 * om2), z)
-        return (_pow_jet(wj, a) - 1.0) * (0.5 / a)
+        wj = mobius_jet(z, 1.0 + z, 1.0 - z, -1.0, 2.0)
+        return (_pow_jet(wj, expr.a) - 1.0) * (0.5 / expr.a)
 
     if isinstance(expr, Strip):
         d = nonzero(1.0 - z * z, z, "strip denominator vanishes at z = {}")
@@ -122,15 +120,7 @@ def _jet(expr: MapExpr, z) -> Jet3:
 
     if isinstance(expr, SectorAuto):
         c, beta, b = sector_auto_params(expr.a)
-        den = nonzero(1.0 + c * z, z, "sector denominator vanishes at z = {}")
-        d2 = den * den
-        wj = Jet3(
-            (1.0 + z) / den,
-            (1.0 - c) / d2,
-            -2.0 * c * (1.0 - c) / (d2 * den),
-            6.0 * c * c * (1.0 - c) / (d2 * d2),
-            z,
-        )
+        wj = mobius_jet(z, 1.0 + z, 1.0 + c * z, c, 1.0 - c)
         return (_pow_jet(wj, beta) - 1.0) * (-b)
 
     if isinstance(expr, Koebe):
@@ -138,15 +128,7 @@ def _jet(expr: MapExpr, z) -> Jet3:
         fz0, fpz0 = _koebe_scalars(expr.inner, z0)
         zb = np.conj(z0)
         r2 = 1.0 - abs(z0) ** 2
-        den = 1.0 + zb * z
-        d2 = den * den
-        sj = Jet3(
-            (z + z0) / den,
-            r2 / d2,
-            -2.0 * zb * r2 / (d2 * den),
-            6.0 * zb * zb * r2 / (d2 * d2),
-            z,
-        )
+        sj = mobius_jet(z, z + z0, 1.0 + zb * z, zb, r2)
         fj = _jet(expr.inner, sj.f0)
         return (fj.compose(sj) - fz0) * (1.0 / (r2 * fpz0))
 
@@ -244,9 +226,10 @@ class Mobius(Record):
         return self.a / self.c
 
     def apply_jet(self, j: Jet3) -> Jet3:
-        num = j * self.a + Jet3.constant(self.b, j.at)
-        den = j * self.c + Jet3.constant(self.d, j.at)
-        return num / den
+        """Jet of self o j."""
+        w = j.f0
+        det = self.a * self.d - self.b * self.c
+        return mobius_jet(w, self.a * w + self.b, self.c * w + self.d, self.c, det).compose(j)
 
 
 class DiskAutomorphism(Record):

@@ -62,7 +62,9 @@ DEFAULT_PASSES = 3  # quasidisk.delta_f and koebe_omission_scan
 
 
 def check_passes(passes: int) -> None:
-    """Refuse more than MAX_PASSES refinement passes."""
+    """Refuse a negative pass count or more than MAX_PASSES passes."""
+    if passes < 0:
+        raise BadParam(f"pass count must be >= 0, got {passes}")
     if passes > MAX_PASSES:
         raise BadParam(f"{passes} refinement passes exceed the cap of {MAX_PASSES}")
 

@@ -34,6 +34,16 @@ def nonzero(den, at, message: str):
     return den
 
 
+def mobius_jet(at, num, den, c, det) -> "Jet3":
+    """Jet at ``at`` of the Mobius map w -> num/den, den = c w + d, whose
+    determinant is det: its derivatives are det/den^2, -2 c det/den^3 and
+    6 c^2 det/den^4, with den masked or refused by `nonzero`."""
+    den = nonzero(den, at, "mobius denominator vanishes at {}")
+    d2 = den * den
+    return Jet3(num / den, det / d2, -2.0 * c * det / (d2 * den),
+                6.0 * c * c * det / (d2 * d2), at)
+
+
 def _check_base(at, other, message: str) -> None:
     """Raise BasePointMismatch when finite entries of at and other differ by
     more than BASE_TOL; a NaN entry is a masked point, never a mismatch."""
@@ -76,11 +86,7 @@ class Jet3(Record):
 
     @staticmethod
     def constant(c, at) -> "Jet3":
-        if _is_array(at):
-            at = np.asarray(at, dtype=complex)
-            c = np.broadcast_to(np.asarray(c, dtype=complex), at.shape).copy()
-            zero = np.zeros_like(at)
-            return Jet3(c, zero, zero.copy(), zero.copy(), at)
+        """The jet of the constant c at a scalar base point."""
         return Jet3(complex(c), 0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, complex(at))
 
     def __add__(self, other):
@@ -119,22 +125,18 @@ class Jet3(Record):
     def invert(self) -> "Jet3":
         """Jet of 1/f at the same base point."""
         w = nonzero(self.f0, self.at, "division by zero value at base point {}")
-        if _is_array(w) or _is_array(self.at):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return self._reciprocal(w)
-        return self._reciprocal(w)
-
-    def _reciprocal(self, w) -> "Jet3":
-        # a scalar w is not cast to numpy: numpy's complex division rounds unlike Python's
-        u = 1.0 / w
-        u2 = u * u
-        return Jet3(
-            u,
-            -self.f1 * u2,
-            (2.0 * self.f1 * self.f1 * u - self.f2) * u2,
-            -self.f3 * u2 + 6.0 * self.f1 * self.f2 * u * u2 - 6.0 * self.f1**3 * u2 * u2,
-            self.at,
-        )
+        # a scalar w stays a Python complex (numpy's complex division rounds unlike
+        # Python's), and errstate does not touch Python arithmetic
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = 1.0 / w
+            u2 = u * u
+            return Jet3(
+                u,
+                -self.f1 * u2,
+                (2.0 * self.f1 * self.f1 * u - self.f2) * u2,
+                -self.f3 * u2 + 6.0 * self.f1 * self.f2 * u * u2 - 6.0 * self.f1**3 * u2 * u2,
+                self.at,
+            )
 
     def __truediv__(self, other: "Jet3"):
         return self * other.invert()

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -5,11 +6,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from awr.catalog import FIXTURE_EXPRS, build_map
 from awr.evaluate import Mobius, jet_eval
+from awr.expr import (
+    Disk,
+    Halfplane,
+    Identity,
+    MobiusOfStrip,
+    SectorAuto,
+    SectorReal,
+    Strip,
+    StripShift,
+)
 from awr.extended import chordal
-from awr.grids import grid_points
+from awr.grids import grid_points, polar
 from awr.reflection import jet_reflection
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -68,6 +80,34 @@ def disk_points(seed: int, n: int, rmax: float = 0.9) -> np.ndarray:
     r = rmax * np.sqrt(rng.uniform(0.0, 1.0, n))
     t = rng.uniform(0.0, 2.0 * np.pi, n)
     return r * np.exp(1j * t)
+
+
+# The hypothesis vocabulary of maps and disk points the property tests share.
+
+ANGLES = st.floats(0.0, 2.0 * math.pi)
+
+
+def annulus(rmin, rmax):
+    """Complex numbers with rmin <= |z| <= rmax."""
+    return st.tuples(st.floats(rmin, rmax), ANGLES).map(lambda p: polar(*p))
+
+
+# every leaf kind, with the parameter ranges the benchmark draws from
+LEAVES = st.one_of(
+    st.just(Identity()),
+    st.floats(-0.9, 0.9).map(Disk),
+    ANGLES.map(lambda t: Halfplane(polar(1.0, t))),
+    st.floats(0.1, 0.95).map(SectorReal),
+    annulus(0.0, 0.8).map(SectorAuto),
+    st.just(Strip()),
+    st.floats(0.05, 0.95).map(StripShift),
+    annulus(0.1, 1.0).map(MobiusOfStrip),
+)
+
+
+def leaf_point(nf, z):
+    """pre(z): the point of the leaf's disk that z stands for in the normal form nf."""
+    return nf.pre.lam * (z - nf.pre.a) / (1.0 - np.conj(nf.pre.a) * z)
 
 
 def random_mobius(rng: np.random.Generator) -> Mobius:

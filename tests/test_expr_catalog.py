@@ -6,13 +6,14 @@ brackets so grid tweaks that preserve correctness do not break them.
 """
 
 import copy
-import math
 import pickle
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+
+from conftest import ANGLES, LEAVES, annulus
 
 from awr.catalog import (
     BOUNDED,
@@ -35,7 +36,7 @@ from awr.expr import (
     Strip,
     StripShift,
 )
-from awr.grids import GridMeta, ring_points
+from awr.grids import GridMeta, polar, ring_points
 from awr.jets import Jet3
 from awr.nehari import CertReport
 from awr.record import fields, replace
@@ -201,26 +202,8 @@ def test_mobius_shift_boundedness():
     assert build_map(MobiusShift(MobiusOfStrip(0.25))).bounded_hint == UNBOUNDED
 
 
-def _polar(r, t):
-    return r * complex(math.cos(t), math.sin(t))
-
-
-angles = st.floats(0.0, 2.0 * math.pi)
-# every leaf kind, with the parameter ranges the benchmark draws from
-LEAVES = st.one_of(
-    st.just(Identity()),
-    st.floats(-0.9, 0.9).map(Disk),
-    angles.map(lambda t: Halfplane(_polar(1.0, t))),
-    st.floats(0.1, 0.95).map(SectorReal),
-    st.tuples(st.floats(0.0, 0.8), angles).map(lambda p: SectorAuto(_polar(*p))),
-    st.just(Strip()),
-    st.floats(0.05, 0.95).map(StripShift),
-    st.tuples(st.floats(0.1, 1.0), angles).map(lambda p: MobiusOfStrip(_polar(*p))),
-)
-
-
 @settings(max_examples=200, deadline=None)
-@given(LEAVES, st.tuples(st.floats(0.0, 0.95), angles).map(lambda p: _polar(*p)))
+@given(LEAVES, annulus(0.0, 0.95))
 def test_koebe_second_coefficient_is_the_local_b2(leaf, z0):
     """The Koebe transform at z0 has a2 = (1 - |z0|^2) f''(z0)/(2 f'(z0)) - conj(z0)."""
     want = local_b2(jet_eval(leaf, z0), z0)
@@ -230,7 +213,7 @@ def test_koebe_second_coefficient_is_the_local_b2(leaf, z0):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.tuples(st.floats(0.0, 0.95), angles).map(lambda p: _polar(*p)))
+@given(annulus(0.0, 0.95))
 def test_sector_auto_second_coefficient(a):
     """a2 = -a c + b c (1 - |a|^2)/2, and Re(a2 b) = -1/2: the bound is sharp."""
     c, _, b = sector_auto_params(a)
@@ -242,8 +225,8 @@ def test_sector_auto_second_coefficient(a):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(SectorReal),
-    st.tuples(st.floats(-12.0, 0.0), angles).map(
-        lambda p: SectorAuto(_polar(1.0 - 10.0 ** p[0], p[1]))),
+    st.tuples(st.floats(-12.0, 0.0), ANGLES).map(
+        lambda p: SectorAuto(polar(1.0 - 10.0 ** p[0], p[1]))),
 ))
 def test_sector_power_base_misses_the_branch_cut(leaf):
     """The power base w = (1 + z)/(1 + c z) of a sector leaf maps the disk onto

@@ -16,23 +16,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import LEAVES, annulus
+
 from awr import geometry, quasidisk
 from awr.catalog import FIXTURE_EXPRS
 from awr.errors import DegenerateDomain
 from awr.evaluate import jet_eval
-from awr.expr import (
-    Affine,
-    Disk,
-    Halfplane,
-    Identity,
-    Koebe,
-    MobiusOfStrip,
-    MobiusShift,
-    SectorAuto,
-    SectorReal,
-    Strip,
-    StripShift,
-)
+from awr.expr import Affine, Koebe, MobiusShift
 from awr.extended import is_infinite
 from awr.geometry import _BoxTree, cloud_distances, segment_distances
 from awr.grids import GridMeta
@@ -264,34 +254,15 @@ def test_ratio_scan_matches_oracle_on_fixtures(name, expr):
     assert got.inf_ratio_per_ring == oracle_inf_ratios(expr, RATIO_RINGS, angles)
 
 
-def _unit(t):
-    return complex(math.cos(t), math.sin(t))
-
-
-_ANGLES = st.floats(0.0, 2.0 * math.pi)
-_POINTS = st.tuples(st.floats(0.0, 0.97), _ANGLES).map(lambda p: p[0] * _unit(p[1]))
-# every leaf kind, with the parameter ranges the benchmark draws from
-_LEAVES = st.one_of(
-    st.just(Identity()),
-    st.floats(-0.9, 0.9).map(Disk),
-    _ANGLES.map(lambda t: Halfplane(_unit(t))),
-    st.floats(0.1, 0.95).map(SectorReal),
-    st.tuples(st.floats(0.0, 0.8), _ANGLES).map(lambda p: SectorAuto(p[0] * _unit(p[1]))),
-    st.just(Strip()),
-    st.floats(0.05, 0.95).map(StripShift),
-    st.tuples(st.floats(0.1, 1.0), _ANGLES).map(lambda p: MobiusOfStrip(p[0] * _unit(p[1]))),
-)
-
-
 @st.composite
 def composites(draw):
     """A leaf under up to three koebe, affine and mobius-shift layers."""
-    expr = draw(_LEAVES)
+    expr = draw(LEAVES)
     for kind in draw(st.lists(st.sampled_from("KAM"), max_size=3)):
         if kind == "K":
-            expr = Koebe(expr, draw(_POINTS))
+            expr = Koebe(expr, draw(annulus(0.0, 0.97)))
         elif kind == "A":
-            scale = draw(st.floats(0.2, 5.0)) * _unit(draw(_ANGLES))
+            scale = draw(annulus(0.2, 5.0))
             expr = Affine(expr, scale, complex(*draw(st.tuples(st.floats(-2.0, 2.0),
                                                                st.floats(-2.0, 2.0)))))
         else:

@@ -8,7 +8,7 @@ import pytest
 from awr import quasidisk
 from awr.catalog import FIXTURE_EXPRS
 from awr.errors import BadParam
-from awr.grids import GridMeta, grid_points, polar, refine_on_grid, ring_points
+from awr.grids import MAX_PASSES, GridMeta, grid_points, polar, refine_on_grid, ring_points
 from awr.record import replace
 
 
@@ -106,6 +106,14 @@ def test_collapsed_refinement_matches_every_pass_bitwise(name, passes, monkeypat
     want = [quasidisk.delta_f(expr, passes=passes),
             quasidisk.koebe_omission_scan(expr, passes=passes)]
     assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("scan", [quasidisk.delta_f, quasidisk.koebe_omission_scan])
+@pytest.mark.parametrize("passes", [-1, MAX_PASSES + 1])
+def test_scans_refuse_pass_counts_off_the_range(scan, passes):
+    """A negative count is refused like one over the cap, before any work."""
+    with pytest.raises(BadParam):
+        scan(dict(FIXTURE_EXPRS)["identity"], passes=passes)
 
 
 def test_polar():

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import LEAVES, annulus, leaf_point
+
 from awr.catalog import BOUNDED, FIXTURE_EXPRS, boundedness_hint, build_map
 from awr.deepscan import deep_min, strip_ends, strip_structure
 from awr.errors import CoincidentPoints
@@ -21,16 +23,14 @@ from awr.extended import INFINITY, is_infinite
 from awr.expr import (
     Affine,
     Disk,
-    Halfplane,
-    Identity,
     Koebe,
     MobiusOfStrip,
     MobiusShift,
     SectorAuto,
-    SectorReal,
     Strip,
     StripShift,
 )
+from awr.grids import polar
 from awr.nehari import certify_nehari
 from awr.parser import format_expr, parse_expr
 from awr.quasidisk import delta_f, koebe_omission_scan
@@ -149,26 +149,12 @@ def test_post_sends_infinity_where_at_infinity_says(text):
         assert not post.is_affine and not is_infinite(post.at_infinity())
 
 
-def _unit(t):
-    return complex(math.cos(t), math.sin(t))
-
-
-angles = st.floats(0.0, 2.0 * math.pi)
-LEAVES = st.one_of(
-    st.just(Identity()),
-    st.floats(-0.9, 0.9).map(Disk),
-    angles.map(lambda t: Halfplane(_unit(t))),
-    st.floats(0.1, 0.9).map(SectorReal),
-    st.tuples(st.floats(0.0, 0.8), angles).map(lambda p: SectorAuto(p[0] * _unit(p[1]))),
-    st.just(Strip()),
-    st.floats(0.1, 0.9).map(StripShift),
-    st.tuples(st.floats(0.1, 2.0), angles).map(lambda p: MobiusOfStrip(p[0] * _unit(p[1]))),
-)
+# the shared leaves, with mobius-of-strip's |a| reaching 2
+NF_LEAVES = st.one_of(LEAVES, annulus(1.0, 2.0).map(MobiusOfStrip))
 # ("K", z0) recenters, ("A", (A, B)) postcomposes an affine map, ("M",) shifts.
-KOEBE = st.tuples(st.just("K"), st.tuples(st.floats(0.0, 0.9), angles).map(
-    lambda p: p[0] * _unit(p[1])))
+KOEBE = st.tuples(st.just("K"), annulus(0.0, 0.9))
 AFFINE = st.tuples(st.just("A"), st.tuples(
-    st.tuples(st.floats(0.2, 5.0), angles).map(lambda p: p[0] * _unit(p[1])),
+    annulus(0.2, 5.0),
     st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(lambda p: complex(*p))))
 LAYERS = st.lists(st.one_of(KOEBE, AFFINE, st.just(("M",))), max_size=3)
 
@@ -189,9 +175,9 @@ def _build(leaf, layers):
 
 
 @settings(max_examples=150, deadline=None)
-@given(LEAVES, LAYERS, st.one_of(KOEBE, AFFINE))
+@given(NF_LEAVES, LAYERS, st.one_of(KOEBE, AFFINE))
 # post's c is 1.7e-13 against a = d = 1; scaling a by 2 once made it "affine"
-@example(Strip(), [("K", 1e-13 * _unit(1.0)), ("M",)], ("A", (2.0 + 0j, 0j)))
+@example(Strip(), [("K", polar(1e-13, 1.0)), ("M",)], ("A", (2.0 + 0j, 0j)))
 def test_boundedness_is_invariant_under_koebe_and_affine(leaf, layers, extra):
     expr = _build(leaf, layers)
     hint = boundedness_hint(normal_form(expr))
@@ -205,17 +191,16 @@ def test_boundedness_is_invariant_under_koebe_and_affine(leaf, layers, extra):
 
 
 @settings(max_examples=150, deadline=None)
-@given(LEAVES, LAYERS, st.tuples(st.floats(0.0, 0.9), angles))
+@given(NF_LEAVES, LAYERS, annulus(0.0, 0.9))
 def test_normal_form_reproduces_the_map(leaf, layers, probe):
     expr = _build(leaf, layers)
     nf = normal_form(expr)
-    z = np.array([probe[0] * _unit(probe[1])])
+    z = np.array([probe])
     f = jet_eval(expr, z).f0[0]
     # A mobius-shift may put a pole of post on or inside the image; next
     # to it both routes lose all relative accuracy, so such points are out.
     assume(np.isfinite(f) and abs(f) < 1e6)
-    pre = nf.pre.lam * (z - nf.pre.a) / (1.0 - np.conj(nf.pre.a) * z)
-    g = nf.post(jet_eval(nf.leaf, pre).f0)[0]
+    g = nf.post(jet_eval(nf.leaf, leaf_point(nf, z)).f0)[0]
     # Each route rounds every layer once; the error is eps times the
     # product of the layers' condition numbers.  With |z|, |z0| <= 0.9
     # and at most three layers, |pre(z)| stays about 1e-4 inside the

@@ -21,7 +21,7 @@ from awr.catalog import CONVEXITY_ANGLES, CONVEXITY_RINGS
 from awr.convexity import COEFF_ANGLES, COEFF_RINGS
 from awr.extended import is_infinite
 from awr.expr import NODES, Disk, Identity, Koebe, MapExpr, SectorAuto, Strip, StripShift
-from awr.grids import DEFAULT_ANGLES, DEFAULT_RINGS, MAX_GRID_POINTS, MAX_PASSES, GridMeta
+from awr.grids import DEFAULT_ANGLES, DEFAULT_RINGS, MAX_GRID_POINTS, MAX_PASSES, GridMeta, polar
 from awr.nehari import CERT_ANGLES, CERT_RINGS
 from awr.parser import format_complex, format_expr, parse_complex, parse_expr
 from awr.quasidisk import (
@@ -258,8 +258,7 @@ def test_every_node_refuses_bad_arguments(name, kind, text):
 
 
 def _unit_times(radius):
-    return st.tuples(radius, st.floats(-math.pi, math.pi)).map(
-        lambda p: p[0] * complex(math.cos(p[1]), math.sin(p[1])))
+    return st.tuples(radius, st.floats(-math.pi, math.pi)).map(lambda p: polar(*p))
 
 
 NODE_VALUES = {

@@ -42,11 +42,18 @@ from awr.expr import (
     StripShift,
 )
 from awr.extended import chordal, is_infinite
-from awr.grids import GridMeta, grid_points
+from awr.grids import GridMeta, polar
 from awr.reflection import extend, local_b2, reflect, reflect_grid
 from awr.evaluate import jet_eval, normal_form, sector_auto_params
 
-from conftest import disk_points, mobius_equivariance_check, random_mobius
+from conftest import (
+    ANGLES,
+    annulus,
+    disk_points,
+    leaf_point,
+    mobius_equivariance_check,
+    random_mobius,
+)
 
 
 def test_identity_reflection_is_inversion():
@@ -156,6 +163,9 @@ def test_mobius_compose_inverse_is_identity(seed):
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_mobius_apply_jet_matches_pointwise(seed):
+    """apply_jet's closed-form Mobius derivatives against the quotient rule
+    (j a + b)/(j c + d) in jet arithmetic, on every field; f0 also
+    against the pointwise map."""
     rng = np.random.default_rng(seed)
     m = random_mobius(rng)
     zs = disk_points(seed % 500, 30, rmax=0.9)
@@ -164,6 +174,10 @@ def test_mobius_apply_jet_matches_pointwise(seed):
     direct = m(j.f0)
     ok = np.isfinite(direct)
     assert np.max(np.abs(applied.f0 - direct)[ok]) < 1e-10
+    quotient = (j * m.a + m.b) / (j * m.c + m.d)
+    for field in ("f0", "f1", "f2", "f3"):
+        got, want = getattr(applied, field), getattr(quotient, field)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(np.abs(got), np.abs(want))), field
 
 
 @pytest.mark.parametrize("name,expr", FIXTURE_EXPRS)
@@ -190,30 +204,18 @@ def test_chordal_metric_handles_infinity():
 EPS = sys.float_info.epsilon
 
 
-def _unit(t):
-    return complex(math.cos(t), math.sin(t))
-
-
-angles = st.floats(0.0, 2.0 * math.pi)
-
-
-def _polar(rmin, rmax):
-    """Complex numbers with rmin <= |z| <= rmax."""
-    return st.tuples(st.floats(rmin, rmax), angles).map(lambda p: p[0] * _unit(p[1]))
-
-
-PROBES = _polar(0.0, 0.999)
+PROBES = annulus(0.0, 0.999)
 # A layer that keeps post affine: a recentering or an affine map.
 LAYER = st.one_of(
-    _polar(0.0, 0.9).map(lambda z0: ("koebe", z0)),
-    st.tuples(_polar(0.2, 5.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
+    annulus(0.0, 0.9).map(lambda z0: ("koebe", z0)),
+    st.tuples(annulus(0.2, 5.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
         lambda p: ("affine", p[0], complex(p[1], p[2]))),
 )
 ONE_LAYER = st.one_of(st.none(), LAYER)
 # A sector leaf with its vertex, the image of z = -1.
 SECTORS = st.one_of(
     st.floats(0.1, 0.9).map(lambda a: (SectorReal(a), -0.5 / a)),
-    _polar(0.0, 0.8).map(lambda a: (SectorAuto(a), sector_auto_params(a)[2])),
+    annulus(0.0, 0.8).map(lambda a: (SectorAuto(a), sector_auto_params(a)[2])),
 )
 
 
@@ -225,9 +227,10 @@ def _wrap(leaf, layer):
     return Affine(leaf, *layer[1:])
 
 
-def _leaf_point(nf, z):
-    """pre(z): the point of the leaf's disk that z stands for."""
-    return nf.pre.lam * (z - nf.pre.a) / (1.0 - np.conj(nf.pre.a) * z)
+def _disk_point(nf, t):
+    """pre^-1(t): the disk point that stands for the leaf's point t."""
+    u = t / nf.pre.lam
+    return (u + nf.pre.a) / (1.0 + np.conj(nf.pre.a) * u)
 
 
 def _tol(base, *points):
@@ -253,16 +256,16 @@ def test_every_sector_mediatrix_passes_through_the_vertex(sector, layer, z):
     v = complex(nf.post(vertex)[()])
     s = reflect(expr, z)
     gap = abs(abs(s.r - v) - abs(s.w - v))
-    assert gap <= _tol(1e-12, z, _leaf_point(nf, z)) * abs(s.w - v), (expr, z, gap)
+    assert gap <= _tol(1e-12, z, leaf_point(nf, z)) * abs(s.w - v), (expr, z, gap)
 
 
 @settings(max_examples=200, deadline=None)
-@given(angles, ONE_LAYER, PROBES)
+@given(ANGLES, ONE_LAYER, PROBES)
 def test_half_plane_midpoints_lie_on_the_edge(t, layer, z):
     """z/(1 + c z) maps |z| = 1 onto Re(c u) = 1/2, and the reflection is
     the mirror in that line, so the midpoint of w and R_w is on the edge;
     an affine post u -> A u + B carries the line to the image's edge."""
-    c = _unit(t)
+    c = polar(1.0, t)
     expr = _wrap(Halfplane(c), layer)
     nf = normal_form(expr)
     assert nf.post.is_affine
@@ -270,7 +273,7 @@ def test_half_plane_midpoints_lie_on_the_edge(t, layer, z):
     u = complex(nf.post.inverse()((s.w + s.r) / 2.0)[()])
     scale = abs(nf.post.a / nf.post.d)  # |A|: leaf lengths to image lengths
     off = abs((c * u).real - 0.5) * scale
-    assert off <= _tol(1e-11, z, _leaf_point(nf, z)) * abs(s.w - s.r), (expr, z, off)
+    assert off <= _tol(1e-11, z, leaf_point(nf, z)) * abs(s.w - s.r), (expr, z, off)
 
 
 @settings(max_examples=200, deadline=None)
@@ -282,8 +285,7 @@ def test_sector_reflects_its_bisector_through_the_vertex(a, layer, t):
     and R_w is v."""
     expr = _wrap(SectorReal(a), layer)
     nf = normal_form(expr)
-    u = t / nf.pre.lam
-    z = (u + nf.pre.a) / (1.0 + np.conj(nf.pre.a) * u)
+    z = _disk_point(nf, t)
     assume(abs(z) <= 0.999)
     v = complex(nf.post(-0.5 / a)[()])
     s = reflect(expr, z)
@@ -294,9 +296,9 @@ def test_sector_reflects_its_bisector_through_the_vertex(a, layer, t):
 CONVEX_LEAVES = st.one_of(
     st.just(Identity()),
     st.floats(-0.9, 0.9).map(Disk),
-    angles.map(lambda t: Halfplane(_unit(t))),
+    ANGLES.map(lambda t: Halfplane(polar(1.0, t))),
     st.floats(0.1, 0.9).map(SectorReal),
-    _polar(0.0, 0.8).map(SectorAuto),
+    annulus(0.0, 0.8).map(SectorAuto),
     st.just(Strip()),
 )
 
@@ -351,7 +353,7 @@ def test_convex_midpoints_are_not_inside_the_image(leaf, layers, z):
     expr = functools.reduce(_wrap, layers, leaf)
     nf = normal_form(expr)
     assert nf.post.is_affine
-    p = _leaf_point(nf, z)
+    p = leaf_point(nf, z)
     assume(abs(p) <= 0.999)
     s = reflect(expr, z)
     assume(abs(s.b2) > _tol(1e-12, z, p))
@@ -362,7 +364,7 @@ def test_convex_midpoints_are_not_inside_the_image(leaf, layers, z):
 
 F_STARS = st.one_of(
     st.floats(0.2, 0.95).map(lambda x: MobiusShift(StripShift(x))),
-    _polar(0.1, 10.0).map(MobiusOfStrip),
+    annulus(0.1, 10.0).map(MobiusOfStrip),
 )
 
 
@@ -375,8 +377,7 @@ def test_f_star_reflects_the_strip_axis_to_the_cusp(expr, t):
     the cusp recedes (small x or a), so x >= 0.2 and |a| >= 0.1."""
     nf = normal_form(expr)
     assert not nf.post.is_affine
-    u = t / nf.pre.lam
-    z = (u + nf.pre.a) / (1.0 + np.conj(nf.pre.a) * u)
+    z = _disk_point(nf, t)
     assume(abs(z) <= 0.999)
     cusp = nf.post.at_infinity()
     s = reflect(expr, z)
