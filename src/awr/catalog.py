@@ -34,6 +34,7 @@ from .expr import (
     StripShift,
 )
 from .grids import ring_points
+from .jets import extremum
 from .record import Record
 
 CONVEXITY_RINGS = (0.9, 0.99, 0.999)
@@ -60,13 +61,14 @@ def validate_convexity(expr: MapExpr):
 
     Convexity of the image is equivalent to that quantity staying
     positive on the disk; sampling rings close to the boundary catches
-    every catalog non-convexity by a wide margin.
+    every catalog non-convexity by a wide margin.  Samples that are not
+    finite are masked, and a grid with none left raises DegenerateDomain.
     """
     z = ring_points(CONVEXITY_RINGS, CONVEXITY_ANGLES)
     j = jet_eval(expr, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = np.real(1.0 + z * j.f2 / j.f1)
-    best = float(np.min(np.where(np.isfinite(vals), vals, np.inf)))
+    _, best = extremum(np.where(np.isfinite(vals), vals, np.nan))
     return best > -1e-9, best
 
 

@@ -465,7 +465,7 @@ def main(argv=None) -> int:
     except (MapSyntaxError, OSError) as err:  # OSError: an unwritable --csv or --svg path
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except AwrError as err:
+    except (AwrError, ArithmeticError) as err:  # ArithmeticError: a number left double range
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 

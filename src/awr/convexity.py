@@ -27,8 +27,8 @@ from .errors import BadParam, CoincidentPoints, DegenerateDomain
 from .evaluate import jet_eval, taylor, value
 from .expr import MapExpr
 from .extended import is_infinite
-from .grids import DEFAULT_ZETAS, R_CAP, GridMeta, polar, refine_on_grid, ring_points
-from .jets import Jet3
+from .grids import DEFAULT_ZETAS, R_CAP, GridMeta, at_polar, polar, refine_on_grid, ring_points
+from .jets import Jet3, extremum
 from .record import Record
 from .reflection import reflect_grid
 
@@ -135,6 +135,8 @@ def _hull_support(vals: np.ndarray, allowance: float):
     octagon = vals[np.argmax(np.real(vals[None, :] * np.conjugate(u)[:, None]), axis=1)]
     # a repeated extreme value makes an empty edge, whose depth is NaN
     cand = np.flatnonzero(np.any(depth(octagon, vals) <= allowance, axis=0))
+    if cand.size < 3:  # depths that leave double range can keep no candidate
+        return everything
 
     def chain(seq):
         out = []
@@ -290,8 +292,7 @@ def mediatrix_scan(expr: MapExpr, base_radii: int = 16, base_angles: int = 64) -
 
     finite = np.isfinite(probe_margin)
     n_checked = int(np.sum(finite))
-    i = int(np.nanargmin(np.where(finite, probe_margin, np.nan)))
-    min_margin = float(probe_margin[i])
+    i, min_margin = extremum(np.where(finite, probe_margin, np.nan))
     return MediatrixReport(
         min_margin=min_margin,
         probe_at=complex(zs[i]),
@@ -342,26 +343,22 @@ def coefficient_bound_scan(expr: MapExpr) -> CoefficientReport:
     radii = np.asarray(rings, dtype=float)[:, None]
     res_all = lhs_all + 0.5 - 0.5 * (1.0 - radii * radii) * np.abs(f / pts) ** 2
 
-    i, j = np.unravel_index(int(np.nanargmin(lhs_all)), lhs_all.shape)
-
-    def lhs_at(r, t):
-        return float(np.real(a2 * value(expr, np.asarray([polar(r, t)]))[0]))
-
+    i, j = divmod(extremum(lhs_all)[0], angles)
     r_hi = rings[i + 1] if i + 1 < len(rings) else R_CAP
     best_v, best_r, best_th = refine_on_grid(
-        lhs_at, rings[i], 2.0 * np.pi * j / angles, float(lhs_all[i, j]),
-        2.0 * np.pi / angles, (rings[max(i - 1, 0)], r_hi),
+        # a2 times the point's scalar value: an array product rounds differently
+        at_polar(lambda z: np.real(a2 * value(expr, z)[0])), rings[i], 2.0 * np.pi * j / angles,
+        float(lhs_all[i, j]), 2.0 * np.pi / angles, (rings[max(i - 1, 0)], r_hi),
     )
     arg_inf = polar(best_r, best_th)
 
-    k, l = np.unravel_index(int(np.nanargmin(res_all)), res_all.shape)
-    min_res = float(res_all[k, l])
+    k, min_res = extremum(res_all)
     return CoefficientReport(
         a2=complex(a2),
         inf_lhs=best_v,
         arg_inf=arg_inf,
         min_residual=min_res,
-        arg_residual=complex(pts[k, l]),
+        arg_residual=complex(pts.flat[k]),
         lower_ok=bool(best_v >= -0.5 - 1e-6),
         residual_ok=bool(min_res >= -1e-9),
     )
@@ -383,11 +380,10 @@ class ProofSample(Record):
     passed: bool
 
 
-def _quotient_terms(expr: MapExpr, z: np.ndarray, zeta: complex):
-    """q = (f(z) - f(zeta))/(z - zeta) and q', Taylor-switched near zeta."""
-    j = jet_eval(expr, z)
+def _quotient_terms(expr: MapExpr, j: Jet3, zeta: complex):
+    """q = (f(z) - f(zeta))/(z - zeta) and q' for f's jet j at z, Taylor-switched near zeta."""
     jz = jet_eval(expr, complex(zeta))
-    d = z - zeta
+    d = j.at - zeta
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (j.f0 - jz.f0) / d
         qp = (j.f1 * d - (j.f0 - jz.f0)) / (d * d)
@@ -427,10 +423,11 @@ def proof_machinery_check(expr: MapExpr, zetas=DEFAULT_ZETAS):
     samples = []
     all_pass = True
     rr = ring_points((0.3, 0.7, 0.95), 128).ravel()
+    ring = jet_eval(expr, rr)
+    jf0 = Jet3(0.0 + 0j, a1f, 2.0 * a2f, 6.0 * a3f, at=0.0 + 0j)
     for zeta in zetas:
         zeta = complex(zeta)
         fz = complex(value(expr, np.asarray([zeta]))[0])
-        jf0 = Jet3(0.0 + 0j, a1f, 2.0 * a2f, 6.0 * a3f, at=0.0 + 0j)
         den = Jet3(-zeta, 1.0 + 0j, 0.0 + 0j, 0.0 + 0j, at=0.0 + 0j)
         q0 = (jf0 - Jet3.constant(fz, 0.0 + 0j)) / den
         scale = zeta / fz
@@ -440,12 +437,12 @@ def proof_machinery_check(expr: MapExpr, zetas=DEFAULT_ZETAS):
         a2g = 2.0 * f3 - f2 * f2
         slack = (1.0 - abs(a1g) ** 2) - abs(a2g - a1g * a1g)
 
-        q, qp = _quotient_terms(expr, rr, zeta)
+        q, qp = _quotient_terms(expr, ring, zeta)
         g = 1.0 + rr * qp / q
         h = -qp / (q + rr * qp)
-        re_g_min = float(np.nanmin(np.real(g)))
-        sup_h = float(np.nanmax(np.abs(h)))
-        inf_h = float(np.nanmin(np.abs(h)))
+        re_g_min = extremum(np.real(g))[1]
+        sup_h = extremum(np.abs(h), largest=True)[1]
+        inf_h = extremum(np.abs(h))[1]
         ok = bool(
             slack >= -1e-9
             and sup_h <= 1.0 + 1e-9

@@ -33,6 +33,7 @@ import numpy as np
 from .errors import ConsistencyError
 from .evaluate import NormalForm, normal_form
 from .expr import MapExpr, Strip
+from .jets import extremum
 from .record import Record
 
 LN2 = float(np.log(2.0))
@@ -107,8 +108,7 @@ def deep_min(struct: NormalForm, score, passes: int, n_taus: int):
     ends = strip_ends(struct)
     best, omega = math.inf, None
     for k in range(1, passes + 1):
-        vals = score(deep_strip_values(struct, pass_exponent(k), taus))
-        m = int(np.nanargmin(vals))
-        if float(vals[m]) < best:
-            best, omega = float(vals[m]), ends[m // taus.size].omega
+        m, v = extremum(score(deep_strip_values(struct, pass_exponent(k), taus)))
+        if v < best:
+            best, omega = v, ends[m // taus.size].omega
     return best, omega

@@ -134,6 +134,13 @@ def polar(r: float, theta: float) -> complex:
     return r * complex(math.cos(theta), math.sin(theta))
 
 
+def at_polar(fn):
+    """refine_on_grid's objective (r, t) -> float(fn(z)), z the one-point array
+    [polar(r, t)]: fn evaluates a scan's sample function and picks z's value."""
+    import numpy as np  # here, as in ring_points
+    return lambda r, t: float(fn(np.asarray([polar(r, t)])))
+
+
 def golden_section(fn, lo: float, hi: float, iters: int = 48):
     """Scalar golden-section minimization; returns (x, fn(x)).
 

@@ -6,14 +6,15 @@ one shape); arithmetic is numpy-vectorized either way.
 
 One rule covers singular points: array jets mask them with NaN so grid
 scans can skip them, and scalar jets raise.  `nonzero` applies it to
-denominators, and `_check_base` compares base points on finite entries.
+denominators, `_check_base` compares base points on finite entries, and
+`extremum` is the one reduction every scan takes over masked samples.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import BasePointMismatch, PoleAtPoint
+from .errors import BasePointMismatch, DegenerateDomain, PoleAtPoint
 from .record import Record
 
 BASE_TOL = 1e-12
@@ -32,6 +33,19 @@ def nonzero(den, at, message: str):
     if den == 0:
         raise PoleAtPoint(message.format(at))
     return den
+
+
+def extremum(vals, largest: bool = False):
+    """(flat index, value) of the least, or with largest the largest, sample
+    not masked by NaN: the first of ties, as np.nanargmin and np.nanargmax
+    pick it (they, unlike this, can pick a NaN when every kept sample is
+    infinite).  With every sample masked a scan has nothing to certify."""
+    vals = np.asarray(vals, dtype=float).ravel()
+    kept = np.flatnonzero(~np.isnan(vals))
+    if kept.size == 0:
+        raise DegenerateDomain("every sample of the scan is masked (NaN or out of double range)")
+    k = int(kept[np.argmax(vals[kept]) if largest else np.argmin(vals[kept])])
+    return k, float(vals[k])
 
 
 def mobius_jet(at, num, den, c, det) -> "Jet3":

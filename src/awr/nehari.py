@@ -13,7 +13,8 @@ import numpy as np
 
 from .evaluate import jet_eval
 from .expr import MapExpr
-from .grids import CERT_ANGLES, CERT_RINGS, GridMeta, grid_points, polar, refine_on_grid
+from .grids import CERT_ANGLES, CERT_RINGS, GridMeta, at_polar, grid_points, polar, refine_on_grid
+from .jets import extremum
 from .record import Record
 
 NEHARI_TOL = 1e-9
@@ -31,9 +32,10 @@ def schwarzian(expr: MapExpr, z):
 
 
 def nehari_functional(expr: MapExpr, z):
-    """(1 - |z|^2)^2 |Sf(z)|, the quantity bounded by 2 on the class."""
-    s = schwarzian(expr, z)
-    return (1.0 - np.abs(z) ** 2) ** 2 * np.abs(s)
+    """(1 - |z|^2)^2 |Sf(z)|, bounded by 2 on the class; NaN where the jet is masked."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = schwarzian(expr, z)
+        return (1.0 - np.abs(z) ** 2) ** 2 * np.abs(s)
 
 
 class CertReport(Record):
@@ -56,22 +58,15 @@ def certify_nehari(expr: MapExpr,
     refined value at most 2 + 1e-9.
     """
     pts = grid_points(meta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.asarray(nehari_functional(expr, pts), dtype=float)
+    vals = np.asarray(nehari_functional(expr, pts), dtype=float)
     n_failed = int(np.sum(vals[np.isfinite(vals)] > 2.0 + NEHARI_TOL))
-
-    def neg_fn(r, theta):
-        # the refinement minimizes, so it refines minus the functional; a
-        # refined point may be masked (|z| rounding to 1), as a grid point may
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = nehari_functional(expr, np.asarray([polar(r, theta)], dtype=complex))
-        return -float(v[0])
-
-    work = np.where(np.isfinite(vals), vals, -np.inf)
-    i, j = np.unravel_index(np.argmax(work), work.shape)
+    k, grid_sup = extremum(np.where(np.isfinite(vals), vals, np.nan), largest=True)
+    i, j = divmod(k, meta.angles)
     rings, step = meta.rings, 2.0 * np.pi / meta.angles
+    # the refinement minimizes, so it refines minus the functional
     neg_sup, r, theta = refine_on_grid(
-        neg_fn, rings[i], 2.0 * np.pi * j / meta.angles, -float(work[i, j]), step,
+        at_polar(lambda z: -nehari_functional(expr, z)[0]), rings[i],
+        2.0 * np.pi * j / meta.angles, -grid_sup, step,
         (rings[max(i - 1, 0)], rings[min(i + 1, len(rings) - 1)]),
     )
     sup = -neg_sup

@@ -39,10 +39,12 @@ from .grids import (
     GridMeta,
     check_passes,
     grid_points,
+    at_polar,
     polar,
     refine_on_grid,
     ring_points,
 )
+from .jets import extremum
 from .record import Record
 from .reflection import reflect_grid
 
@@ -79,10 +81,8 @@ def normalized_sup(expr: MapExpr,
     if abs(a2) < A2_ZERO_TOL:
         return NormalizedSup(sup=0.0, arg=0j, interior_ok=True)
     pts = grid_points(meta)
-    vals = np.abs(a2 * normalize_values(expr, pts))
-    i, j = np.unravel_index(int(np.nanargmax(vals)), vals.shape)
-    sup = float(vals[i, j])
-    return NormalizedSup(sup=sup, arg=complex(pts[i, j]), interior_ok=bool(sup < 1.0))
+    k, sup = extremum(np.abs(a2 * normalize_values(expr, pts)), largest=True)
+    return NormalizedSup(sup=sup, arg=complex(pts.flat[k]), interior_ok=bool(sup < 1.0))
 
 
 class ClusterReport(Record):
@@ -107,7 +107,7 @@ def near_one_clusters(expr: MapExpr) -> ClusterReport:
     ring, angles = CLUSTER_RING, CLUSTER_ANGLES
     a2 = taylor(expr)[1]
     p = np.abs(a2 * normalize_values(expr, ring_points((ring,), angles)[0]))
-    pmax = float(np.nanmax(p))
+    pmax = extremum(p, largest=True)[1]
     tau = 1.0 - 1.5 * (1.0 - pmax)
     above = p > tau
     if bool(np.all(above)):
@@ -149,13 +149,6 @@ def _omitted_distance(a2: complex):
     return EUCLIDEAN, lambda f: np.abs(f + 1.0 / a2)
 
 
-def _polar_score(expr: MapExpr, score):
-    """The local descent's objective: score of f at polar(r, t)."""
-    def fn(r, t):
-        return float(score(jet_eval(expr, np.asarray([polar(r, t)])).f0)[0])
-    return fn
-
-
 def delta_f(expr: MapExpr, grid: GridMeta = GridMeta(rings=DELTA_RINGS, angles=DELTA_ANGLES),
             passes: int = DEFAULT_PASSES) -> DeltaReport:
     """Inf of the omitted-value distance with boundary-deep refinement.
@@ -170,13 +163,11 @@ def delta_f(expr: MapExpr, grid: GridMeta = GridMeta(rings=DELTA_RINGS, angles=D
     check_passes(passes)
     metric, dist = _omitted_distance(taylor(expr)[1])
     pts = grid_points(grid)
-    vals = dist(jet_eval(expr, pts).f0)
-    i, j = np.unravel_index(int(np.nanargmin(vals)), vals.shape)
-    best = float(vals[i, j])
-    arg = complex(pts[i, j])
+    k, best = extremum(dist(jet_eval(expr, pts).f0))
+    arg = complex(pts.flat[k])
 
-    fn = _polar_score(expr, dist)
-    rings = grid.rings
+    fn = at_polar(lambda z: dist(jet_eval(expr, z).f0)[0])
+    rings, (i, j) = grid.rings, divmod(k, grid.angles)
     r0, th0 = rings[i], 2.0 * np.pi * j / grid.angles
     dr = max(r0 - rings[i - 1] if i > 0 else r0, 1.0 - r0)
     v, r_ref, th_ref = refine_on_grid(fn, r0, th0, fn(r0, th0), 2.0 * np.pi / grid.angles,
@@ -369,10 +360,9 @@ def koebe_omission_scan(
                 best, best_base, best_probe = 1.0, complex(z0), 0j
                 best_expr, best_b2 = None, 0j
             continue
-        vals = np.abs(b2 * jet_eval(g_expr, probes).f0 + 1.0)
-        m = int(np.nanargmin(vals))
-        if float(vals[m]) < best:
-            best = float(vals[m])
+        m, v = extremum(np.abs(b2 * jet_eval(g_expr, probes).f0 + 1.0))
+        if v < best:
+            best = v
             best_base, best_probe = complex(z0), complex(probes[m])
             best_expr, best_b2 = g_expr, b2
 
@@ -387,7 +377,7 @@ def koebe_omission_scan(
             if v < best:
                 best, best_probe = v, omega
         else:
-            fn = _polar_score(best_expr, score)
+            fn = at_polar(lambda z: score(jet_eval(best_expr, z).f0)[0])
             pr = abs(best_probe)
             pt = math.atan2(best_probe.imag, best_probe.real)
             v, r_ref, th_ref = refine_on_grid(
@@ -429,7 +419,7 @@ def lemma32_demo(a_sequence=DEFAULT_A_LIST):
     l_vals = jet_eval(Strip(), rs).f0
     for a in a_sequence:
         f_expr = MobiusOfStrip(complex(a))
-        dev = float(np.nanmax(np.abs(normalize_values(f_expr, rs) - l_vals)))
+        dev = extremum(np.abs(normalize_values(f_expr, rs) - l_vals), largest=True)[1]
         rep = delta_f(f_expr, passes=6)
         rows.append(
             Lemma32Row(

@@ -27,7 +27,6 @@ from awr.convexity import (
     mediatrix_scan,
     proof_machinery_check,
 )
-from awr.errors import MapSyntaxError
 from awr.expr import (
     Disk,
     Halfplane,

@@ -17,9 +17,7 @@ from conftest import fresh_python
 from awr import convexity
 from awr.catalog import FIXTURE_EXPRS
 from awr.convexity import (
-    CONTACT_TOL,
     DEFAULT_ZETAS,
-    LineSpec,
     _min_margins,
     coefficient_bound_scan,
     mediatrix,
@@ -28,7 +26,7 @@ from awr.convexity import (
     proof_machinery_check,
 )
 from awr.errors import BadParam, CoincidentPoints, DegenerateDomain
-from awr.expr import Disk, Halfplane, Identity, SectorReal, Strip
+from awr.expr import Disk, Halfplane, Identity, SectorReal
 from awr.extended import INFINITY, is_infinite
 from awr.evaluate import jet_eval
 from awr.grids import ring_points

@@ -20,8 +20,9 @@ from awr.catalog import (
     FIXTURE_EXPRS,
     UNBOUNDED,
     build_map,
+    validate_convexity,
 )
-from awr.errors import ParamOutOfRange
+from awr.errors import DegenerateDomain, ParamOutOfRange
 from awr.evaluate import _koebe_scalars, jet_eval, normal_form, sector_auto_params, taylor
 from awr.expr import (
     Affine,
@@ -96,6 +97,13 @@ def test_convexity_certification(catalog):
         spec = catalog[name]
         assert spec.convexity_certified == certified, name
         assert lo <= spec.convexity_min <= hi, (name, spec.convexity_min)
+
+
+def test_convexity_check_refuses_a_grid_with_no_finite_sample():
+    """At a = 1e-320 every f''/f' leaves double range: the check used to
+    read the empty minimum as inf and certify the map."""
+    with pytest.raises(DegenerateDomain):
+        validate_convexity(Affine(SectorReal(0.5), 1e-320 + 0j, 0j))
 
 
 def test_boundedness_hints(catalog):

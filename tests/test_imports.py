@@ -1,4 +1,4 @@
-"""Every module-level import in `src/awr` is used by its module.
+"""Every module-level import in `src/awr` and `tests` is used by its module.
 
 A name bound by a top-level `import` or `from ... import` must be read
 somewhere in the module, or be listed in its `__all__`.  `from
@@ -10,8 +10,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "awr"
-MODULES = sorted(SRC.glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "awr"
+MODULES = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+
+
+def _module_id(path):
+    return path.name if path.parent == SRC else f"tests/{path.name}"
 
 
 def _imported_names(tree):
@@ -33,10 +38,11 @@ def _exported(tree):
 
 
 def test_modules_are_found():
-    assert {"catalog.py", "evaluate.py", "quasidisk.py"} <= {p.name for p in MODULES}
+    ids = {_module_id(p) for p in MODULES}
+    assert {"catalog.py", "evaluate.py", "tests/conftest.py", "tests/test_imports.py"} <= ids
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=_module_id)
 def test_no_unused_module_level_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

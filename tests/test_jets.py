@@ -6,16 +6,18 @@ operation must agree with doing the algebra on the polynomials and
 re-extracting derivatives.
 """
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from awr.catalog import FIXTURE_EXPRS
-from awr.errors import BasePointMismatch, PoleAtPoint
+from awr.errors import BasePointMismatch, DegenerateDomain, PoleAtPoint
 from awr.evaluate import jet_eval
 from awr.grids import ring_points
-from awr.jets import BASE_TOL, Jet3
+from awr.jets import BASE_TOL, Jet3, extremum
 from awr.nehari import nehari_functional
 from awr.parser import parse_expr
 
@@ -193,6 +195,37 @@ def test_masked_points_score_nan(text):
     jet masks its derivatives like any other leaf."""
     masked = np.abs(EDGE) >= 1.0
     assert np.sum(masked) == 598
-    with np.errstate(invalid="ignore"):
-        score = nehari_functional(parse_expr(text), EDGE)
+    score = nehari_functional(parse_expr(text), EDGE)  # quiet: it owns its errstate
     assert np.array_equal(np.isnan(score), masked)
+
+
+# samples that tie (+-0, repeated values) or are masked or infinite, mixed
+# with ordinary ones
+samples = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0]),
+    st.floats(min_value=-4.0, max_value=4.0),
+)
+
+
+@given(st.lists(samples, min_size=1, max_size=24), st.booleans())
+@example([math.nan, math.inf, math.inf], False)
+@example([math.nan, -math.inf], True)
+@example([0.0, -0.0, math.nan], False)
+@example([math.nan, math.nan], True)
+def test_extremum_agrees_with_numpy_nan_reductions(xs, largest):
+    """extremum picks the sample np.nanargmin or np.nanargmax picks, sign of
+    zero included, except that numpy can land on a NaN when every kept sample
+    is infinite: extremum then takes the first kept one.  An all-NaN array is
+    refused."""
+    vals = np.asarray(xs)
+    if np.all(np.isnan(vals)):
+        with pytest.raises(DegenerateDomain):
+            extremum(vals, largest)
+        return
+    want = int(np.nanargmax(vals) if largest else np.nanargmin(vals))
+    if np.isnan(vals[want]):
+        want = int(np.flatnonzero(vals == (-np.inf if largest else np.inf))[0])
+    k, v = extremum(vals, largest)
+    assert k == want
+    assert v == vals[want] and math.copysign(1.0, v) == math.copysign(1.0, vals[want])
+    assert extremum(vals.reshape(1, -1), largest) == (k, v)  # a grid gives its flat index

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from awr.catalog import FIXTURE_EXPRS
 from awr.expr import Disk, Halfplane, Identity, Koebe, MobiusOfStrip, SectorReal, Strip
 from awr.grids import GridMeta
-from awr.jets import Jet3
 from awr.nehari import (
     NEHARI_TOL,
     certify_nehari,

@@ -460,6 +460,37 @@ def test_empty_sample_list_exits_two(argv):
     assert "needs at least one value" in err
 
 
+HUGE_STRIP = "mobius-of-strip(a=1e103+0i)"
+HUGE_SHIFT = "mobius-shift(affine(sector(a=0.5), a=1e103+0i, b=0+0i))"
+TINY_SECTOR = "affine(sector(a=0.5), a=1e-320+0i, b=0+0i)"
+OUT_OF_RANGE_REQUESTS = [
+    ["reflect", "--map", HUGE_STRIP, "--z", "0.3+0.4i"],
+    *([c, "--map", HUGE_STRIP] for c in ("normalize", "delta", "quasidisk", "omission-scan")),
+    *([c, "--map", HUGE_SHIFT] for c in ("coeff-bound", "proof-check", "normalize", "delta",
+                                          "quasidisk", "omission-scan", "mediatrix-scan")),
+    *(["mediatrix-scan", "--map", m] for m in ("affine(identity, a=1e200+0i, b=0+0i)", TINY_SECTOR,
+                                                "affine(identity, a=1e-300+0i, b=1e300+0i)")),
+    ["omission-scan", "--map", TINY_SECTOR],
+    *(["proof-check", "--map", m] for m in ("sector(a=1e-300)", "strip-shift(x=0.9999999999999999)",
+                                             "koebe(strip, z0=0+0.9999999999999999i)")),
+    ["lemma32", "--a-list=1e308+0i"],
+    ["coeff-bound", "--map", TINY_SECTOR],
+]
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE_REQUESTS, ids=[" ".join(a) for a in OUT_OF_RANGE_REQUESTS])
+def test_numbers_out_of_double_range_exit_two(argv):
+    """A request whose values overflow, underflow to 0 or leave no finite
+    sample is ill-posed: exit 2, one error line, nothing on stdout.  These
+    used to end in a traceback, and the last one certified a map with
+    every convexity sample masked."""
+    code, out, err = run(argv)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert [line for line in lines if line.startswith("error: ")] == lines[-1:]
+    assert "Traceback" not in err
+
+
 def test_negative_real_part_needs_the_equals_form():
     code, _, err = run(["reflect", "--map", "identity", "--z", "-0.5+0.1i"])
     assert code == 2
