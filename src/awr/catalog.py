@@ -66,7 +66,7 @@ def validate_convexity(expr: MapExpr):
     """
     z = ring_points(CONVEXITY_RINGS, CONVEXITY_ANGLES)
     j = jet_eval(expr, z)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         vals = np.real(1.0 + z * j.f2 / j.f1)
     _, best = extremum(np.where(np.isfinite(vals), vals, np.nan))
     return best > -1e-9, best

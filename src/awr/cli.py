@@ -19,7 +19,8 @@ figure, so a failed write leaves the report on stdout.  Rows and figure
 are built only when their flag asks for them, after the report is out.
 Exit codes: 0 when `passed` holds, 1 when a scan completes but a
 certification fails, 2 for usage errors (bad flags, bad grammar, an
-unwritable output path, or a request the map cannot support).
+unwritable output path, or a request the map cannot support, numbers
+out of double range too); past argparse, stderr holds one `error:` line.
 
 Imports.  A request is one short process, so importing this module
 loads only the parser, the grids (every default grid and cap the flags
@@ -465,7 +466,7 @@ def main(argv=None) -> int:
     except (MapSyntaxError, OSError) as err:  # OSError: an unwritable --csv or --svg path
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (AwrError, ArithmeticError) as err:  # ArithmeticError: a number left double range
+    except AwrError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ from .evaluate import jet_eval, taylor, value
 from .expr import MapExpr
 from .extended import is_infinite
 from .grids import DEFAULT_ZETAS, R_CAP, GridMeta, at_polar, polar, refine_on_grid, ring_points
-from .jets import Jet3, extremum
+from .jets import Jet3, extremum, nonzero
 from .record import Record
 from .reflection import reflect_grid
 
@@ -128,8 +128,7 @@ def _hull_support(vals: np.ndarray, allowance: float):
         """Distance of each point from each edge line, positive inside."""
         edge = np.roll(corners, -1) - corners
         length = np.abs(edge)[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.imag(np.conjugate(edge)[:, None] * (pts[None, :] - corners[:, None])) / length
+        return np.imag(np.conjugate(edge)[:, None] * (pts[None, :] - corners[:, None])) / length
 
     u = np.exp(0.25j * np.pi * np.arange(8))
     octagon = vals[np.argmax(np.real(vals[None, :] * np.conjugate(u)[:, None]), axis=1)]
@@ -211,39 +210,39 @@ def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
     once for all pairs; the scoring then runs over blocks of pairs, so its
     memory does not grow with their number.
     """
-    gap = w - r
-    mid = (w + r) / 2.0
-    scale = np.abs(gap) ** 2
-    mid_abs = np.abs(mid)
-    vmax = float(np.max(np.abs(base_vals), initial=0.0))
-    reach = float(np.max(mid_abs, initial=0.0))
-    hull, support, depth = _hull_support(base_vals, HULL_ROUNDING * (vmax + reach))
-    vals = base_vals[support]
-    lo, hi = SAFE_RANGE
-    n = hull.size
-    margin = np.empty(w.shape)
-    pos = np.zeros(w.shape, dtype=int)
-    dense = np.ones(w.shape, dtype=bool)
-    if n >= 5 and lo < vmax < hi:
-        allowance = HULL_ROUNDING * (vmax + min(reach, MID_REACH * vmax))
-        ring = (np.arange(n)[:, None] + np.arange(-2, 3)) % n
-        # support position of the first copy of each of vertices k - 2 .. k + 2
-        first = np.argmax(vals == hull[:, None], axis=1)[ring]
-        # window k: those vertices, then the other support values near
-        # edges k - 2 .. k + 1, padded with vertex k
-        near = np.any(depth[ring[:, :4]] <= allowance, axis=1)
-        near[np.arange(n)[:, None], first] = False
-        size = np.sum(near, axis=1)
-        extra = np.argsort(~near, axis=1)[:, : np.max(size)]
-        extra = np.where(np.arange(extra.shape[1]) < size[:, None], extra, first[:, 2:3])
-        win = np.concatenate([first, extra], axis=1).T.copy()
+    with np.errstate(all="ignore"):  # gaps and scores may leave double range
+        gap = w - r
+        mid = (w + r) / 2.0
+        scale = np.abs(gap) ** 2
+        mid_abs = np.abs(mid)
+        vmax = float(np.max(np.abs(base_vals), initial=0.0))
+        reach = float(np.max(mid_abs, initial=0.0))
+        hull, support, depth = _hull_support(base_vals, HULL_ROUNDING * (vmax + reach))
+        vals = base_vals[support]
+        lo, hi = SAFE_RANGE
+        n = hull.size
+        margin = np.empty(w.shape)
+        pos = np.zeros(w.shape, dtype=int)
+        dense = np.ones(w.shape, dtype=bool)
+        if n >= 5 and lo < vmax < hi:
+            allowance = HULL_ROUNDING * (vmax + min(reach, MID_REACH * vmax))
+            ring = (np.arange(n)[:, None] + np.arange(-2, 3)) % n
+            # support position of the first copy of each of vertices k - 2 .. k + 2
+            first = np.argmax(vals == hull[:, None], axis=1)[ring]
+            # window k: those vertices, then the other support values near
+            # edges k - 2 .. k + 1, padded with vertex k
+            near = np.any(depth[ring[:, :4]] <= allowance, axis=1)
+            near[np.arange(n)[:, None], first] = False
+            size = np.sum(near, axis=1)
+            extra = np.argsort(~near, axis=1)[:, : np.max(size)]
+            extra = np.where(np.arange(extra.shape[1]) < size[:, None], extra, first[:, 2:3])
+            win = np.concatenate([first, extra], axis=1).T.copy()
 
-        block = max(1, BLOCK_SCORES // win.shape[0])
-        for k in range(0, w.size, block):
-            b = slice(k, k + block)
-            g, c, sc = gap[b], mid[b], scale[b]
-            cols = np.take(win, _support_vertex(hull, g), axis=1)
-            with np.errstate(all="ignore"):
+            block = max(1, BLOCK_SCORES // win.shape[0])
+            for k in range(0, w.size, block):
+                b = slice(k, k + block)
+                g, c, sc = gap[b], mid[b], scale[b]
+                cols = np.take(win, _support_vertex(hull, g), axis=1)
                 m = np.real((vals[cols] - c) * np.conjugate(g)) / sc
                 least = np.minimum.reduce(m[1:4])
                 tol = allowance / np.sqrt(sc)
@@ -253,10 +252,10 @@ def _min_margins(base_vals: np.ndarray, w: np.ndarray, r: np.ndarray):
                 p = np.minimum.reduce(np.where(m == np.minimum.reduce(m), cols, support.size - 1))
                 # the chosen base's own score keeps the sign a dense argmin gives a tie of 0.0 and -0.0
                 margin[b] = np.real((vals[p] - c) * np.conjugate(g)) / sc
-            pos[b] = p
-    if np.any(dense):
-        margin[dense], pos[dense] = _dense_margins(vals, w[dense], r[dense])
-    return margin, support[pos]
+                pos[b] = p
+        if np.any(dense):
+            margin[dense], pos[dense] = _dense_margins(vals, w[dense], r[dense])
+        return margin, support[pos]
 
 
 # The mediatrix scan's probes: 64 rings approaching the unit circle
@@ -339,17 +338,18 @@ def coefficient_bound_scan(expr: MapExpr) -> CoefficientReport:
     a2 = taylor(expr)[1]
     pts = ring_points(rings, angles)
     f = jet_eval(expr, pts).f0
-    lhs_all = np.real(a2 * f)
     radii = np.asarray(rings, dtype=float)[:, None]
-    res_all = lhs_all + 0.5 - 0.5 * (1.0 - radii * radii) * np.abs(f / pts) ** 2
+    with np.errstate(all="ignore"):  # a large f overflows to inf, on the grid and in the refinement
+        lhs_all = np.real(a2 * f)
+        res_all = lhs_all + 0.5 - 0.5 * (1.0 - radii * radii) * np.abs(f / pts) ** 2
 
-    i, j = divmod(extremum(lhs_all)[0], angles)
-    r_hi = rings[i + 1] if i + 1 < len(rings) else R_CAP
-    best_v, best_r, best_th = refine_on_grid(
-        # a2 times the point's scalar value: an array product rounds differently
-        at_polar(lambda z: np.real(a2 * value(expr, z)[0])), rings[i], 2.0 * np.pi * j / angles,
-        float(lhs_all[i, j]), 2.0 * np.pi / angles, (rings[max(i - 1, 0)], r_hi),
-    )
+        i, j = divmod(extremum(lhs_all)[0], angles)
+        r_hi = rings[i + 1] if i + 1 < len(rings) else R_CAP
+        best_v, best_r, best_th = refine_on_grid(
+            # a2 times the point's scalar value: an array product rounds differently
+            at_polar(lambda z: np.real(a2 * value(expr, z)[0])), rings[i], 2.0 * np.pi * j / angles,
+            float(lhs_all[i, j]), 2.0 * np.pi / angles, (rings[max(i - 1, 0)], r_hi),
+        )
     arg_inf = polar(best_r, best_th)
 
     k, min_res = extremum(res_all)
@@ -384,9 +384,8 @@ def _quotient_terms(expr: MapExpr, j: Jet3, zeta: complex):
     """q = (f(z) - f(zeta))/(z - zeta) and q' for f's jet j at z, Taylor-switched near zeta."""
     jz = jet_eval(expr, complex(zeta))
     d = j.at - zeta
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = (j.f0 - jz.f0) / d
-        qp = (j.f1 * d - (j.f0 - jz.f0)) / (d * d)
+    q = (j.f0 - jz.f0) / d
+    qp = (j.f1 * d - (j.f0 - jz.f0)) / (d * d)
     near = np.abs(d) < TAYLOR_SWITCH
     if np.any(near):
         dn = d[near]
@@ -427,7 +426,7 @@ def proof_machinery_check(expr: MapExpr, zetas=DEFAULT_ZETAS):
     jf0 = Jet3(0.0 + 0j, a1f, 2.0 * a2f, 6.0 * a3f, at=0.0 + 0j)
     for zeta in zetas:
         zeta = complex(zeta)
-        fz = complex(value(expr, np.asarray([zeta]))[0])
+        fz = nonzero(complex(value(expr, np.asarray([zeta]))[0]), zeta, "f(zeta) is 0 at zeta = {}")
         den = Jet3(-zeta, 1.0 + 0j, 0.0 + 0j, 0.0 + 0j, at=0.0 + 0j)
         q0 = (jf0 - Jet3.constant(fz, 0.0 + 0j)) / den
         scale = zeta / fz
@@ -437,9 +436,10 @@ def proof_machinery_check(expr: MapExpr, zetas=DEFAULT_ZETAS):
         a2g = 2.0 * f3 - f2 * f2
         slack = (1.0 - abs(a1g) ** 2) - abs(a2g - a1g * a1g)
 
-        q, qp = _quotient_terms(expr, ring, zeta)
-        g = 1.0 + rr * qp / q
-        h = -qp / (q + rr * qp)
+        with np.errstate(all="ignore"):  # q rounds to 0 where f(z) rounds to f(zeta)
+            q, qp = _quotient_terms(expr, ring, zeta)
+            g = 1.0 + rr * qp / q
+            h = -qp / (q + rr * qp)
         re_g_min = extremum(np.real(g))[1]
         sup_h = extremum(np.abs(h), largest=True)[1]
         inf_h = extremum(np.abs(h))[1]

@@ -10,7 +10,7 @@ class DomainViolation(AwrError):
 
 
 class PoleAtPoint(AwrError):
-    """A map denominator vanishes at the requested point."""
+    """A map denominator vanishes, or rounds to 0, at the requested point."""
 
 
 class PoleInDomain(AwrError):
@@ -31,6 +31,10 @@ class CoincidentPoints(AwrError):
 
 class DegenerateDomain(AwrError):
     """A scan produced no usable geometry (e.g. every reflection infinite)."""
+
+
+class OutOfDoubleRange(AwrError):
+    """A scalar jet overflowed double range (a divisor that rounds to 0 is a PoleAtPoint)."""
 
 
 class ParamOutOfRange(AwrError):

@@ -6,7 +6,8 @@ scalar and an ndarray ``z`` share one recursion and the one rule of
 reduce with nan-aware aggregates, and a scalar raises (DomainViolation
 outside the open disk, PoleAtPoint on a vanishing denominator through
 `jets.nonzero`, CriticalPoint on a vanishing renormalization
-derivative).  A masked entry leaves the other entries' bits unchanged.
+derivative, OutOfDoubleRange when Python complex arithmetic overflows).
+A masked entry leaves the other entries' bits unchanged.
 
 Every map is one Mobius map after one closed-form leaf after one disk
 automorphism, f = post(leaf(pre(z))) with pre(z) = lam (z - a) / (1 -
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CoincidentPoints, CriticalPoint, DomainViolation
+from .errors import CoincidentPoints, CriticalPoint, DomainViolation, OutOfDoubleRange
 from .expr import (
     Affine,
     Disk,
@@ -67,11 +68,10 @@ def sector_auto_params(a: complex) -> tuple[complex, float, complex]:
 def _pow_jet(w: Jet3, p: float) -> Jet3:
     """Jet of w(z)**p (principal branch) given the jet of w."""
     u = w.f0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g0 = u**p
-        g1 = p * g0 / u
-        g2 = (p - 1.0) * g1 / u
-        g3 = (p - 2.0) * g2 / u
+    g0 = u**p
+    g1 = p * g0 / u
+    g2 = (p - 1.0) * g1 / u
+    g3 = (p - 2.0) * g2 / u
     outer = Jet3(g0, g1, g2, g3, u)
     return outer.compose(w)
 
@@ -79,16 +79,17 @@ def _pow_jet(w: Jet3, p: float) -> Jet3:
 @lru_cache(maxsize=CACHE_SIZE)
 def _koebe_scalars(inner: MapExpr, z0: complex) -> tuple[complex, complex]:
     """(f(z0), f'(z0)) for the renormalized precomposition."""
-    j = _jet(inner, complex(z0))
+    j = jet_eval(inner, complex(z0))
     if j.f1 == 0:
         raise CriticalPoint(f"derivative vanishes at renormalization point {z0}")
+    nonzero((1.0 - abs(z0) ** 2) * complex(j.f1), z0, "(1 - |z0|^2) f'(z0) rounds to 0 at z0 = {}")
     return complex(j.f0), complex(j.f1)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def shift_a2(inner: MapExpr) -> complex:
     """Second Taylor coefficient f''(0)/2 used by the Mobius shift."""
-    return complex(_jet(inner, 0.0 + 0.0j).f2) / 2.0
+    return complex(jet_eval(inner, 0.0 + 0.0j).f2) / 2.0
 
 
 def _jet(expr: MapExpr, z) -> Jet3:
@@ -146,16 +147,18 @@ def _jet(expr: MapExpr, z) -> Jet3:
 
 
 def jet_eval(expr: MapExpr, z) -> Jet3:
-    """Third-order jet of ``expr`` at ``z`` (scalar or ndarray)."""
-    if _is_array(z):
-        z = np.asarray(z, dtype=complex)
-        z = np.where(np.abs(z) < 1.0, z, np.nan)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    """Third-order jet of ``expr`` at ``z`` (scalar or ndarray); every scalar jet is built here."""
+    with np.errstate(all="ignore"):  # numpy arrays and scalars overflow to inf or NaN
+        if _is_array(z):
+            z = np.asarray(z, dtype=complex)
+            return _jet(expr, np.where(np.abs(z) < 1.0, z, np.nan))
+        z = complex(z)
+        if not abs(z) < 1.0:
+            raise DomainViolation(f"|z| = {abs(z)} is not inside the open unit disk")
+        try:
             return _jet(expr, z)
-    z = complex(z)
-    if not abs(z) < 1.0:
-        raise DomainViolation(f"|z| = {abs(z)} is not inside the open unit disk")
-    return _jet(expr, z)
+        except ArithmeticError as err:  # Python complex ** overflows; divisors pass jets.nonzero
+            raise OutOfDoubleRange(f"the jet at z = {z} leaves double range: {err}") from None
 
 
 def value(expr: MapExpr, z):
@@ -166,7 +169,7 @@ def value(expr: MapExpr, z):
 @lru_cache(maxsize=CACHE_SIZE)
 def taylor(expr: MapExpr) -> tuple[complex, complex, complex]:
     """First three Taylor coefficients (a1, a2, a3) at the origin."""
-    j = _jet(expr, 0.0 + 0.0j)
+    j = jet_eval(expr, 0.0 + 0.0j)
     return complex(j.f1), complex(j.f2) / 2.0, complex(j.f3) / 6.0
 
 
@@ -189,7 +192,7 @@ class Mobius(Record):
         Infinity maps to at_infinity(), so is_affine decides it."""
         w = np.asarray(w, dtype=complex)
         inf_mask = is_infinite(w)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             den = self.c * w + self.d
             vals = (self.a * w + self.b) / den
         vals = np.where(den == 0, INFINITY, vals)

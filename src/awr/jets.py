@@ -4,10 +4,12 @@ A ``Jet3`` bundles the value and first three derivatives of a map at a
 base point.  Fields may be complex scalars or complex ndarrays (all of
 one shape); arithmetic is numpy-vectorized either way.
 
-One rule covers singular points: array jets mask them with NaN so grid
-scans can skip them, and scalar jets raise.  `nonzero` applies it to
-denominators, `_check_base` compares base points on finite entries, and
-`extremum` is the one reduction every scan takes over masked samples.
+One rule covers singular points and overflow: array jets mask them with
+NaN or inf and numpy stays silent (np.errstate(all="ignore")), and scalar
+jets raise (OutOfDoubleRange on an overflow, from `evaluate.jet_eval`).
+`nonzero` applies it to denominators, `_check_base` compares base points
+on finite entries, and `extremum` is the one reduction every scan takes
+over masked samples.
 """
 
 from __future__ import annotations
@@ -139,18 +141,16 @@ class Jet3(Record):
     def invert(self) -> "Jet3":
         """Jet of 1/f at the same base point."""
         w = nonzero(self.f0, self.at, "division by zero value at base point {}")
-        # a scalar w stays a Python complex (numpy's complex division rounds unlike
-        # Python's), and errstate does not touch Python arithmetic
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = 1.0 / w
-            u2 = u * u
-            return Jet3(
-                u,
-                -self.f1 * u2,
-                (2.0 * self.f1 * self.f1 * u - self.f2) * u2,
-                -self.f3 * u2 + 6.0 * self.f1 * self.f2 * u * u2 - 6.0 * self.f1**3 * u2 * u2,
-                self.at,
-            )
+        # a scalar w stays a Python complex: numpy's complex division rounds unlike Python's
+        u = 1.0 / w
+        u2 = u * u
+        return Jet3(
+            u,
+            -self.f1 * u2,
+            (2.0 * self.f1 * self.f1 * u - self.f2) * u2,
+            -self.f3 * u2 + 6.0 * self.f1 * self.f2 * u * u2 - 6.0 * self.f1**3 * u2 * u2,
+            self.at,
+        )
 
     def __truediv__(self, other: "Jet3"):
         return self * other.invert()

@@ -33,7 +33,7 @@ def schwarzian(expr: MapExpr, z):
 
 def nehari_functional(expr: MapExpr, z):
     """(1 - |z|^2)^2 |Sf(z)|, bounded by 2 on the class; NaN where the jet is masked."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         s = schwarzian(expr, z)
         return (1.0 - np.abs(z) ** 2) ** 2 * np.abs(s)
 

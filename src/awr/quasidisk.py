@@ -60,10 +60,11 @@ def normalize_values(expr: MapExpr, z):
     """Values of the normalized map f* = f/(1 + a2 f)."""
     a2 = taylor(expr)[1]
     f = jet_eval(expr, np.asarray(z, dtype=complex)).f0
-    den = 1.0 + a2 * f
-    if np.any(np.abs(den) < A2_ZERO_TOL):
-        raise PoleInDomain("1 + a2 f vanishes on the sample grid")
-    return f / den
+    with np.errstate(all="ignore"):  # an overflowed f gives inf / inf, a NaN the scans mask
+        den = 1.0 + a2 * f
+        if np.any(np.abs(den) < A2_ZERO_TOL):
+            raise PoleInDomain("1 + a2 f vanishes on the sample grid")
+        return f / den
 
 
 class NormalizedSup(Record):
@@ -277,7 +278,7 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     d_seg = segment_distances(np.concatenate([ws, rs[finite_r]]), seg_a, seg_b)
     d_w = d_seg[: ws.size]
     ratio = np.full(ws.size, np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         ratio[finite_r] = d_seg[ws.size :] / d_w[finite_r]
     zs = zs.reshape(len(rings), angles)
     ratio = ratio.reshape(len(rings), angles)

@@ -55,7 +55,7 @@ def jet_reflection(j: Jet3, z):
     |b2| < B2_TOL.  |z| comes from the builtin abs, so for a scalar z
     the factor 1 - |z|^2 stays a Python float.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         b2 = local_b2(j, z)
         r = j.f0 - (1.0 - abs(z) ** 2) * j.f1 / b2
     if np.ndim(r):

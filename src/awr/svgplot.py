@@ -56,7 +56,7 @@ class SvgScene:
 
     def add_dot(self, z: complex, color: str, radius: float = 2.5) -> None:
         z = complex(z)
-        if abs(z) > COORD_CLIP:  # an infinite z too; a NaN one is kept
+        if not abs(z) <= COORD_CLIP:  # as in add_polyline: infinite, NaN or clipped
             return
         self._dots.append((z, color, radius))
 

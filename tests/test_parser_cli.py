@@ -9,13 +9,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import GRAMMAR_CASES, SRC, fresh_python
 
-from awr import cli, svgplot
+from awr import cli, convexity, errors, evaluate, quasidisk, reflection, svgplot
 from awr.errors import BadParam, MapSyntaxError, ParamOutOfRange, UnknownName
 from awr.catalog import CONVEXITY_ANGLES, CONVEXITY_RINGS
 from awr.convexity import COEFF_ANGLES, COEFF_RINGS
@@ -463,16 +464,20 @@ def test_empty_sample_list_exits_two(argv):
 HUGE_STRIP = "mobius-of-strip(a=1e103+0i)"
 HUGE_SHIFT = "mobius-shift(affine(sector(a=0.5), a=1e103+0i, b=0+0i))"
 TINY_SECTOR = "affine(sector(a=0.5), a=1e-320+0i, b=0+0i)"
+# f'(z0) = 1e-320 is not 0, but (1 - |z0|^2) f'(z0), the renormalization divisor, rounds to 0
+TINY_KOEBE = "koebe(affine(identity, a=1e-320+0i, b=0+0i), z0=0+0.9999999999999999i)"
 OUT_OF_RANGE_REQUESTS = [
     ["reflect", "--map", HUGE_STRIP, "--z", "0.3+0.4i"],
     *([c, "--map", HUGE_STRIP] for c in ("normalize", "delta", "quasidisk", "omission-scan")),
     *([c, "--map", HUGE_SHIFT] for c in ("coeff-bound", "proof-check", "normalize", "delta",
                                           "quasidisk", "omission-scan", "mediatrix-scan")),
     *(["mediatrix-scan", "--map", m] for m in ("affine(identity, a=1e200+0i, b=0+0i)", TINY_SECTOR,
-                                                "affine(identity, a=1e-300+0i, b=1e300+0i)")),
+                                                "affine(identity, a=1e-300+0i, b=1e300+0i)", TINY_KOEBE)),
     ["omission-scan", "--map", TINY_SECTOR],
-    *(["proof-check", "--map", m] for m in ("sector(a=1e-300)", "strip-shift(x=0.9999999999999999)",
-                                             "koebe(strip, z0=0+0.9999999999999999i)")),
+    ["normalize", "--map", f"koebe({TINY_SECTOR}, z0=0.9999999999999999+0i)"],
+    *(["proof-check", "--map", m] for m in (
+        "sector(a=1e-300)", "strip-shift(x=0.9999999999999999)", "koebe(strip, z0=0+0.9999999999999999i)",
+        "koebe(affine(sector(a=0.5), a=1e-200+0i, b=0+0i), z0=0+0.9999999999999999i)")),
     ["lemma32", "--a-list=1e308+0i"],
     ["coeff-bound", "--map", TINY_SECTOR],
 ]
@@ -481,14 +486,50 @@ OUT_OF_RANGE_REQUESTS = [
 @pytest.mark.parametrize("argv", OUT_OF_RANGE_REQUESTS, ids=[" ".join(a) for a in OUT_OF_RANGE_REQUESTS])
 def test_numbers_out_of_double_range_exit_two(argv):
     """A request whose values overflow, underflow to 0 or leave no finite
-    sample is ill-posed: exit 2, one error line, nothing on stdout.  These
-    used to end in a traceback, and the last one certified a map with
-    every convexity sample masked."""
+    sample is ill-posed: exit 2, nothing on stdout, and stderr is one
+    error line that names the library error.  These used to end in a
+    traceback, and the last one certified a map with every convexity
+    sample masked."""
     code, out, err = run(argv)
     assert (code, out) == (2, "")
-    lines = err.splitlines()
-    assert [line for line in lines if line.startswith("error: ")] == lines[-1:]
-    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    assert issubclass(getattr(errors, line.split(":")[1].strip()), errors.AwrError)
+
+
+def library_out_of_range():
+    """(id, call) of the library calls behind the out-of-range requests."""
+    for text in (HUGE_STRIP, HUGE_SHIFT):
+        expr = parse_expr(text)
+        yield f"reflect {text}", lambda e=expr: reflection.reflect(e, 0.3 + 0.4j)
+        yield f"normalize_values {text}", lambda e=expr: quasidisk.normalize_values(e, np.array([0.4j]))
+        yield f"taylor {text}", lambda e=expr: evaluate.taylor(e)
+    for text in (argv[2] for argv in OUT_OF_RANGE_REQUESTS if argv[0] == "proof-check"):
+        expr = parse_expr(text)
+        yield f"proof_machinery_check {text}", lambda e=expr: convexity.proof_machinery_check(e)
+    yield "lemma32_demo 1e308+0i", lambda: quasidisk.lemma32_demo([1e308 + 0j])
+    koebe = parse_expr(TINY_KOEBE)
+    yield f"array jet_eval {TINY_KOEBE}", lambda: evaluate.jet_eval(koebe, np.array([0.1j, 0.5 + 0j]))
+    yield f"normal_form {TINY_KOEBE}", lambda: evaluate.normal_form(koebe)
+
+
+LIBRARY_OUT_OF_RANGE = dict(library_out_of_range())
+
+
+@pytest.mark.parametrize("call", LIBRARY_OUT_OF_RANGE.values(), ids=LIBRARY_OUT_OF_RANGE)
+def test_library_raises_an_awr_error_out_of_double_range(call):
+    """A caller of the library that catches AwrError sees the ill-posed
+    inputs the CLI refuses with exit 2, never an ArithmeticError."""
+    with pytest.raises(errors.AwrError):
+        call()
+
+
+def test_coefficient_scan_overflow_stays_off_stderr():
+    """|a2 f| and |f/z|^2 overflow to inf on the grid and in the
+    refinement: the scan fails (exit 1) with no numpy warning."""
+    code, out, err = run(["coeff-bound", "--map", "affine(identity, a=1e300+0i, b=0+0i)"])
+    assert (code, err) == (1, "")
+    assert "residual_ok = False" in out
 
 
 def test_negative_real_part_needs_the_equals_form():
@@ -599,15 +640,27 @@ INF, NAN, CLIP = math.inf, math.nan, svgplot.COORD_CLIP
     complex(CLIP, 1.0),
 ])
 def test_svg_scene_drops_what_is_infinite_drops(z):
-    """Each scene site keeps a point by the rule it had when it asked
-    extended.is_infinite: a polyline drops infinite, NaN and clipped points,
-    and a dot drops infinite and clipped ones but keeps a NaN one."""
+    """A polyline and a dot keep a point by one rule: each drops
+    infinite, NaN and clipped points."""
     scene = svgplot.SvgScene()
     scene.add_polyline([0j, z])
     scene.add_dot(z, svgplot.PROBE_COLOR)
     blob = scene.render()
-    assert blob.count("<polyline") == (not is_infinite(z) and abs(z) <= CLIP)
-    assert blob.count("<circle") == (not (is_infinite(z) or abs(z) > CLIP))
+    kept = not is_infinite(z) and abs(z) <= CLIP
+    assert blob.count("<polyline") == kept
+    assert blob.count("<circle") == kept
+
+
+def test_svg_figure_has_no_masked_point(tmp_path):
+    """A probe ring that rounds to |z| = 1 is masked: its probes and
+    their reflections are left out of the figure, not drawn at nan."""
+    path = tmp_path / "fig.svg"
+    code, _, err = run(["svg", "--map", "disk(x=0.5)", "--rings", "0.5,0.9999999999999999",
+                        "--angles", "64", "--svg", str(path)])
+    assert (code, err) == (0, "")
+    blob = path.read_text()
+    assert "nan" not in blob
+    assert blob.count("<circle") > 64
 
 
 # The process entry: `python -m awr.cli` (and the installed `awr` script)
