@@ -305,6 +305,8 @@ def _cmd_quasidisk(args, expr):
     lines = [(f"inf_ratio[{_fmt_float(ring)}]", ratio)
              for ring, ratio in zip(profile.rings, profile.inf_ratio_per_ring)]
     lines += _pick(profile, "c_estimate collapsed") + [("seed", args.seed)]
+    lines += [(f"exact_ratio[{_fmt_float(ring)}]", ratio)
+              for ring, ratio in zip(profile.rings, profile.exact_ratio_per_ring)]
     rows = ([("ring", ring), ("inf_ratio", ratio), ("arg", arg), ("all_infinite", bool(vac))]
             for ring, ratio, arg, vac in zip(profile.rings, profile.inf_ratio_per_ring,
                                              profile.arg_inf, profile.all_infinite))

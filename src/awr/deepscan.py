@@ -9,8 +9,8 @@ precision the probes are parametrized by (E, tau) with
 
     z = omega_e (1 - eps) exp(i tau eps),   eps = 10^{-E},
 
-where omega_e = pre^{-1}(e) is the boundary preimage of strip end
-e = +-1.  To first order in eps
+where omega_e = pre^{-1}(e) (`domain.Domain.preimage`) is the boundary
+preimage of strip end e = +-1.  To first order in eps
 
     e - pre(z) = eps (1 - i tau) e kappa_e,
     kappa_e = e omega_e pre'(omega_e) = (1 - |a|^2) / |1 - conj(a) omega_e|^2,
@@ -30,6 +30,7 @@ import math
 
 import numpy as np
 
+from .domain import Domain
 from .errors import ConsistencyError
 from .evaluate import NormalForm, normal_form
 from .expr import MapExpr, Strip
@@ -64,11 +65,10 @@ class StripEnd(Record):
 
 def strip_ends(struct: NormalForm):
     """The two boundary preimages of the strip ends, with their factors."""
-    pre = struct.pre
+    pre, domain = struct.pre, Domain(struct)
     ends = []
     for e in (1, -1):
-        # pre^{-1}(e), in numpy complex division like the recorded outputs
-        omega = complex((e + pre.lam * pre.a) / (np.conj(pre.a) * e + pre.lam))
+        omega = domain.preimage(e)
         kappa = (1.0 - abs(pre.a) ** 2) / abs(1.0 - pre.a.conjugate() * omega) ** 2
         if not (math.isfinite(kappa) and kappa > 0.0):
             raise ConsistencyError(f"boundary factor for end {e} is not positive: {kappa}")

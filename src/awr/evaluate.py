@@ -156,7 +156,10 @@ def jet_eval(expr: MapExpr, z) -> Jet3:
         if not abs(z) < 1.0:
             raise DomainViolation(f"|z| = {abs(z)} is not inside the open unit disk")
         try:
-            return _jet(expr, z)
+            j = _jet(expr, z)
+            if not np.isfinite((j.f0, j.f1, j.f2, j.f3)).all():  # * and + overflow silently
+                raise OverflowError("a field is not finite")
+            return j
         except ArithmeticError as err:  # Python complex ** overflows; divisors pass jets.nonzero
             raise OutOfDoubleRange(f"the jet at z = {z} leaves double range: {err}") from None
 

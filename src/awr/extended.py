@@ -30,7 +30,7 @@ def chordal(u, v):
 
     d(u, v) = 2|u - v| / sqrt((1+|u|^2)(1+|v|^2)), with the usual
     limits when either argument is infinite.  Vectorized; broadcasting
-    follows numpy rules.  NaN inputs propagate as NaN.
+    follows numpy rules.  NaN inputs propagate as NaN; huge ones are scaled.
     """
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
@@ -38,8 +38,14 @@ def chordal(u, v):
     v_inf = is_infinite(v)
     u_fin = np.where(u_inf, 0.0, u)
     v_fin = np.where(v_inf, 0.0, v)
-    su = np.sqrt(1.0 + np.abs(u_fin) ** 2)
-    sv = np.sqrt(1.0 + np.abs(v_fin) ** 2)
+    au, av = np.abs(u_fin), np.abs(v_fin)
+    with np.errstate(all="ignore"):  # the squares overflow past 1.3e154, su sv past 1.8e308
+        su, sv = np.sqrt(1.0 + au**2), np.sqrt(1.0 + av**2)
+        near = 2.0 * np.abs(u_fin - v_fin) / (su * sv)
+        scaled = ~np.isfinite(su * sv)  # there the roots come from hypot, and with
+        su, sv = np.where(scaled, np.hypot(1.0, au), su), np.where(scaled, np.hypot(1.0, av), sv)
+        m = np.maximum(np.maximum(au, av), 1.0)  # m = max(|u|, |v|, 1) no step overflows
+        far = 2.0 * np.abs(u_fin / m - v_fin / m) * (m / np.maximum(su, sv)) / np.minimum(su, sv)
     both = u_inf & v_inf
     out = np.where(
         both,
@@ -47,7 +53,7 @@ def chordal(u, v):
         np.where(
             u_inf,
             2.0 / sv,
-            np.where(v_inf, 2.0 / su, 2.0 * np.abs(u_fin - v_fin) / (su * sv)),
+            np.where(v_inf, 2.0 / su, np.where(scaled, far, near)),
         ),
     )
     if out.ndim == 0:

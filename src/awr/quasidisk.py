@@ -19,10 +19,10 @@ import math
 
 import numpy as np
 
-from .catalog import A2_ZERO_TOL, UNBOUNDED, boundedness_hint
 from .deepscan import deep_min, strip_structure
+from .domain import A2_ZERO_TOL, Domain
 from .errors import DegenerateDomain, PoleInDomain
-from .evaluate import jet_eval, normal_form, taylor
+from .evaluate import jet_eval, taylor
 from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
 from .extended import INFINITY, chordal, is_infinite
 from .geometry import segment_distances
@@ -233,7 +233,10 @@ def boundary_polyline(expr: MapExpr, n: int = 8192, r: float = 0.999975) -> Boun
 
 class RatioProfile(Record):
     """Per-ring infima of d(R_w, closed image) / d(w, boundary); the
-    numerator is d(R_w, boundary), since R_w is never in the closed image."""
+    numerator is d(R_w, boundary), since R_w is never in the closed image.
+    inf_ratio_per_ring and arg_inf take both from the sampled polyline;
+    exact_ratio_per_ring and exact_arg_inf take them on the same probes from
+    the closed-form boundary (`domain.Domain`), so no ring moves another."""
 
     rings: tuple
     inf_ratio_per_ring: tuple
@@ -241,6 +244,8 @@ class RatioProfile(Record):
     c_estimate: float
     all_infinite: tuple
     collapsed: bool
+    exact_ratio_per_ring: tuple
+    exact_arg_inf: tuple
 
 
 def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_ANGLES) -> RatioProfile:
@@ -258,10 +263,10 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     reflection is at infinity contribute +inf and drop out of the
     infimum unless a whole ring reflects to infinity, which is flagged.
     A quasidisk keeps the ratio bounded below; the tangent-disk images
-    collapse at the tangency cusp.
+    collapse at the tangency cusp.  The exact ratios use `domain.Domain`.
     """
     a2 = taylor(expr)[1]
-    if abs(a2) < A2_ZERO_TOL and boundedness_hint(normal_form(expr)) == UNBOUNDED:
+    if abs(a2) < A2_ZERO_TOL and not Domain.of(expr).bounded:
         raise DegenerateDomain(
             "strip-conjugate map reflects its axis to infinity; "
             "use delta_f or koebe_omission_scan instead"
@@ -273,41 +278,37 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     seg_a, seg_b = poly.segments()
 
     zs, ws, rs, _ = reflect_grid(expr, meta)
-    # One segment query takes the image points and the finite reflections together.
+    # One query per boundary takes the image points and the finite reflections together.
     finite_r = ~is_infinite(rs)
-    d_seg = segment_distances(np.concatenate([ws, rs[finite_r]]), seg_a, seg_b)
-    d_w = d_seg[: ws.size]
-    ratio = np.full(ws.size, np.inf)
+    probes = np.concatenate([ws, rs[finite_r]])
+    d_seg = segment_distances(probes, seg_a, seg_b)
+    d_exact = Domain.of(expr).boundary_distance(probes)
+    ratio = np.full((2, ws.size), np.inf)  # to the polyline, then to the closed-form boundary
     with np.errstate(all="ignore"):
-        ratio[finite_r] = d_seg[ws.size :] / d_w[finite_r]
-    zs = zs.reshape(len(rings), angles)
-    ratio = ratio.reshape(len(rings), angles)
+        for k, d in enumerate((d_seg, d_exact)):
+            ratio[k, finite_r] = d[ws.size :] / d[: ws.size][finite_r]
+    zs, ratio = zs.reshape(len(rings), angles), ratio.reshape(2, len(rings), angles)
 
     # Per ring: the least finite ratio, or inf at nan+nanj when none is finite.
     usable = np.isfinite(ratio)
-    flags = ~np.any(usable, axis=1)
-    if np.all(flags):
+    flags = ~np.any(usable, axis=2)
+    if np.all(flags[0]):
         raise DegenerateDomain("every probe ring reflected to infinity")
-    rows = np.arange(len(rings))
-    j = np.argmin(np.where(usable, ratio, np.inf), axis=1)
-    inf_ratios = np.where(flags, np.inf, ratio[rows, j]).tolist()
-    args = np.where(flags, complex(np.nan, np.nan), zs[rows, j]).tolist()
-    c_est = min(inf_ratios)
-    deepest = inf_ratios[-1]
-    shallowest = inf_ratios[0]
-    collapsed = bool(
-        math.isfinite(deepest)
-        and deepest < COLLAPSE_THRESHOLD
-        and math.isfinite(shallowest)
-        and deepest < 0.5 * shallowest
-    )
+    j = np.argmin(np.where(usable, ratio, np.inf), axis=2)
+    infima = np.where(flags, np.inf, np.take_along_axis(ratio, j[..., None], 2)[..., 0]).tolist()
+    args = np.where(flags, complex(np.nan, np.nan), zs[np.arange(len(rings)), j]).tolist()
+    deepest, shallowest = infima[0][-1], infima[0][0]
+    collapsed = bool(math.isfinite(deepest) and deepest < COLLAPSE_THRESHOLD
+                     and math.isfinite(shallowest) and deepest < 0.5 * shallowest)
     return RatioProfile(
         rings=rings,
-        inf_ratio_per_ring=tuple(inf_ratios),
-        arg_inf=tuple(args),
-        c_estimate=c_est,
-        all_infinite=tuple(flags.tolist()),
+        inf_ratio_per_ring=tuple(infima[0]),
+        arg_inf=tuple(args[0]),
+        c_estimate=min(infima[0]),
+        all_infinite=tuple(flags[0].tolist()),
         collapsed=collapsed,
+        exact_ratio_per_ring=tuple(infima[1]),
+        exact_arg_inf=tuple(args[1]),
     )
 
 

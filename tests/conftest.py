@@ -11,10 +11,13 @@ from hypothesis import strategies as st
 from awr.catalog import FIXTURE_EXPRS, build_map
 from awr.evaluate import Mobius, jet_eval
 from awr.expr import (
+    Affine,
     Disk,
     Halfplane,
     Identity,
+    Koebe,
     MobiusOfStrip,
+    MobiusShift,
     SectorAuto,
     SectorReal,
     Strip,
@@ -103,6 +106,31 @@ LEAVES = st.one_of(
     st.floats(0.05, 0.95).map(StripShift),
     annulus(0.1, 1.0).map(MobiusOfStrip),
 )
+
+
+# ("K", z0) recenters, ("A", (A, B)) postcomposes an affine map, ("M",) shifts.
+KOEBE = st.tuples(st.just("K"), annulus(0.0, 0.9))
+AFFINE = st.tuples(st.just("A"), st.tuples(
+    annulus(0.2, 5.0),
+    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(lambda p: complex(*p))))
+LAYERS = st.lists(st.one_of(KOEBE, AFFINE, st.just(("M",))), max_size=3)
+
+
+def wrap(expr, layer):
+    """expr under one layer of LAYERS."""
+    if layer[0] == "K":
+        return Koebe(expr, layer[1])
+    if layer[0] == "A":
+        return Affine(expr, *layer[1])
+    return MobiusShift(expr)
+
+
+def build(leaf, layers):
+    """leaf under each layer in turn, innermost first."""
+    expr = leaf
+    for layer in layers:
+        expr = wrap(expr, layer)
+    return expr
 
 
 def leaf_point(nf, z):

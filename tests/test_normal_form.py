@@ -13,10 +13,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import LEAVES, annulus, leaf_point
+from conftest import AFFINE, KOEBE, LAYERS, LEAVES, annulus, build, leaf_point, wrap
 
-from awr.catalog import BOUNDED, FIXTURE_EXPRS, boundedness_hint, build_map
+from awr.catalog import BOUNDED, FIXTURE_EXPRS, build_map
 from awr.deepscan import deep_min, strip_ends, strip_structure
+from awr.domain import Domain
 from awr.errors import CoincidentPoints
 from awr.evaluate import Mobius, jet_eval, normal_form
 from awr.extended import INFINITY, is_infinite
@@ -25,7 +26,6 @@ from awr.expr import (
     Disk,
     Koebe,
     MobiusOfStrip,
-    MobiusShift,
     SectorAuto,
     Strip,
     StripShift,
@@ -151,49 +151,26 @@ def test_post_sends_infinity_where_at_infinity_says(text):
 
 # the shared leaves, with mobius-of-strip's |a| reaching 2
 NF_LEAVES = st.one_of(LEAVES, annulus(1.0, 2.0).map(MobiusOfStrip))
-# ("K", z0) recenters, ("A", (A, B)) postcomposes an affine map, ("M",) shifts.
-KOEBE = st.tuples(st.just("K"), annulus(0.0, 0.9))
-AFFINE = st.tuples(st.just("A"), st.tuples(
-    annulus(0.2, 5.0),
-    st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(lambda p: complex(*p))))
-LAYERS = st.lists(st.one_of(KOEBE, AFFINE, st.just(("M",))), max_size=3)
-
-
-def _wrap(expr, layer):
-    if layer[0] == "K":
-        return Koebe(expr, layer[1])
-    if layer[0] == "A":
-        return Affine(expr, *layer[1])
-    return MobiusShift(expr)
-
-
-def _build(leaf, layers):
-    expr = leaf
-    for layer in layers:
-        expr = _wrap(expr, layer)
-    return expr
-
-
 @settings(max_examples=150, deadline=None)
 @given(NF_LEAVES, LAYERS, st.one_of(KOEBE, AFFINE))
 # post's c is 1.7e-13 against a = d = 1; scaling a by 2 once made it "affine"
 @example(Strip(), [("K", polar(1e-13, 1.0)), ("M",)], ("A", (2.0 + 0j, 0j)))
 def test_boundedness_is_invariant_under_koebe_and_affine(leaf, layers, extra):
-    expr = _build(leaf, layers)
-    hint = boundedness_hint(normal_form(expr))
-    assert boundedness_hint(normal_form(_wrap(expr, extra))) == hint
+    expr = build(leaf, layers)
+    bounded = Domain.of(expr).bounded
+    assert Domain.of(wrap(expr, extra)).bounded == bounded
     if isinstance(leaf, MobiusOfStrip) and all(layer[0] != "M" for layer in layers):
         # the image is bounded iff the pole -1/a misses |Im v| <= pi/4
         a = leaf.a
         gap = abs(a.imag) - 0.25 * math.pi * abs(a) ** 2
         assume(abs(gap) > 1e-9 * abs(a) ** 2)
-        assert (hint == BOUNDED) == (gap > 0)
+        assert bounded == (gap > 0)
 
 
 @settings(max_examples=150, deadline=None)
 @given(NF_LEAVES, LAYERS, annulus(0.0, 0.9))
 def test_normal_form_reproduces_the_map(leaf, layers, probe):
-    expr = _build(leaf, layers)
+    expr = build(leaf, layers)
     nf = normal_form(expr)
     z = np.array([probe])
     f = jet_eval(expr, z).f0[0]

@@ -467,7 +467,7 @@ TINY_SECTOR = "affine(sector(a=0.5), a=1e-320+0i, b=0+0i)"
 # f'(z0) = 1e-320 is not 0, but (1 - |z0|^2) f'(z0), the renormalization divisor, rounds to 0
 TINY_KOEBE = "koebe(affine(identity, a=1e-320+0i, b=0+0i), z0=0+0.9999999999999999i)"
 OUT_OF_RANGE_REQUESTS = [
-    ["reflect", "--map", HUGE_STRIP, "--z", "0.3+0.4i"],
+    *(["reflect", "--map", m, "--z", "0.3+0.4i"] for m in (HUGE_STRIP, HUGE_SHIFT)),
     *([c, "--map", HUGE_STRIP] for c in ("normalize", "delta", "quasidisk", "omission-scan")),
     *([c, "--map", HUGE_SHIFT] for c in ("coeff-bound", "proof-check", "normalize", "delta",
                                           "quasidisk", "omission-scan", "mediatrix-scan")),
@@ -522,6 +522,26 @@ def test_library_raises_an_awr_error_out_of_double_range(call):
     inputs the CLI refuses with exit 2, never an ArithmeticError."""
     with pytest.raises(errors.AwrError):
         call()
+
+
+def test_a_scalar_jet_with_a_field_out_of_double_range_raises():
+    """Python complex * and + overflow to inf or NaN without raising: the
+    jet of HUGE_SHIFT at 0.3+0.4i had f2 = f3 = nan+nanj, and reflect
+    reported a vanishing derivative (CriticalPoint)."""
+    expr = parse_expr(HUGE_SHIFT)
+    for call in (evaluate.jet_eval, reflection.reflect):
+        with pytest.raises(errors.OutOfDoubleRange):
+            call(expr, 0.3 + 0.4j)
+    code, _, err = run(["reflect", "--map", HUGE_SHIFT, "--z", "0.3+0.4i"])
+    assert code == 2 and err.startswith("error: OutOfDoubleRange: ")
+
+
+def test_chordal_delta_past_the_square_range_stays_off_stderr():
+    """f reaches 1e300 and a2 = 0, so delta is chordal: it read 0 after an
+    overflow warning, and the distance to infinity is 2/|f|, about 2e-300."""
+    code, out, err = run(["delta", "--map", "affine(identity, a=1e300+0i, b=0+0i)"])
+    assert (code, err) == (0, "")
+    assert "delta = 2.000000e-300" in out.splitlines()
 
 
 def test_coefficient_scan_overflow_stays_off_stderr():
@@ -763,10 +783,10 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("awr."))])
 # and none of the scans; every scan loads the jet layer and the normal form
 CLI_BASE = {"awr.cli", "awr.errors", "awr.expr", "awr.grids", "awr.parser", "awr.record"}
 JETS = {"awr.evaluate", "awr.extended", "awr.jets"}
-CONVEX = {"awr.catalog", "awr.convexity", "awr.reflection"}
-QUASIDISK = {"awr.catalog", "awr.deepscan", "awr.geometry", "awr.quasidisk", "awr.reflection"}
+CONVEX = {"awr.catalog", "awr.convexity", "awr.domain", "awr.reflection"}
+QUASIDISK = {"awr.deepscan", "awr.domain", "awr.geometry", "awr.quasidisk", "awr.reflection"}
 SCOPES = {
-    "catalog": (["catalog"], {"awr.catalog", "awr.nehari"}),
+    "catalog": (["catalog"], {"awr.catalog", "awr.domain", "awr.nehari"}),
     "certify": (["certify", "--map", "sector(a=0.5)", "--angles", "64"], {"awr.nehari"}),
     "reflect": (["reflect", "--map", "disk(x=0.5)", "--z", "0.3+0.4i"], {"awr.reflection"}),
     "mediatrix-scan": (["mediatrix-scan", "--map", "disk(x=0.5)"], CONVEX),
