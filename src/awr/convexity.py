@@ -45,10 +45,6 @@ class LineSpec(Record):
     tangent: complex
     normal: complex
 
-    def signed_distance(self, p):
-        """Euclidean distance to the line, positive on the image side."""
-        return np.real((p - self.point) * np.conjugate(self.normal))
-
 
 def mediatrix(w, r) -> LineSpec:
     """Perpendicular bisector of the segment from w to its reflection r."""
@@ -428,7 +424,7 @@ def proof_machinery_check(expr: MapExpr, zetas=DEFAULT_ZETAS):
         zeta = complex(zeta)
         fz = nonzero(complex(value(expr, np.asarray([zeta]))[0]), zeta, "f(zeta) is 0 at zeta = {}")
         den = Jet3(-zeta, 1.0 + 0j, 0.0 + 0j, 0.0 + 0j, at=0.0 + 0j)
-        q0 = (jf0 - Jet3.constant(fz, 0.0 + 0j)) / den
+        q0 = (jf0 - fz) / den
         scale = zeta / fz
         f2 = scale * q0.f1
         f3 = scale * q0.f2 / 2.0

@@ -68,7 +68,8 @@ class Domain(Record):
                 d = 2.0 * (abs(q.c) ** 2 * s.real + (q.d * q.c.conjugate()).real)
                 big = n + np.copysign(np.hypot(n - d * s.real, d * s.imag), n)
                 for t in (big / d, (2.0 * n * s.real - d * np.abs(s) ** 2) / big):
-                    t = np.where(t >= lo, t, np.nan)  # NaN, a pole or an infinite t drop out of fmin
+                    # NaN, a pole or a t whose c t overflows (its foot is q(inf)) drops out of fmin
+                    t = np.where((t >= lo) & np.isfinite(q.c * t), t, np.nan)
                     best = np.fmin(best, np.abs(w - (q.a * t + q.b) / (q.c * t + q.d)))
                 best = np.fmin(best, np.fmin(np.abs(w - q(lo)), np.abs(w - q(math.inf))))
         return np.where(np.isfinite(w), best, np.nan)

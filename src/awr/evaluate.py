@@ -78,12 +78,14 @@ def _pow_jet(w: Jet3, p: float) -> Jet3:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _koebe_scalars(inner: MapExpr, z0: complex) -> tuple[complex, complex]:
-    """(f(z0), f'(z0)) for the renormalized precomposition."""
+    """(f(z0), k) for the renormalized precomposition (f(sigma_z0) - f(z0)) k,
+    k = 1/((1 - |z0|^2) f'(z0)): the one place that forms k, after refusing
+    a divisor that rounds to 0."""
     j = jet_eval(inner, complex(z0))
     if j.f1 == 0:
         raise CriticalPoint(f"derivative vanishes at renormalization point {z0}")
-    nonzero((1.0 - abs(z0) ** 2) * complex(j.f1), z0, "(1 - |z0|^2) f'(z0) rounds to 0 at z0 = {}")
-    return complex(j.f0), complex(j.f1)
+    den = nonzero((1.0 - abs(z0) ** 2) * complex(j.f1), z0, "(1 - |z0|^2) f'(z0) rounds to 0 at z0 = {}")
+    return complex(j.f0), 1.0 / den
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -126,12 +128,10 @@ def _jet(expr: MapExpr, z) -> Jet3:
 
     if isinstance(expr, Koebe):
         z0 = expr.z0
-        fz0, fpz0 = _koebe_scalars(expr.inner, z0)
+        fz0, k = _koebe_scalars(expr.inner, z0)
         zb = np.conj(z0)
-        r2 = 1.0 - abs(z0) ** 2
-        sj = mobius_jet(z, z + z0, 1.0 + zb * z, zb, r2)
-        fj = _jet(expr.inner, sj.f0)
-        return (fj.compose(sj) - fz0) * (1.0 / (r2 * fpz0))
+        sj = mobius_jet(z, z + z0, 1.0 + zb * z, zb, 1.0 - abs(z0) ** 2)
+        return (_jet(expr.inner, sj.f0).compose(sj) - fz0) * k
 
     if isinstance(expr, MobiusShift):
         a2 = shift_a2(expr.inner)
@@ -266,7 +266,8 @@ def normal_form(expr: MapExpr) -> NormalForm:
 
     strip-shift lowers to koebe(strip), and mobius-of-strip(a) is the
     strip leaf with post w/(1 + a w).  koebe at z0 moves pre by sigma_z0
-    and puts w -> (w - f(z0)) / ((1 - |z0|^2) f'(z0)) after post.
+    and puts w -> k (w - f(z0)), k = 1/((1 - |z0|^2) f'(z0)) from
+    `_koebe_scalars`, after post.
     """
     if isinstance(expr, StripShift):
         return normal_form(expr.lower())
@@ -274,11 +275,9 @@ def normal_form(expr: MapExpr) -> NormalForm:
         return NormalForm(DiskAutomorphism(), Strip(), Mobius(1.0, 0.0, expr.a, 1.0))
     if isinstance(expr, Koebe):
         inner = normal_form(expr.inner)
-        z0 = expr.z0
-        f0, f1 = _koebe_scalars(expr.inner, z0)
-        k = 1.0 / ((1.0 - abs(z0) ** 2) * f1)
+        f0, k = _koebe_scalars(expr.inner, expr.z0)
         renorm = Mobius(k, -k * f0, 0.0, 1.0)
-        return NormalForm(inner.pre.after(z0), inner.leaf, renorm.compose(inner.post))
+        return NormalForm(inner.pre.after(expr.z0), inner.leaf, renorm.compose(inner.post))
     if isinstance(expr, MobiusShift):
         inner = normal_form(expr.inner)
         shift = Mobius(1.0, 0.0, taylor(expr.inner)[1], 1.0)

@@ -2,7 +2,10 @@
 
 A ``Jet3`` bundles the value and first three derivatives of a map at a
 base point.  Fields may be complex scalars or complex ndarrays (all of
-one shape); arithmetic is numpy-vectorized either way.
+one shape); arithmetic is numpy-vectorized either way.  The algebra
+covers what the maps are built from: a scalar shift (f + c, f - c) and
+scale (f * c), the product and quotient of two jets at one base point,
+and composition.
 
 One rule covers singular points and overflow: array jets mask them with
 NaN or inf and numpy stays silent (np.errstate(all="ignore")), and scalar
@@ -100,28 +103,12 @@ class Jet3(Record):
         zero = np.where(masked, np.nan, 0.0 + 0.0j)
         return Jet3(at, one, zero, zero, at)
 
-    @staticmethod
-    def constant(c, at) -> "Jet3":
-        """The jet of the constant c at a scalar base point."""
-        return Jet3(complex(c), 0.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, complex(at))
+    def __add__(self, c):
+        """Jet of f + c for a scalar or array c."""
+        return Jet3(self.f0 + c, self.f1, self.f2, self.f3, self.at)
 
-    def __add__(self, other):
-        if isinstance(other, Jet3):
-            _check_base(self.at, other.at, SAME_BASE)
-            return Jet3(
-                self.f0 + other.f0,
-                self.f1 + other.f1,
-                self.f2 + other.f2,
-                self.f3 + other.f3,
-                self.at,
-            )
-        return Jet3(self.f0 + other, self.f1, self.f2, self.f3, self.at)
-
-    def __neg__(self):
-        return Jet3(-self.f0, -self.f1, -self.f2, -self.f3, self.at)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet3) else -other)
+    def __sub__(self, c):
+        return self + -c
 
     def __mul__(self, other):
         if isinstance(other, Jet3):

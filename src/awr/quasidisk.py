@@ -281,10 +281,10 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     # One query per boundary takes the image points and the finite reflections together.
     finite_r = ~is_infinite(rs)
     probes = np.concatenate([ws, rs[finite_r]])
-    d_seg = segment_distances(probes, seg_a, seg_b)
-    d_exact = Domain.of(expr).boundary_distance(probes)
     ratio = np.full((2, ws.size), np.inf)  # to the polyline, then to the closed-form boundary
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # a polyline of subnormal span overflows the box keys
+        d_seg = segment_distances(probes, seg_a, seg_b)
+        d_exact = Domain.of(expr).boundary_distance(probes)
         for k, d in enumerate((d_seg, d_exact)):
             ratio[k, finite_r] = d[ws.size :] / d[: ws.size][finite_r]
     zs, ratio = zs.reshape(len(rings), angles), ratio.reshape(2, len(rings), angles)

@@ -6,10 +6,10 @@ For a locally univalent f on the disk, the reflection of w = f(z) is
     b2(z) = (1 - |z|^2) f''(z) / (2 f'(z)) - conj(z),
 
 where b2 is the second coefficient of f recentered at z (Ahlfors-Weill
-1962, Proc. AMS 13).  It extends f past the unit circle through
-z -> 1/conj(z), and at z = 0 it sends 0 to -1/a2.  Where b2 vanishes
-the reflection is the point at infinity; for the strip map that happens
-along the whole real diameter.
+1962, Proc. AMS 13).  It extends f past the unit circle: the extension
+at |z| > 1 is `reflect` at 1/conj(z).  At z = 0 it sends 0 to -1/a2.
+Where b2 vanishes the reflection is the point at infinity; for the strip
+map that happens along the whole real diameter.
 
 `jet_reflection` holds the one copy of the formula and works on scalar
 and array jets alike; `reflect` and `reflect_grid` both go through it.
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CriticalPoint, DomainViolation
+from .errors import CriticalPoint
 from .evaluate import jet_eval
 from .extended import INFINITY, is_infinite
 from .grids import GridMeta, grid_points
@@ -83,11 +83,3 @@ def reflect_grid(expr, meta: GridMeta):
     j = jet_eval(expr, zs)
     r, b2 = jet_reflection(j, zs)
     return zs, j.f0.copy(), r, b2
-
-
-def extend(expr, z):
-    """Value of the reflected extension at a point outside the closed disk."""
-    z = complex(z)
-    if abs(z) <= 1.0:
-        raise DomainViolation(f"extension is defined for |z| > 1, got |z| = {abs(z)}")
-    return reflect(expr, 1.0 / np.conjugate(z)).r

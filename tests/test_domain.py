@@ -23,7 +23,7 @@ from awr.catalog import FIXTURE_EXPRS
 from awr.domain import Domain
 from awr.errors import DegenerateDomain
 from awr.evaluate import jet_eval, normal_form
-from awr.expr import Disk, Identity, MobiusOfStrip, SectorAuto, SectorReal, Strip
+from awr.expr import Disk, Identity, Koebe, MobiusOfStrip, SectorAuto, SectorReal, Strip
 from awr.extended import INFINITY, chordal, is_infinite
 from awr.grids import polar
 from awr.parser import parse_expr
@@ -145,6 +145,17 @@ def test_boundary_distance_matches_mpmath_on_fixtures(name, expr):
 @example(MobiusOfStrip(0.25), [("M",)], [0.5 + 0.5j])
 def test_boundary_distance_matches_mpmath_on_composites(leaf, layers, zs):
     check_against_oracle(build(leaf, layers), zs)
+
+
+def test_a_foot_past_double_range_is_the_far_end():
+    """Where the circle of the feet nearly passes through q's pole, one
+    foot t lies past 1e308 / |c|, and (a t + b) / (c t + d) read 0, not
+    the far end a / c: the distance from f(z0) = z0 to the image of
+    koebe(disk(x=0.75), z0) read 2.2e-309.  With z0 this small the image
+    is the disk of centre -12/7 and radius 16/7, 4/7 away from 0."""
+    z0 = 1.202212536478363e-309 + 1.87233509098836e-309j
+    got = Domain.of(Koebe(Disk(0.75), z0)).boundary_distance(z0)[()]
+    assert got == pytest.approx(4.0 / 7.0, rel=1e-15)
 
 
 def _same(got, want):

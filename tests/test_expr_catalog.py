@@ -315,12 +315,13 @@ def test_caches_keep_same_valued_nodes_of_different_types_apart():
     assert taylor(Strip())[2] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert taylor(Identity()) == (1.0, 0.0, 0.0)
     w = 1.3 / 0.7  # (1 + z) / (1 - z) at z = 0.3
-    f, df = _koebe_scalars(SectorReal(0.5), 0.3 + 0j)
+    # (f(z0), k) with k = 1/((1 - |z0|^2) f'(z0)), 1 - |z0|^2 = 0.91
+    f, k = _koebe_scalars(SectorReal(0.5), 0.3 + 0j)
     assert f == pytest.approx(w ** 0.5 - 1.0, rel=1e-15)
-    assert df == pytest.approx(w ** -0.5 / 0.49, rel=1e-15)
-    f, df = _koebe_scalars(Disk(0.5), 0.3 + 0j)
+    assert k == pytest.approx(0.49 * w ** 0.5 / 0.91, rel=1e-15)
+    f, k = _koebe_scalars(Disk(0.5), 0.3 + 0j)
     assert f == pytest.approx(0.3 / 1.15, rel=1e-15)
-    assert df == pytest.approx(1.0 / 1.15 ** 2, rel=1e-15)
+    assert k == pytest.approx(1.15 ** 2 / 0.91, rel=1e-15)
 
 
 @pytest.mark.parametrize("record,name", [

@@ -480,6 +480,8 @@ OUT_OF_RANGE_REQUESTS = [
         "koebe(affine(sector(a=0.5), a=1e-200+0i, b=0+0i), z0=0+0.9999999999999999i)")),
     ["lemma32", "--a-list=1e308+0i"],
     ["coeff-bound", "--map", TINY_SECTOR],
+    # a polyline of subnormal span: segment_distances' box keys overflow
+    ["quasidisk", "--map", "affine(identity, a=1e-320+0i, b=0+0i)"],
 ]
 
 

@@ -8,6 +8,7 @@ mobius-of-strip, which collapses in every metric.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from awr import evaluate, quasidisk
 from awr.deepscan import strip_structure
 from awr.errors import DegenerateDomain
-from awr.expr import Disk, Halfplane, Koebe, MobiusOfStrip, MobiusShift, Strip
+from awr.expr import Affine, Disk, Halfplane, Identity, Koebe, MobiusOfStrip, MobiusShift, Strip
 from awr.extended import INFINITY
 from awr.quasidisk import (
     CHORDAL,
@@ -213,6 +214,16 @@ def test_ratio_scan_refuses_when_every_ring_reflects_to_infinity(monkeypatch):
     _reflect_to_infinity(monkeypatch, rings, angles, lost=(0, 1))
     with pytest.raises(DegenerateDomain, match="every probe ring"):
         quasidisk_ratio_scan(Disk(0.5), rings, angles)
+
+
+def test_ratio_scan_of_a_subnormal_image_refuses_without_a_warning():
+    """affine(identity, a=1e-320) leaves no finite ratio on any ring, and
+    its boundary polyline has a subnormal span, whose box keys in
+    segment_distances overflow: the scan's errstate covers that call."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateDomain, match="every probe ring"):
+            quasidisk_ratio_scan(Affine(Identity(), 1e-320 + 0j, 0j), (0.9, 0.99), 128)
 
 
 def test_cluster_runs_wrap_past_angle_zero(monkeypatch):

@@ -12,7 +12,9 @@ reflects its bisector through its vertex, and the paper's
 f* = f/(1 + a2 f) of a strip map reflects the strip's axis to its cusp.
 The theorem itself, that the midpoint of w and R_w is never inside a
 convex image, is checked on composites of every convex leaf against a
-closed-form test of the leaf's domain.
+closed-form test of the leaf's domain.  The four extremal identities are
+read a second time off `Domain`, the image's boundary, vertex and cusp
+in closed form.
 """
 
 import cmath
@@ -27,7 +29,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from awr.catalog import FIXTURE_EXPRS
-from awr.errors import DomainViolation
+from awr.domain import Domain
 from awr.expr import (
     Affine,
     Disk,
@@ -43,7 +45,7 @@ from awr.expr import (
 )
 from awr.extended import chordal, is_infinite
 from awr.grids import GridMeta, polar
-from awr.reflection import extend, local_b2, reflect, reflect_grid
+from awr.reflection import local_b2, reflect, reflect_grid
 from awr.evaluate import jet_eval, normal_form, sector_auto_params
 
 from conftest import (
@@ -135,18 +137,6 @@ def test_a_subnormal_b2_reflects_to_infinity_without_a_warning():
         warnings.simplefilter("error")
         s = reflect(Disk(1e-310), 0.0)
     assert s.r_is_inf and s.b2 == -1e-310
-
-
-def test_extend_matches_reflection_of_inverted_point():
-    z = 1.6 - 0.4j
-    got = extend(Disk(0.5), z)
-    want = reflect(Disk(0.5), 1.0 / np.conjugate(z)).r
-    assert abs(got - want) < 1e-14
-
-
-def test_extend_rejects_points_inside():
-    with pytest.raises(DomainViolation):
-        extend(Disk(0.5), 0.5 + 0.2j)
 
 
 @given(seed=st.integers(0, 2**31 - 1))
@@ -396,3 +386,73 @@ def test_disk_reflection_is_inversion_in_the_image_circle(x, z):
         return
     want = centre + radius ** 2 / np.conj(s.w - centre)
     assert abs(s.r - want) <= _tol(1e-12, z) * abs(want - centre), (x, z, s.r, want)
+
+
+# The same identities with `Domain` as the oracle: the distance to the
+# image's boundary and its special points, in closed form from the normal
+# form, with no leaf formula of the tests above.
+
+INNER = annulus(0.0, 0.95)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ANGLES, ONE_LAYER, INNER)
+def test_half_plane_midpoints_are_on_the_domain_boundary(t, layer, z):
+    expr = _wrap(Halfplane(polar(1.0, t)), layer)
+    domain = Domain.of(expr)
+    s = reflect(expr, z)
+    off = domain.boundary_distance((s.w + s.r) / 2.0)[()]
+    assert off <= _tol(1e-12, z, leaf_point(domain.nf, z)) * abs(s.w - s.r), (expr, z, off)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SECTORS, ONE_LAYER, INNER)
+def test_the_domain_vertex_is_as_far_from_r_w_as_from_w(sector, layer, z):
+    """special_points()[0] is the vertex post(v), and every mediatrix
+    passes through it."""
+    leaf, vertex = sector
+    expr = _wrap(leaf, layer)
+    domain = Domain.of(expr)
+    v = domain.special_points()[0]
+    s = reflect(expr, z)
+    tol = _tol(1e-12, z, leaf_point(domain.nf, z)) * abs(s.w - v)
+    assert abs(v - domain.nf.post(vertex)[()]) <= tol, (expr, v)
+    assert abs(abs(s.r - v) - abs(s.w - v)) <= tol, (expr, z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(F_STARS, ONE_LAYER, st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+def test_f_star_reflects_the_strip_axis_to_the_domain_cusp(f_star, layer, t):
+    """A layer keeps post non-affine, so the cusp post(inf) stays finite and
+    is the only special point of the strip leaf.  R_w rounds to about
+    eps (|w| + |R_w - w|), and an affine layer can put the cusp at 0, so
+    the scale is |cusp| + |w - cusp|."""
+    expr = _wrap(f_star, layer)
+    domain = Domain.of(expr)
+    (cusp,) = domain.special_points()
+    z = _disk_point(domain.nf, t)
+    assume(abs(z) <= 0.95)
+    s = reflect(expr, z)
+    assert abs(s.r - cusp) <= _tol(1e-12, z, t) * (abs(cusp) + abs(s.w - cusp)), (expr, t, s.r, cusp)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-0.9, 0.9), ONE_LAYER, INNER)
+def test_domain_distance_ratio_of_a_disk_is_radius_over_distance_to_centre(x, layer, z):
+    """Inversion in the image circle, centre c and radius rho, sends w at
+    distance rho - |w - c| from the boundary to R_w at distance
+    rho (rho - |w - c|) / |w - c|: their ratio is rho / |w - c|.  Near
+    the centre the ratio takes the rounding of w and c, about
+    eps (|w| + |c|) relative to |w - c|."""
+    expr = _wrap(Disk(x), layer)
+    domain = Domain.of(expr)
+    post = domain.nf.post
+    centre = post(-x / (1.0 - x * x))[()]
+    radius = abs(post.a / post.d) / (1.0 - x * x)
+    s = reflect(expr, z)
+    assume(not s.r_is_inf)
+    got = domain.boundary_distance(s.r)[()] / domain.boundary_distance(s.w)[()]
+    want = radius / abs(s.w - centre)
+    near_centre = 16.0 * EPS * (abs(s.w) + abs(centre)) / abs(s.w - centre)
+    tol = _tol(1e-12, z, leaf_point(domain.nf, z)) + near_centre
+    assert abs(got - want) <= tol * want, (expr, z, got, want)
