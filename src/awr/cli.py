@@ -20,7 +20,8 @@ are built only when their flag asks for them, after the report is out.
 Exit codes: 0 when `passed` holds, 1 when a scan completes but a
 certification fails, 2 for usage errors (bad flags, bad grammar, an
 unwritable output path, or a request the map cannot support, numbers
-out of double range too); past argparse, stderr holds one `error:` line.
+out of double range too); past argparse, and for a --zetas or --a-list
+over MAX_LIST_VALUES, stderr holds one `error:` line.
 
 Imports.  A request is one short process, so importing this module
 loads only the parser, the grids (every default grid and cap the flags
@@ -52,7 +53,7 @@ import gc
 import os
 import sys
 
-from .errors import AwrError, MapSyntaxError
+from .errors import AwrError, BadParam, MapSyntaxError
 from .grids import (
     CERT_ANGLES,
     CERT_RINGS,
@@ -63,6 +64,7 @@ from .grids import (
     DEFAULT_ZETAS,
     DELTA_ANGLES,
     DELTA_RINGS,
+    MAX_LIST_VALUES,
     MAX_PASSES,
     NORM_ANGLES,
     NORM_RINGS,
@@ -162,10 +164,12 @@ def _complex_arg(text: str) -> complex:
 
 
 def _complex_list(text: str):
-    values = tuple(_complex_arg(part) for part in text.split(",") if part.strip())
-    if not values:
+    parts = [part for part in text.split(",") if part.strip()]
+    if not parts:
         raise argparse.ArgumentTypeError("needs at least one value")
-    return values
+    if len(parts) > MAX_LIST_VALUES:  # an AwrError, which main reports on one line
+        raise BadParam(f"{len(parts)} values exceed the cap of {MAX_LIST_VALUES}")
+    return tuple(_complex_arg(part) for part in parts)
 
 
 def _plot_boundary(expr):
@@ -177,10 +181,11 @@ def _plot_boundary(expr):
 def _reflection_figure(expr, ws, rs, marked=()):
     """Boundary, probe-reflection pairs, and the mediatrix of each marked
     (w, r) pair whose reflection is finite."""
-    from . import convexity, svgplot
-    from .extended import is_infinite
+    import numpy as np
 
-    lines = [convexity.mediatrix(w, r) for w, r in marked if not is_infinite(r)]
+    from . import convexity, svgplot
+
+    lines = [convexity.mediatrix(w, r) for w, r in marked if np.isfinite(r)]
     return svgplot.reflection_scene(_plot_boundary(expr), ws, rs,
                                     mediatrix_lines=[(m.point, m.tangent) for m in lines])
 
@@ -440,12 +445,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "z_required", False) and args.z is None:
-        parser.error("reflect needs --z")
-    if getattr(args, "svg_required", False) and args.svg is None:
-        parser.error("svg needs --svg PATH")
     try:
+        args = parser.parse_args(argv)
+        if getattr(args, "z_required", False) and args.z is None:
+            parser.error("reflect needs --z")
+        if getattr(args, "svg_required", False) and args.svg is None:
+            parser.error("svg needs --svg PATH")
         if hasattr(args, "rings"):
             # refuse an oversized grid before any command allocates it
             check_grid_size(len(args.rings), args.angles)

@@ -268,21 +268,19 @@ BASE_CAP = 0.55
 def mediatrix_scan(expr: MapExpr, base_radii: int = 16, base_angles: int = 64) -> MediatrixReport:
     """Scan separation margins of the PROBE_GRID probes against a base grid.
 
-    Probes whose local b2 vanishes reflect to infinity and are counted
-    as vacuous.
+    A probe is scored exactly where its reflection is finite; one whose
+    b2 vanishes reflects to infinity and counts as vacuous, and a masked
+    (NaN) reflection is neither scored nor counted.
     """
     zs, ws, rs, _ = reflect_grid(expr, PROBE_GRID)
 
     bases = ring_points(np.linspace(0.0, BASE_CAP, base_radii), base_angles).ravel()
     base_vals = jet_eval(expr, bases).f0
 
-    vac = is_infinite(rs)
-    ok = ~vac & np.isfinite(ws) & np.isfinite(zs)
-    n_vacuous = int(np.sum(vac))
-
+    n_vacuous = int(np.sum(is_infinite(rs)))
     probe_margin = np.full(zs.shape, np.nan)
     probe_argbase = np.zeros(zs.shape, dtype=int)
-    idx = np.nonzero(ok)[0]
+    idx = np.nonzero(np.isfinite(rs))[0]
     probe_margin[idx], probe_argbase[idx] = _min_margins(base_vals, ws[idx], rs[idx])
 
     finite = np.isfinite(probe_margin)

@@ -49,6 +49,7 @@ DEFAULT_ZETAS = (
     0.9j,
 )
 DEFAULT_A_LIST = (0.25, 0.01, 0.25j)  # quasidisk.lemma32_demo
+MAX_LIST_VALUES = 64  # cap on one --zetas or --a-list; a lemma32 value takes about 34 ms
 
 # Cap on the refinement passes of the deep strip-end probes (deepscan).
 # Pass k probes strip values of size about 8^k: on the catalog, squaring

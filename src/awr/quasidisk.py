@@ -259,9 +259,9 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     (w, R_w), midpoint included, would lie in the image.  Every leaf
     domain is convex and the reflection is equivariant under the
     disk automorphism before the leaf and the Mobius map after it, so
-    this holds for every map the grammar builds.  Probes whose
-    reflection is at infinity contribute +inf and drop out of the
-    infimum unless a whole ring reflects to infinity, which is flagged.
+    this holds for every map the grammar builds.  A probe counts exactly
+    where R_w is finite, and a ring with no usable ratio is flagged; with
+    none on any ring the scan refuses, naming infinity only if every R_w is.
     A quasidisk keeps the ratio bounded below; the tangent-disk images
     collapse at the tangency cusp.  The exact ratios use `domain.Domain`.
     """
@@ -278,8 +278,10 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     seg_a, seg_b = poly.segments()
 
     zs, ws, rs, _ = reflect_grid(expr, meta)
+    if np.all(is_infinite(rs)):
+        raise DegenerateDomain("every probe ring reflected to infinity")
     # One query per boundary takes the image points and the finite reflections together.
-    finite_r = ~is_infinite(rs)
+    finite_r = np.isfinite(rs)
     probes = np.concatenate([ws, rs[finite_r]])
     ratio = np.full((2, ws.size), np.inf)  # to the polyline, then to the closed-form boundary
     with np.errstate(all="ignore"):  # a polyline of subnormal span overflows the box keys
@@ -289,11 +291,11 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
             ratio[k, finite_r] = d[ws.size :] / d[: ws.size][finite_r]
     zs, ratio = zs.reshape(len(rings), angles), ratio.reshape(2, len(rings), angles)
 
-    # Per ring: the least finite ratio, or inf at nan+nanj when none is finite.
     usable = np.isfinite(ratio)
+    # with no usable ratio on any ring every sample is masked, and extremum refuses
+    c_estimate = extremum(np.where(usable[0], ratio[0], np.nan))[1]
+    # Per ring: the least finite ratio, or inf at nan+nanj when none is finite.
     flags = ~np.any(usable, axis=2)
-    if np.all(flags[0]):
-        raise DegenerateDomain("every probe ring reflected to infinity")
     j = np.argmin(np.where(usable, ratio, np.inf), axis=2)
     infima = np.where(flags, np.inf, np.take_along_axis(ratio, j[..., None], 2)[..., 0]).tolist()
     args = np.where(flags, complex(np.nan, np.nan), zs[np.arange(len(rings)), j]).tolist()
@@ -304,7 +306,7 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
         rings=rings,
         inf_ratio_per_ring=tuple(infima[0]),
         arg_inf=tuple(args[0]),
-        c_estimate=min(infima[0]),
+        c_estimate=c_estimate,
         all_infinite=tuple(flags[0].tolist()),
         collapsed=collapsed,
         exact_ratio_per_ring=tuple(infima[1]),
@@ -349,24 +351,18 @@ def koebe_omission_scan(
     bases = np.concatenate([[0j], bases.ravel()])
     probes = ring_points(PROBE_RINGS, PROBE_ANGLES).ravel()
 
-    best = math.inf
-    best_base = 0j
-    best_probe = 0j
-    best_expr = None
-    best_b2 = 0j
-    for z0 in bases:
+    def candidate(z0):
+        """(value, base, probe, recentered map, its b2) of one base."""
         g_expr = Koebe(expr, complex(z0))
         b2 = taylor(g_expr)[1]
         if abs(b2) < A2_ZERO_TOL:
-            if 1.0 < best:
-                best, best_base, best_probe = 1.0, complex(z0), 0j
-                best_expr, best_b2 = None, 0j
-            continue
+            return 1.0, complex(z0), 0j, None, 0j
         m, v = extremum(np.abs(b2 * jet_eval(g_expr, probes).f0 + 1.0))
-        if v < best:
-            best = v
-            best_base, best_probe = complex(z0), complex(probes[m])
-            best_expr, best_b2 = g_expr, b2
+        return v, complex(z0), complex(probes[m]), g_expr, b2
+
+    # the first least candidate; the leading inf entry wins where no base scores below inf
+    best, best_base, best_probe, best_expr, best_b2 = min(
+        [(math.inf, 0j, 0j, None, 0j)] + [candidate(z0) for z0 in bases], key=lambda c: c[0])
 
     if best_expr is not None:
 
@@ -380,15 +376,11 @@ def koebe_omission_scan(
                 best, best_probe = v, omega
         else:
             fn = at_polar(lambda z: score(jet_eval(best_expr, z).f0)[0])
-            pr = abs(best_probe)
-            pt = math.atan2(best_probe.imag, best_probe.real)
-            v, r_ref, th_ref = refine_on_grid(
-                fn, pr, pt, fn(pr, pt), 2.0 * np.pi / PROBE_ANGLES, (0.0, R_CAP),
-                dr=max(1.0 - pr, 0.1), passes=passes,
-            )
+            pr, pt = abs(best_probe), math.atan2(best_probe.imag, best_probe.real)
+            v, r_ref, th_ref = refine_on_grid(fn, pr, pt, fn(pr, pt), 2.0 * np.pi / PROBE_ANGLES,
+                                              (0.0, R_CAP), dr=max(1.0 - pr, 0.1), passes=passes)
             if v < best:
-                best = v
-                best_probe = polar(r_ref, th_ref)
+                best, best_probe = v, polar(r_ref, th_ref)
     return OmissionReport(
         inf_value=best,
         base_at=best_base,

@@ -8,11 +8,15 @@ For a locally univalent f on the disk, the reflection of w = f(z) is
 where b2 is the second coefficient of f recentered at z (Ahlfors-Weill
 1962, Proc. AMS 13).  It extends f past the unit circle: the extension
 at |z| > 1 is `reflect` at 1/conj(z).  At z = 0 it sends 0 to -1/a2.
-Where b2 vanishes the reflection is the point at infinity; for the strip
-map that happens along the whole real diameter.
 
 `jet_reflection` holds the one copy of the formula and works on scalar
 and array jets alike; `reflect` and `reflect_grid` both go through it.
+An array of reflections has three outcomes: a finite R_w; the point at
+infinity (INFINITY where b2 vanishes, as along the strip's whole real
+diameter, and `is_infinite` reads any infinite part as it); and NaN where
+the jet is masked or a quotient leaves double range.  A finite R_w needs
+a finite f(z), so a scan keeps a probe exactly where R_w is finite, and
+reads `is_infinite` only to count vacuous probes or to name why it refuses.
 """
 
 from __future__ import annotations
@@ -76,8 +80,8 @@ def reflect(expr, z) -> ReflectionSample:
 def reflect_grid(expr, meta: GridMeta):
     """Vectorized reflection over a ring grid.
 
-    Returns (z, w, r, b2) flat complex arrays; entries of r where the
-    local coefficient vanishes hold INFINITY.
+    Returns (z, w, r, b2) flat complex arrays; r has the three outcomes
+    of the module docstring.
     """
     zs = grid_points(meta).ravel()
     j = jet_eval(expr, zs)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import fresh_python
+from conftest import ANGLES, LAYERS, LEAVES, build, fresh_python
 
 from awr import convexity
 from awr.catalog import FIXTURE_EXPRS
@@ -26,11 +26,12 @@ from awr.convexity import (
     proof_machinery_check,
 )
 from awr.errors import BadParam, CoincidentPoints, DegenerateDomain
-from awr.expr import Disk, Halfplane, Identity, SectorReal
+from awr.expr import Affine, Disk, Halfplane, Identity, SectorReal
 from awr.extended import INFINITY, is_infinite
 from awr.evaluate import jet_eval
-from awr.grids import ring_points
+from awr.grids import polar, ring_points
 from awr.record import fields
+from awr.reflection import reflect_grid
 
 # name -> (min_margin bracket, contact expected, vacuous probes expected)
 MEDIATRIX_TABLE = {
@@ -217,6 +218,33 @@ def test_mediatrix_scan_matches_oracle(name, expr):
     assert report.min_margin == margin[i]
     assert report.base_at == bases[argbase[i]]
     assert report.n_checked == int(np.sum(np.isfinite(margin)))
+
+
+# affine scales out to 1e+-305, weighted to the ends, where jets leave double range
+EXPONENTS = st.one_of(st.floats(-305.0, 305.0), st.floats(295.0, 305.0), st.floats(-305.0, -295.0))
+HUGE_OR_TINY = st.tuples(EXPONENTS, ANGLES).map(lambda p: polar(10.0 ** p[0], p[1]))
+
+
+@given(LEAVES, LAYERS, HUGE_OR_TINY)
+@example(Halfplane(-1.0 + 0j), [], 1e-308 + 0j)
+@settings(max_examples=40, deadline=None)
+def test_a_probe_is_scored_exactly_where_its_reflection_is_finite(leaf, layers, scale):
+    """R_w = f(z) - (1 - |z|^2) f'(z)/b2 is finite only where f(z) is, so
+    the scan's one mask, a finite R_w, never keeps a probe without an
+    image point; INFINITY marks exactly the vacuous probes, and a NaN
+    reflection is neither scored nor counted.  The example, affine
+    (halfplane(c=-1+0i), a=1e-308+0i), has 1,466 NaN reflections at
+    finite w, and every margin of its finite ones is masked."""
+    expr = Affine(build(leaf, layers), scale, 0j)
+    _, ws, rs, _ = reflect_grid(expr, convexity.PROBE_GRID)
+    finite = np.isfinite(rs)
+    assert np.all(np.isfinite(ws[finite]))
+    try:
+        report = mediatrix_scan(expr)
+    except DegenerateDomain:
+        return
+    assert report.n_vacuous == int(np.sum(is_infinite(rs)))
+    assert report.n_checked <= int(np.sum(finite))
 
 
 @st.composite

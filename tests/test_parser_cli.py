@@ -22,7 +22,8 @@ from awr.catalog import CONVEXITY_ANGLES, CONVEXITY_RINGS
 from awr.convexity import COEFF_ANGLES, COEFF_RINGS
 from awr.extended import is_infinite
 from awr.expr import NODES, Disk, Identity, Koebe, MapExpr, SectorAuto, Strip, StripShift
-from awr.grids import DEFAULT_ANGLES, DEFAULT_RINGS, MAX_GRID_POINTS, MAX_PASSES, GridMeta, polar
+from awr.grids import (DEFAULT_ANGLES, DEFAULT_RINGS, MAX_GRID_POINTS, MAX_LIST_VALUES, MAX_PASSES,
+                       GridMeta, polar)
 from awr.nehari import CERT_ANGLES, CERT_RINGS
 from awr.parser import format_complex, format_expr, parse_complex, parse_expr
 from awr.quasidisk import (
@@ -459,6 +460,35 @@ def test_empty_sample_list_exits_two(argv):
     assert code == 2
     assert out == ""
     assert "needs at least one value" in err
+
+
+def _values(n):
+    """n distinct comma-separated complex literals in the disk."""
+    return ",".join(f"{0.3 + 0.005 * k:.3f}+0.1i" for k in range(n))
+
+
+@pytest.mark.parametrize("flag,argv,scan", [
+    ("zetas", ["proof-check", "--map", "disk(x=0.5)"], (convexity, "proof_machinery_check")),
+    ("a_list", ["lemma32"], (quasidisk, "lemma32_demo")),
+])
+def test_sample_lists_are_capped(flag, argv, scan, monkeypatch):
+    """A --zetas or --a-list of MAX_LIST_VALUES values is read whole; one
+    more is refused with exit 2 and one error line before any scan runs
+    (a lemma32 value takes about 34 ms, and one argument can hold some
+    12,000 values)."""
+    option = "--" + flag.replace("_", "-")
+    args = cli.build_parser().parse_args(argv + [f"{option}={_values(MAX_LIST_VALUES)}"])
+    assert len(getattr(args, flag)) == MAX_LIST_VALUES
+    monkeypatch.setattr(*scan, lambda *a: pytest.fail("the scan ran"))
+    code, out, err = run(argv + [f"{option}={_values(MAX_LIST_VALUES + 1)}"])
+    assert (code, out) == (2, "")
+    assert err == f"error: BadParam: {MAX_LIST_VALUES + 1} values exceed the cap of {MAX_LIST_VALUES}\n"
+
+
+def test_proof_check_runs_at_the_list_cap():
+    code, out, err = run(["proof-check", "--map", "disk(x=0.5)", f"--zetas={_values(MAX_LIST_VALUES)}"])
+    assert (code, err) == (0, "")
+    assert f"n_zetas = {MAX_LIST_VALUES}\n" in out
 
 
 HUGE_STRIP = "mobius-of-strip(a=1e103+0i)"
