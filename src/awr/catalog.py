@@ -8,7 +8,8 @@ normalization f/(1 + a2 f) and its extremal sector are the nodes
 Every entry keeps the normalized expression together with its second
 Taylor coefficient, the outcome of a numerical convexity check, and two
 flags read from the image in closed form (`domain.Domain`): whether it
-is bounded, and whether the omitted point -1/a2 sits on its boundary.
+is bounded, and whether the omitted point f(0) - 1/c (-1/a2 when f(0) = 0
+and f'(0) = 1) is on its boundary.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import Domain
-from .evaluate import jet_eval, taylor
+from .evaluate import jet_eval, normalization, taylor
 from .expr import (
     Disk,
     Halfplane,
@@ -69,15 +70,14 @@ def validate_convexity(expr: MapExpr):
 def build_map(expr: MapExpr) -> MappingSpec:
     """Construct a catalog entry, running the convexity check."""
     domain = Domain.of(expr)
-    a2 = taylor(expr)[1]
     certified, conv_min = validate_convexity(expr)
     return MappingSpec(
         expr=expr,
-        a2=complex(a2),
+        a2=taylor(expr)[1],
         convexity_certified=certified,
         convexity_min=conv_min,
         bounded_hint=BOUNDED if domain.bounded else UNBOUNDED,
-        omitted_on_boundary=domain.omits_on_boundary(a2),
+        omitted_on_boundary=domain.omits_on_boundary(*normalization(expr)),
     )
 
 

@@ -3,8 +3,8 @@
 Three numerical checks live here.  The mediatrix scan verifies that the
 perpendicular bisector of each segment from an image point to its
 reflection separates the reflection from the image domain.  The
-coefficient scan verifies the sharp lower bound Re(a2 f) >= -1/2
-together with its pointwise strengthening.  The proof check reproduces
+coefficient scan verifies the sharp lower bound Re(a2 f) >= -1/2 and
+its pointwise strengthening on (f - f(0))/f'(0).  The proof check reproduces
 the Schur-type coefficient inequality behind the separation theorem for
 a set of recentering points.
 
@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import BadParam, CoincidentPoints, DegenerateDomain
-from .evaluate import jet_eval, taylor, value
+from .evaluate import jet_eval, normalization, taylor, value
 from .expr import MapExpr
 from .extended import is_infinite
 from .grids import DEFAULT_ZETAS, R_CAP, GridMeta, at_polar, polar, refine_on_grid, ring_points
@@ -53,7 +53,7 @@ def mediatrix(w, r) -> LineSpec:
         raise DegenerateDomain("reflection at infinity has no mediatrix")
     r = complex(r)
     gap = w - r
-    if abs(gap) < 1e-13 * (1.0 + abs(w)):
+    if abs(gap) <= 1e-13 * max(abs(w), abs(r)):  # relative: any affine scale passes
         raise CoincidentPoints("image point and reflection coincide")
     n = gap / abs(gap)
     return LineSpec(point=(w + r) / 2.0, tangent=1j * n, normal=n)
@@ -305,13 +305,14 @@ COEFF_ANGLES = 2048
 
 
 class CoefficientReport(Record):
-    """Worst cases of the second-coefficient functional scan.
+    """Worst cases of the second-coefficient functional scan, read on
+    F = (f - f(0))/f'(0) with a2(F) F = c (f - f(0)); the a2 field is f's.
 
-    inf_lhs refines inf Re(a2 f) with radii allowed up to R_CAP,
+    inf_lhs refines inf Re(a2(F) F) with radii allowed up to R_CAP,
     since the infimum is attained only on the boundary.  The residual
     field is the pointwise slack of the strengthened bound
 
-        Re(a2 f(z)) + 1/2 - (1 - |z|^2) |f(z)/z|^2 / 2 >= 0
+        Re(a2(F) F(z)) + 1/2 - (1 - |z|^2) |F(z)/z|^2 / 2 >= 0
 
     evaluated on the grid rings, never refined toward the boundary where
     it cancels below double precision.
@@ -327,28 +328,29 @@ class CoefficientReport(Record):
 
 
 def coefficient_bound_scan(expr: MapExpr) -> CoefficientReport:
-    """Scan Re(a2 f) >= -1/2 and its pointwise strengthening."""
+    """Scan Re(a2 F) >= -1/2, F = (f - f(0))/f'(0), and its pointwise strengthening."""
     rings, angles = COEFF_RINGS, COEFF_ANGLES
-    a2 = taylor(expr)[1]
+    f0, a1, c = normalization(expr)
     pts = ring_points(rings, angles)
-    f = jet_eval(expr, pts).f0
+    x = jet_eval(expr, pts).f0 - f0
     radii = np.asarray(rings, dtype=float)[:, None]
     with np.errstate(all="ignore"):  # a large f overflows to inf, on the grid and in the refinement
-        lhs_all = np.real(a2 * f)
-        res_all = lhs_all + 0.5 - 0.5 * (1.0 - radii * radii) * np.abs(f / pts) ** 2
+        lhs_all = np.real(c * x)
+        res_all = lhs_all + 0.5 - 0.5 * (1.0 - radii * radii) * np.abs(x / pts / abs(a1)) ** 2
 
         i, j = divmod(extremum(lhs_all)[0], angles)
         r_hi = rings[i + 1] if i + 1 < len(rings) else R_CAP
         best_v, best_r, best_th = refine_on_grid(
-            # a2 times the point's scalar value: an array product rounds differently
-            at_polar(lambda z: np.real(a2 * value(expr, z)[0])), rings[i], 2.0 * np.pi * j / angles,
-            float(lhs_all[i, j]), 2.0 * np.pi / angles, (rings[max(i - 1, 0)], r_hi),
+            # c times the point's scalar x: an array product rounds differently
+            at_polar(lambda z: np.real(c * (value(expr, z)[0] - f0))), rings[i],
+            2.0 * np.pi * j / angles, float(lhs_all[i, j]), 2.0 * np.pi / angles,
+            (rings[max(i - 1, 0)], r_hi),
         )
     arg_inf = polar(best_r, best_th)
 
     k, min_res = extremum(res_all)
     return CoefficientReport(
-        a2=complex(a2),
+        a2=taylor(expr)[1],
         inf_lhs=best_v,
         arg_inf=arg_inf,
         min_residual=min_res,
@@ -392,11 +394,11 @@ def proof_machinery_check(expr: MapExpr, zetas=DEFAULT_ZETAS):
     """Check the Schur-type inequality behind the separation theorem.
 
     For each recentering point zeta, the function
-    F(z) = (zeta z / f(zeta)) (f(z) - f(zeta))/(z - zeta) is univalent
-    with F(0) = 0, F'(0) = 1 when f has convex image; G = z F'/F is
-    starlike-type with Re G >= 1/2, and h(z) = (1/G(z) - 1)/z maps into
-    the closed unit disk.  Three consequences are tested on a sample
-    grid: Re G >= 1/2, sup |h| <= 1, and the coefficient slack
+    F(z) = (zeta z / (f(zeta) - f(0))) (f(z) - f(zeta))/(z - zeta), the
+    same for f and A f + B, is univalent with F(0) = 0, F'(0) = 1 when f
+    has convex image; G = z F'/F is starlike-type with Re G >= 1/2, and
+    h(z) = (1/G(z) - 1)/z maps into the closed unit disk.  Three checks
+    run on a sample grid: Re G >= 1/2, sup |h| <= 1, and the coefficient slack
 
         (1 - |a1(G)|^2) - |a2(G) - a1(G)^2| >= 0
 
@@ -413,17 +415,18 @@ def proof_machinery_check(expr: MapExpr, zetas=DEFAULT_ZETAS):
             raise BadParam(f"|zeta| = {size:.3g} is below ZETA_MIN = {ZETA_MIN}, "
                            "where the slack loses eps/|zeta|^2")
     a1f, a2f, a3f = taylor(expr)
+    f0 = normalization(expr)[0]
     samples = []
     all_pass = True
     rr = ring_points((0.3, 0.7, 0.95), 128).ravel()
     ring = jet_eval(expr, rr)
-    jf0 = Jet3(0.0 + 0j, a1f, 2.0 * a2f, 6.0 * a3f, at=0.0 + 0j)
+    jf0 = Jet3(f0, a1f, 2.0 * a2f, 6.0 * a3f, at=0.0 + 0j)
     for zeta in zetas:
         zeta = complex(zeta)
-        fz = nonzero(complex(value(expr, np.asarray([zeta]))[0]), zeta, "f(zeta) is 0 at zeta = {}")
+        fz = complex(value(expr, np.asarray([zeta]))[0])
         den = Jet3(-zeta, 1.0 + 0j, 0.0 + 0j, 0.0 + 0j, at=0.0 + 0j)
         q0 = (jf0 - fz) / den
-        scale = zeta / fz
+        scale = zeta / nonzero(fz - f0, zeta, "f(zeta) - f(0) is 0 at zeta = {}")
         f2 = scale * q0.f1
         f3 = scale * q0.f2 / 2.0
         a1g = f2

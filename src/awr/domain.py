@@ -21,8 +21,6 @@ from .evaluate import Mobius, NormalForm, normal_form, sector_auto_params
 from .expr import Disk, Identity, SectorAuto, SectorReal, Strip
 from .record import Record
 
-A2_ZERO_TOL = 1e-12
-
 
 class Domain(Record):
     """The image post(leaf domain) of a normal form."""
@@ -93,19 +91,19 @@ class Domain(Record):
             return isinstance(self.nf.leaf, (Identity, Disk))
         return not (isinstance(self.nf.leaf, Strip) and abs(post.pole().imag) <= 0.25 * math.pi)
 
-    def omits_on_boundary(self, a2: complex) -> bool:
-        """Whether -1/a2 is on the boundary (the delta_f = 0 family).  Only
-        strip-built maps put it there, else the shifted map would be an
-        unbounded zero-a2 map: the strip itself.  With a2 = 0 it is
-        infinity, the cusp for an affine post, else a point of an edge
-        through post's pole; otherwise it must be the cusp post(inf)."""
+    def omits_on_boundary(self, f0: complex, a1: complex, c: complex) -> bool:
+        """Whether the omitted point f(0) - 1/c (`evaluate.normalization`) is on the
+        boundary (the delta_f = 0 family).  Only strip-built maps put it there, else
+        the shifted map would be an unbounded zero-a2 map: the strip itself.  With
+        c = 0 it is infinity, the cusp for an affine post, else a point of an edge
+        through post's pole; otherwise it is the cusp post(inf), read as (w - f(0))/f'(0)."""
         if not isinstance(self.nf.leaf, Strip):
             return False
         post = self.nf.post
-        if abs(a2) < A2_ZERO_TOL:
+        if c == 0:
             return post.is_affine or abs(abs(post.pole().imag) - 0.25 * math.pi) < 1e-12
-        (cusp,) = self.special_points()
-        return not post.is_affine and abs(-1.0 / a2 - cusp) <= 1e-9 * (1.0 + abs(cusp))
+        cusp = (self.special_points()[0] - f0) / a1
+        return not post.is_affine and abs(-1.0 / (c * a1) - cusp) <= 1e-9 * (1.0 + abs(cusp))
 
     def preimage(self, v) -> complex:
         """pre^{-1}(v), the disk point that the leaf's point v stands for

@@ -51,6 +51,7 @@ from .record import Record, replace
 # so an unbounded cache grows with every map a long process scans; every
 # subcommand run on the eight catalog fixtures needs 400 entries.
 CACHE_SIZE = 1024
+A2_ZERO_TOL = 1e-12
 
 
 def sector_auto_params(a: complex) -> tuple[complex, float, complex]:
@@ -174,6 +175,18 @@ def taylor(expr: MapExpr) -> tuple[complex, complex, complex]:
     """First three Taylor coefficients (a1, a2, a3) at the origin."""
     j = jet_eval(expr, 0.0 + 0.0j)
     return complex(j.f1), complex(j.f2) / 2.0, complex(j.f3) / 6.0
+
+
+def normalization(expr: MapExpr) -> tuple[complex, complex, complex]:
+    """(f(0), f'(0), c) of F = (f - f(0))/f'(0), c = a2/f'(0)^2 so a2(F) F = c (f - f(0)),
+    for every coefficient rule; c is 0 where |a2| <= A2_ZERO_TOL |f'(0)|, the one such test.
+    A koebe recentering is normalized by construction but computes f(0) and f'(0) only to
+    rounding; they read as exactly 0 and 1, so its rules keep the bits of f itself."""
+    j = jet_eval(expr, 0.0 + 0.0j)
+    f0, f1, a2 = complex(j.f0), complex(j.f1), complex(j.f2) / 2.0
+    if abs(f0) + abs(f1 - 1.0) <= 1e-12:
+        f0, f1 = 0j, 1.0 + 0j
+    return f0, f1, (0j if abs(a2) <= A2_ZERO_TOL * abs(f1) else a2 / f1 / f1)
 
 
 class Mobius(Record):

@@ -2,7 +2,7 @@
 
 The scans here probe the global geometry of an image domain: how the
 Mobius-normalized map behaves near the unit circle, how close the
-omitted value -1/a2 comes to the image, and whether the reflected
+omitted value f(0) - 1/c comes to the image, and whether the reflected
 points keep a uniform distance ratio from the boundary.  A collapsing
 ratio or a vanishing omitted-value distance both witness that the image
 fails the quasidisk criteria, which for the catalog happens exactly on
@@ -20,9 +20,9 @@ import math
 import numpy as np
 
 from .deepscan import deep_min, strip_structure
-from .domain import A2_ZERO_TOL, Domain
+from .domain import Domain
 from .errors import DegenerateDomain, PoleInDomain
-from .evaluate import jet_eval, taylor
+from .evaluate import A2_ZERO_TOL, jet_eval, normalization, taylor
 from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
 from .extended import INFINITY, chordal, is_infinite
 from .geometry import segment_distances
@@ -57,18 +57,19 @@ CLUSTER_ANGLES = 4096
 
 
 def normalize_values(expr: MapExpr, z):
-    """Values of the normalized map f* = f/(1 + a2 f)."""
-    a2 = taylor(expr)[1]
-    f = jet_eval(expr, np.asarray(z, dtype=complex)).f0
+    """f* = x/(1 + c x), x = f - f(0) (`evaluate.normalization`): f'(0) times the shifted
+    map of F = x/f'(0), f/(1 + a2 f) when normalized; |c f*| is scale-free."""
+    f0, _, c = normalization(expr)
+    x = jet_eval(expr, np.asarray(z, dtype=complex)).f0 - f0
     with np.errstate(all="ignore"):  # an overflowed f gives inf / inf, a NaN the scans mask
-        den = 1.0 + a2 * f
+        den = 1.0 + c * x
         if np.any(np.abs(den) < A2_ZERO_TOL):
-            raise PoleInDomain("1 + a2 f vanishes on the sample grid")
-        return f / den
+            raise PoleInDomain("1 + c (f - f(0)) vanishes on the sample grid")
+        return x / den
 
 
 class NormalizedSup(Record):
-    """Grid supremum of |a2 f*|, which stays below 1 on convex images."""
+    """Grid supremum of |c f*| (|a2 f*| for a normalized f), below 1 on convex images."""
 
     sup: float
     arg: complex
@@ -77,17 +78,17 @@ class NormalizedSup(Record):
 
 def normalized_sup(expr: MapExpr,
                    meta: GridMeta = GridMeta(rings=NORM_RINGS, angles=NORM_ANGLES)) -> NormalizedSup:
-    """Sup over a grid of |a2 f*|; trivially 0 when a2 = 0."""
-    a2 = taylor(expr)[1]
-    if abs(a2) < A2_ZERO_TOL:
+    """Sup over a grid of |c f*|; trivially 0 when c = 0."""
+    c = normalization(expr)[2]
+    if c == 0:
         return NormalizedSup(sup=0.0, arg=0j, interior_ok=True)
     pts = grid_points(meta)
-    k, sup = extremum(np.abs(a2 * normalize_values(expr, pts)), largest=True)
+    k, sup = extremum(np.abs(c * normalize_values(expr, pts)), largest=True)
     return NormalizedSup(sup=sup, arg=complex(pts.flat[k]), interior_ok=bool(sup < 1.0))
 
 
 class ClusterReport(Record):
-    """Angular clusters where |a2 f*| approaches its ring maximum."""
+    """Angular clusters where |c f*| approaches its ring maximum."""
 
     ring: float
     pmax: float
@@ -98,7 +99,7 @@ class ClusterReport(Record):
 
 
 def near_one_clusters(expr: MapExpr) -> ClusterReport:
-    """Count maximal angular runs with |a2 f*| above an adaptive cut.
+    """Count maximal angular runs with |c f*| above an adaptive cut.
 
     The cut tau = 1 - 1.5 (1 - pmax) scales with how close the ring
     maximum pmax gets to 1, so the run count is stable for the
@@ -106,8 +107,7 @@ def near_one_clusters(expr: MapExpr) -> ClusterReport:
     two isolated runs for sector and shifted-strip images.
     """
     ring, angles = CLUSTER_RING, CLUSTER_ANGLES
-    a2 = taylor(expr)[1]
-    p = np.abs(a2 * normalize_values(expr, ring_points((ring,), angles)[0]))
+    p = np.abs(normalization(expr)[2] * normalize_values(expr, ring_points((ring,), angles)[0]))
     pmax = extremum(p, largest=True)[1]
     tau = 1.0 - 1.5 * (1.0 - pmax)
     above = p > tau
@@ -131,9 +131,9 @@ def near_one_clusters(expr: MapExpr) -> ClusterReport:
 
 
 class DeltaReport(Record):
-    """Distance from the omitted value -1/a2 to the sampled image.
+    """Distance from the omitted value f(0) - 1/c (`evaluate.normalization`) to the sampled image.
 
-    When a2 = 0 the omitted value is the point at infinity and the
+    When c = 0 the omitted value is the point at infinity and the
     distance is chordal; otherwise it is Euclidean.  A vanishing value
     detects the strip-conjugate family.
     """
@@ -141,13 +141,6 @@ class DeltaReport(Record):
     value: float
     metric: str
     arg_inf: complex
-
-
-def _omitted_distance(a2: complex):
-    """(metric, f values -> their distances to -1/a2), chordal when a2 = 0."""
-    if abs(a2) < A2_ZERO_TOL:
-        return CHORDAL, lambda f: chordal(f, INFINITY)
-    return EUCLIDEAN, lambda f: np.abs(f + 1.0 / a2)
 
 
 def delta_f(expr: MapExpr, grid: GridMeta = GridMeta(rings=DELTA_RINGS, angles=DELTA_ANGLES),
@@ -162,7 +155,9 @@ def delta_f(expr: MapExpr, grid: GridMeta = GridMeta(rings=DELTA_RINGS, angles=D
     value sits on the boundary.
     """
     check_passes(passes)
-    metric, dist = _omitted_distance(taylor(expr)[1])
+    f0, _, c = normalization(expr)
+    metric, dist = ((EUCLIDEAN, lambda f: np.abs(f - (f0 - 1.0 / c))) if c else
+                    (CHORDAL, lambda f: chordal(f, INFINITY)))
     pts = grid_points(grid)
     k, best = extremum(dist(jet_eval(expr, pts).f0))
     arg = complex(pts.flat[k])
@@ -218,9 +213,10 @@ def boundary_polyline(expr: MapExpr, n: int = 8192, r: float = 0.999975) -> Boun
         raise DegenerateDomain(f"polyline radius {r} outside [0.99, 1)")
     if n < 1024:
         raise DegenerateDomain("polyline needs at least 1024 points")
+    f0, a1, _ = normalization(expr)  # clipped as (f - f(0))/f'(0), so the clip is scale-free
     vals = jet_eval(expr, ring_points((r,), n)[0]).f0
     finite = np.isfinite(vals)
-    keep = finite & (np.abs(np.where(finite, vals, 0.0)) <= CLIP_RADIUS)
+    keep = finite & (np.abs(np.where(finite, vals - f0, 0.0)) <= CLIP_RADIUS * abs(a1))
     # Drop consecutive duplicates among kept points.
     kept_idx = np.nonzero(keep)[0]
     if kept_idx.size >= 2:
@@ -265,8 +261,7 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     A quasidisk keeps the ratio bounded below; the tangent-disk images
     collapse at the tangency cusp.  The exact ratios use `domain.Domain`.
     """
-    a2 = taylor(expr)[1]
-    if abs(a2) < A2_ZERO_TOL and not Domain.of(expr).bounded:
+    if normalization(expr)[2] == 0 and not Domain.of(expr).bounded:
         raise DegenerateDomain(
             "strip-conjugate map reflects its axis to infinity; "
             "use delta_f or koebe_omission_scan instead"
@@ -354,8 +349,8 @@ def koebe_omission_scan(
     def candidate(z0):
         """(value, base, probe, recentered map, its b2) of one base."""
         g_expr = Koebe(expr, complex(z0))
-        b2 = taylor(g_expr)[1]
-        if abs(b2) < A2_ZERO_TOL:
+        b2 = taylor(g_expr)[1]  # g is normalized by construction; the score keeps b2's bits
+        if normalization(g_expr)[2] == 0:
             return 1.0, complex(z0), 0j, None, 0j
         m, v = extremum(np.abs(b2 * jet_eval(g_expr, probes).f0 + 1.0))
         return v, complex(z0), complex(probes[m]), g_expr, b2

@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CriticalPoint
-from .evaluate import jet_eval
+from .evaluate import jet_eval, normalization
 from .extended import INFINITY, is_infinite
 from .grids import GridMeta, grid_points
 from .jets import Jet3
@@ -68,10 +68,10 @@ def jet_reflection(j: Jet3, z):
 
 
 def reflect(expr, z) -> ReflectionSample:
-    """Ahlfors-Weill reflection of w = f(z) for a point z in the disk."""
+    """Ahlfors-Weill reflection of w = f(z), |z| < 1; f'(z) counts as 0 up to DERIV_TOL |f'(0)|."""
     z = complex(z)
     j = jet_eval(expr, z)
-    if abs(j.f1) < DERIV_TOL:
+    if abs(j.f1) <= DERIV_TOL * abs(normalization(expr)[1]):
         raise CriticalPoint(f"derivative vanishes at z = {z}")
     r, b2 = jet_reflection(j, z)
     return ReflectionSample(z=z, w=complex(j.f0), r=r, b2=complex(b2))

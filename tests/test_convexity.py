@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import ANGLES, LAYERS, LEAVES, build, fresh_python
 
-from awr import convexity
+from awr import cli, convexity
 from awr.catalog import FIXTURE_EXPRS
 from awr.convexity import (
     DEFAULT_ZETAS,
@@ -112,6 +112,22 @@ def test_mediatrix_degenerate_inputs():
         mediatrix(1.0 + 0.0j, INFINITY)
     with pytest.raises(CoincidentPoints):
         mediatrix(1.0 + 0.0j, 1.0 + 0.0j + 1e-16)
+    with pytest.raises(CoincidentPoints):
+        mediatrix(0j, 0j)
+
+
+def test_a_tiny_scaled_pair_has_the_scaled_mediatrix(tmp_path):
+    """Points coincide relative to max(|w|, |r|), not to 1e-13 (1 + |w|): that
+    floor refused every pair of affine(disk(x=0.5), a=1e-14+0i), so
+    mediatrix-scan --svg printed the disk's report and then exited 2."""
+    w, r = 1.0 + 1.0j, 3.0 + 1.0j
+    line, tiny = mediatrix(w, r), mediatrix(1e-14 * w, 1e-14 * r)
+    assert abs(tiny.point - 1e-14 * line.point) <= 1e-29
+    assert abs(tiny.normal - line.normal) <= 1e-15
+    svg = tmp_path / "f.svg"
+    assert cli.main(["mediatrix-scan", "--map", "affine(disk(x=0.5), a=1e-14+0i, b=0+0i)",
+                     "--svg", str(svg)]) == 0
+    assert svg.stat().st_size > 0
 
 
 @pytest.mark.parametrize("name", sorted(COEFF_TABLE))

@@ -1,4 +1,5 @@
-"""The normal form f = post(leaf(pre(z))) and what is read from it.
+"""The normal form f = post(leaf(pre(z))) and what is read from it, and the
+normalization (f - f(0))/f'(0) that every coefficient rule reads.
 
 pre is kept as lam (z - a) / (1 - conj(a) z), so nested recenterings
 stay disk automorphisms and the strip-end boundary factors stay positive
@@ -13,27 +14,40 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import AFFINE, KOEBE, LAYERS, LEAVES, annulus, build, leaf_point, wrap
+from conftest import AFFINE, ANGLES, KOEBE, LAYERS, LEAVES, annulus, build, leaf_point, wrap
 
-from awr.catalog import BOUNDED, FIXTURE_EXPRS, build_map
+from awr.catalog import BOUNDED, FIXTURE_EXPRS, build_map, validate_convexity
+from awr.convexity import coefficient_bound_scan, proof_machinery_check
 from awr.deepscan import deep_min, strip_ends, strip_structure
 from awr.domain import Domain
-from awr.errors import CoincidentPoints
-from awr.evaluate import Mobius, jet_eval, normal_form
+from awr.errors import CoincidentPoints, DegenerateDomain
+from awr.evaluate import A2_ZERO_TOL, Mobius, jet_eval, normal_form, normalization, taylor
 from awr.extended import INFINITY, is_infinite
 from awr.expr import (
     Affine,
     Disk,
+    Halfplane,
     Koebe,
     MobiusOfStrip,
     SectorAuto,
+    SectorReal,
     Strip,
     StripShift,
 )
-from awr.grids import polar
+from awr.grids import polar, ring_points
+from awr.jets import extremum
 from awr.nehari import certify_nehari
 from awr.parser import format_expr, parse_expr
-from awr.quasidisk import delta_f, koebe_omission_scan
+from awr.quasidisk import (
+    CLUSTER_ANGLES,
+    CLUSTER_RING,
+    delta_f,
+    koebe_omission_scan,
+    near_one_clusters,
+    normalize_values,
+    normalized_sup,
+    quasidisk_ratio_scan,
+)
 
 # Composites of the seed-3 composite-certify stream whose deep recentering
 # drove a matrix-product pre off the automorphism group: the strip-end
@@ -186,3 +200,120 @@ def test_normal_form_reproduces_the_map(leaf, layers, probe):
     # the error far below 1e-10.  The bound is not derived more closely;
     # 3,000 random draws stayed under 1e-13.
     assert abs(g - f) <= 1e-10 * max(1.0, abs(f))
+
+
+# The paper's coefficient rules hold for f(0) = 0 and f'(0) = 1; every rule
+# reads F = (f - f(0))/f'(0) through evaluate.normalization.
+
+
+@pytest.mark.parametrize("name,expr", FIXTURE_EXPRS)
+def test_fixtures_are_normalized_so_c_is_their_a2_to_the_bit(name, expr):
+    """Every fixture has f(0) = 0 and f'(0) = 1 exactly, so c = a2/f'(0)^2 is
+    a2 with its signed zeros, and every rule reads the bits it read before."""
+    f0, a1, c = normalization(expr)
+    a2 = taylor(expr)[1]
+    assert (f0, a1, c) == (0j, 1 + 0j, a2)
+    signs = [math.copysign(1.0, v) for z in (f0, c, a2) for v in (z.real, z.imag)]
+    assert signs[:2] == [1.0, 1.0] and signs[2:4] == signs[4:]
+
+
+def test_a_koebe_recentering_reads_as_normalized():
+    """A koebe recentering is normalized by construction, but its computed
+    f(0) and f'(0) are 0 and 1 only to rounding; they read as exactly 0 and
+    1, so c is its a2 and every rule keeps the bits of f itself."""
+    expr = Koebe(Disk(0.5), -0.9 + 0.1j)
+    j = jet_eval(expr, 0j)
+    assert complex(j.f0) != 0 and complex(j.f1) != 1
+    assert normalization(expr) == (0j, 1 + 0j, taylor(expr)[1])
+
+
+def test_c_vanishes_relative_to_the_first_coefficient():
+    """c is exactly 0 where |a2| <= A2_ZERO_TOL |f'(0)|, the one test of a2
+    against that tolerance: a tiny image keeps its c, a tiny a2 loses it."""
+    for scale in (1e-12, 1e-6, 1e6):
+        f0, a1, c = normalization(Affine(MobiusOfStrip(0.25 + 0j), scale + 0j, 1j))
+        assert (f0, a1) == (1j, scale + 0j) and c == pytest.approx(-0.25 / scale, rel=1e-15)
+    assert normalization(MobiusOfStrip(1e-13 + 0j))[2] == 0
+
+
+EPS = np.finfo(float).eps
+# |A| log-uniform on [1e-6, 1e6], with draws weighted to both ends
+OUTER_SCALES = st.tuples(st.one_of(st.floats(-6.0, 6.0), st.floats(5.0, 6.0), st.floats(-6.0, -5.0)),
+                         ANGLES).map(lambda p: polar(10.0 ** p[0], p[1]))
+OUTER_SHIFTS = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(lambda p: complex(*p))
+
+
+def _refusal(scan, expr):
+    """The scan's report, or None where it refuses as ill-posed."""
+    try:
+        return scan(expr)
+    except DegenerateDomain:
+        return None
+
+
+def _agree(got, want, value, threshold, tol):
+    """Two verdicts agree unless value is within tol of its threshold."""
+    assert got == want or abs(value - threshold) <= tol
+
+
+@settings(max_examples=40, deadline=None)
+@given(LEAVES, LAYERS, OUTER_SCALES, OUTER_SHIFTS)
+@example(SectorReal(0.5), [], 10 + 0j, 0j)  # inf_lhs read -49.988820, passed = False
+@example(SectorReal(0.5), [], 10 + 0j, -2 + 0j)
+@example(Halfplane(-1 + 0j), [], 3 + 0j, 0j)  # delta read 2.833289e-13, not 3 x 0.5
+@example(Halfplane(-1 + 0j), [], 1 + 0j, 1 + 0j)  # zeta0.slack read -8.221111
+@example(Halfplane(-1 + 0j), [], 1e-13 + 0j, 0j)  # the ratio scan refused it as strip-conjugate
+@example(MobiusOfStrip(0.25 + 0j), [], 1e-12 + 0j, 0j)  # omitted_on_boundary read False
+def test_coefficient_rules_read_the_normalized_map(leaf, layers, scale, shift):
+    """Every rule that reads a2 gives g and affine(g, a=A, b=B) one verdict.
+
+    A map with |a2(F)| at A2_ZERO_TOL itself (koebe(identity, z0=1e-12+0i))
+    sits on the cut that makes c exactly 0, and rounding may put g and f on
+    either side of it; such draws are skipped.
+
+    The bound tol = 1e-6 + 1e5 eps |B|/|A| has two terms.  1e-6 covers the
+    refinements toward the unit circle, whose golden-section steps branch
+    apart on values that differ in the last bit and so stop at different
+    samples of a steep function.  The second is the cancellation in
+    f - f(0): f = A g + B carries eps |B| of rounding, which is eps |B|/|A|
+    on F's scale, and the proof check divides differences of f by
+    (z - zeta)^2 with |z - zeta| down to about 0.01 on its rings, which
+    multiplies it by up to 1e4.  A boolean verdict
+    must agree unless g's value is within tol of its threshold.  The
+    coefficient scan and the proof check run on maps of certified convexity,
+    as `awr coeff-bound` and `awr proof-check` do.
+    """
+    g = build(leaf, layers)
+    f = Affine(g, scale, shift)
+    tol = 1e-6 + 1e5 * EPS * abs(shift) / abs(scale)
+    a1, a2, _ = taylor(g)  # c = 0 exactly where |a2(F)| = |a2/a1| <= A2_ZERO_TOL, a sharp cut
+    assume(abs(abs(a2 / a1) - A2_ZERO_TOL) > 1e-9 * A2_ZERO_TOL)
+
+    if validate_convexity(g)[0]:
+        cg, cf = coefficient_bound_scan(g), coefficient_bound_scan(f)
+        assert abs(cf.inf_lhs - cg.inf_lhs) <= tol
+        _agree(cf.lower_ok, cg.lower_ok, cg.inf_lhs, -0.5 - 1e-6, tol)
+        _agree(cf.residual_ok, cg.residual_ok, cg.min_residual, -1e-9, tol)
+        pg, pf = proof_machinery_check(g), proof_machinery_check(f)
+        margins = [abs(m) for s in pg[1] for m in (s.slack + 1e-9, 1.0 + 1e-9 - s.sup_h,
+                                                   s.re_g_min - 0.5 + 1e-6)]
+        assert max(abs(a.slack - b.slack) for a, b in zip(pg[1], pf[1])) <= tol
+        _agree(pf[0], pg[0], min(margins), 0.0, tol)
+
+    ng, nf = normalized_sup(g), normalized_sup(f)
+    assert abs(nf.sup - ng.sup) <= tol * (1.0 + ng.sup) ** 2  # 1/|1 + c x|^2 near a pole
+    _agree(nf.interior_ok, ng.interior_ok, ng.sup, 1.0, tol * (1.0 + ng.sup) ** 2)
+    kg, kf = near_one_clusters(g), near_one_clusters(f)
+    p = np.abs(normalization(g)[2] * normalize_values(g, ring_points((CLUSTER_RING,), CLUSTER_ANGLES)[0]))
+    _agree(kf.count, kg.count, extremum(np.abs(p - kg.tau))[1], 0.0, tol)
+
+    dg, df = delta_f(g), delta_f(f)
+    assert df.metric == dg.metric
+    if dg.metric == "euclidean":  # distances to f(0) - 1/c, whose scale is |A|/|c_g|
+        assert abs(df.value / abs(scale) - dg.value) <= tol * (dg.value + 1.0 / abs(normalization(g)[2]))
+    else:  # the chordal distance to infinity is not scale-free, only its vanishing is
+        assert (df.value == 0.0) == (dg.value == 0.0)
+
+    bg, bf = build_map(g), build_map(f)
+    assert (bf.omitted_on_boundary, bf.bounded_hint) == (bg.omitted_on_boundary, bg.bounded_hint)
+    assert (_refusal(quasidisk_ratio_scan, f) is None) == (_refusal(quasidisk_ratio_scan, g) is None)

@@ -577,11 +577,14 @@ def test_chordal_delta_past_the_square_range_stays_off_stderr():
 
 
 def test_coefficient_scan_overflow_stays_off_stderr():
-    """|a2 f| and |f/z|^2 overflow to inf on the grid and in the
-    refinement: the scan fails (exit 1) with no numpy warning."""
-    code, out, err = run(["coeff-bound", "--map", "affine(identity, a=1e300+0i, b=0+0i)"])
-    assert (code, err) == (1, "")
-    assert "residual_ok = False" in out
+    """f overflows to inf near z = 1 on the grid and in the refinement, with
+    no numpy warning; the scan reads the normalized map, so the half-plane
+    scaled by 1e305 passes as the half-plane does (exit 0)."""
+    text = "affine(halfplane(c=-1+0i), a=1e305+0i, b=0+0i)"
+    assert np.isinf(evaluate.value(parse_expr(text), np.array([0.9999]))).all()
+    code, out, err = run(["coeff-bound", "--map", text])
+    assert (code, err) == (0, "")
+    assert "passed = True" in out.splitlines()
 
 
 def test_negative_real_part_needs_the_equals_form():

@@ -43,6 +43,7 @@ from awr.expr import (
     Strip,
     StripShift,
 )
+from awr.errors import CriticalPoint
 from awr.extended import chordal, is_infinite
 from awr.grids import GridMeta, polar
 from awr.reflection import local_b2, reflect, reflect_grid
@@ -105,6 +106,17 @@ def test_reflection_at_origin_hits_omitted_point(catalog):
         else:
             assert abs(s.r - (-1.0 / spec.a2)) < 1e-10 * max(
                 1.0, 1.0 / abs(spec.a2)), name
+
+
+def test_a_tiny_scale_is_not_a_critical_point():
+    """f'(z) vanishes relative to |f'(0)|: the absolute DERIV_TOL = 1e-14
+    refused affine(identity, a=1e-15+0i) at every z (CriticalPoint), though
+    its R_w is the identity's 1/conj(z) scaled by 1e-15.  A derivative that
+    underflows to 0 is still refused."""
+    s = reflect(Affine(Identity(), 1e-15 + 0j, 0j), 0.3 + 0.4j)
+    assert not s.r_is_inf and abs(s.r - 1e-15 / (0.3 - 0.4j)) <= 1e-30
+    with pytest.raises(CriticalPoint):
+        reflect(Affine(Affine(Identity(), 1e-200 + 0j, 0j), 1e-200 + 0j, 0j), 0.3 + 0.4j)
 
 
 def test_strip_real_axis_reflects_to_infinity():
