@@ -6,10 +6,11 @@ normalization f/(1 + a2 f) and its extremal sector are the nodes
 `Koebe`, `MobiusShift` and `SectorAuto`.
 
 Every entry keeps the normalized expression together with its second
-Taylor coefficient, the outcome of a numerical convexity check, and two
-flags read from the image in closed form (`domain.Domain`): whether it
-is bounded, and whether the omitted point f(0) - 1/c (-1/a2 when f(0) = 0
-and f'(0) = 1) is on its boundary.
+Taylor coefficient and three flags read from the image in closed form
+(`domain.Domain`): whether it is convex, whether it is bounded, and
+whether the omitted point f(0) - 1/c (-1/a2 when f(0) = 0 and f'(0) = 1)
+is on its boundary.  The least sampled Re(1 + z f''/f'), `convexity_min`,
+is printed beside the convexity verdict and decides nothing.
 """
 
 from __future__ import annotations
@@ -52,23 +53,21 @@ class MappingSpec(Record):
 
 
 def validate_convexity(expr: MapExpr):
-    """(certified, min) of Re(1 + z f''/f') over the convexity grid; certified when min > -1e-9.
-
-    Convexity of the image is equivalent to that quantity staying
-    positive on the disk; sampling rings close to the boundary catches
-    every catalog non-convexity by a wide margin.  Samples that are not
-    finite are masked, and a grid with none left raises DegenerateDomain.
+    """(certified, min): whether the image is convex, in closed form
+    (`Domain.convex`), and the least Re(1 + z f''/f') over the convexity
+    grid, which is only printed.  Samples that are not finite are masked,
+    and a grid with none left raises DegenerateDomain.
     """
     z = ring_points(CONVEXITY_RINGS, CONVEXITY_ANGLES)
     j = jet_eval(expr, z)
     with np.errstate(all="ignore"):
         vals = np.real(1.0 + z * j.f2 / j.f1)
     _, best = extremum(np.where(np.isfinite(vals), vals, np.nan))
-    return best > -1e-9, best
+    return Domain.of(expr).convex, best
 
 
 def build_map(expr: MapExpr) -> MappingSpec:
-    """Construct a catalog entry, running the convexity check."""
+    """Construct a catalog entry, with its closed-form flags and sampled convexity_min."""
     domain = Domain.of(expr)
     certified, conv_min = validate_convexity(expr)
     return MappingSpec(

@@ -13,10 +13,11 @@ line-oriented `key = value` pairs on stdout.  A command is a function
   its one report line and prints no `map` line.
 
 `main` does the shared work once.  It parses --map, refuses a map whose
-convexity is not certified for the commands that need a convex one,
-prints the `map` line and the report, then writes the CSV, then the
-figure, so a failed write leaves the report on stdout.  Rows and figure
-are built only when their flag asks for them, after the report is out.
+image is not convex (`Domain.convex`, through `catalog.validate_convexity`;
+the refusal also prints the sampled `convexity_min`) for the commands that
+need a convex one, prints the `map` line and the report, then writes the CSV,
+then the figure, so a failed write leaves the report on stdout.  Rows and
+figure are built only when their flag asks for them, after the report is out.
 Exit codes: 0 when `passed` holds, 1 when a scan completes but a
 certification fails, 2 for usage errors (bad flags, bad grammar, an
 unwritable output path, or a request the map cannot support, numbers
@@ -375,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
             z=False, passes=False, csv_flag=True, svg_flag=False):
         p = sub.add_parser(name, help=help_text)
         # main prints the map line where map_line is set, refuses a map
-        # without certified convexity where convex is set, and reads a
+        # whose image is not convex where convex is set, and reads a
         # missing --map, --csv or --svg as None
         p.set_defaults(fn=fn, map_line=mapped, convex=convex, map=None,
                        csv=None, svg=None)

@@ -2,12 +2,14 @@
 
 Every map is f = post(leaf(pre(z))) (`evaluate.normal_form`), so pre drops
 out of the image.  Its boundary is one or two pieces q(t), t >= lo real,
-each under a Mobius map q: the identity, disk and halfplane leaves fold
-into post and give the image of the unit circle (t -> (t - i)/(t + i));
+each under a Mobius map q: the identity and disk leaves fold into post
+and give the image of the unit circle (t -> (t - i)/(t + i)), a halfplane
+leaf the image of its edge line;
 a sector leaf, an affine map after u -> u^p on a half-plane with 0 on its
 edge, gives the rays t e^{i theta}, t >= 0, from its vertex u = 0; the
 strip |Im v| < pi/4 gives its edges t +- i pi/4.  Whether post is affine
-is decided once, by `Mobius.is_affine`.
+is decided once, by `Mobius.is_affine`.  `convex`, the one convexity
+verdict, reads each piece's side of the t-axis that holds the preimage.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from .evaluate import Mobius, NormalForm, normal_form, sector_auto_params
-from .expr import Disk, Identity, SectorAuto, SectorReal, Strip
+from .expr import Disk, Halfplane, Identity, SectorAuto, SectorReal, Strip
 from .record import Record
 
 
@@ -32,22 +34,27 @@ class Domain(Record):
         return cls(normal_form(expr))
 
     def pieces(self):
-        """(q, lo) per boundary piece: the points q(t), t >= lo real."""
+        """(q, lo, side) per boundary piece: the points q(t), t >= lo real,
+        with the image's preimage on the side of the real t-axis where
+        side * Im t > 0."""
         leaf, post = self.nf.leaf, self.nf.post
         if isinstance(leaf, Strip):
-            return tuple((post.compose(Mobius(1.0, h, 0.0, 1.0)), -math.inf)
-                         for h in (0.25j * math.pi, -0.25j * math.pi))
+            return tuple((post.compose(Mobius(1.0, h, 0.0, 1.0)), -math.inf, side)
+                         for h, side in ((0.25j * math.pi, -1), (-0.25j * math.pi, 1)))
         if isinstance(leaf, SectorReal):  # (((1+z)/(1-z))^a - 1)/(2a), edge normal 1
             p, scale, phi = leaf.a, 0.5 / leaf.a, 0.0
         elif isinstance(leaf, SectorAuto):  # -b(((1+z)/(1+cz))^beta - 1), edge normal 1 - a
             _, p, scale = sector_auto_params(leaf.a)
             scale, phi = -scale, cmath.phase(1.0 - leaf.a)
+        elif isinstance(leaf, Halfplane):  # Re(c w) < 1/2: the edge conj(c) (1/2 + i t), not the
+            e = leaf.c.conjugate()  # Cayley image, whose pole cancels in c + 1 near c = -1
+            return ((post.compose(Mobius(1j * e, 0.5 * e, 0.0, 1.0)), -math.inf, 1),)
         else:  # z / (1 + x z), x = 0 for the identity, after the Cayley map (t - i)/(t + i)
-            mobius_leaf = Mobius(1.0, 0.0, getattr(leaf, "x", getattr(leaf, "c", 0.0)), 1.0)
-            return ((post.compose(mobius_leaf).compose(Mobius(1.0, -1j, 1.0, 1j)), -math.inf),)
+            mobius_leaf = Mobius(1.0, 0.0, getattr(leaf, "x", 0.0), 1.0)
+            return ((post.compose(mobius_leaf).compose(Mobius(1.0, -1j, 1.0, 1j)), -math.inf, 1),)
         base = post.compose(Mobius(scale, -scale, 0.0, 1.0))
-        return tuple((base.compose(Mobius(cmath.exp(1j * p * (phi + s)), 0.0, 0.0, 1.0)), 0.0)
-                     for s in (0.5 * math.pi, -0.5 * math.pi))
+        return tuple((base.compose(Mobius(cmath.exp(1j * p * (phi + s)), 0.0, 0.0, 1.0)), 0.0, side)
+                     for s, side in ((0.5 * math.pi, -1), (-0.5 * math.pi, 1)))
 
     def boundary_distance(self, w):
         """Distance from each point of w to the boundary, NaN where w is not
@@ -60,7 +67,7 @@ class Domain(Record):
         w = np.asarray(w, dtype=complex)
         best = np.full(w.shape, np.inf)
         with np.errstate(all="ignore"):
-            for q, lo in self.pieces():
+            for q, lo, _ in self.pieces():
                 s = (q.d * w - q.b) / (q.a - q.c * w)  # q^-1(w)
                 n = abs(q.c) ** 2 * np.abs(s) ** 2 - abs(q.d) ** 2
                 d = 2.0 * (abs(q.c) ** 2 * s.real + (q.d * q.c.conjugate()).real)
@@ -79,6 +86,16 @@ class Domain(Record):
         if isinstance(self.nf.leaf, (SectorReal, SectorAuto)):
             return (self.pieces()[0][0](0.0)[()],) + far
         return far
+
+    @property
+    def convex(self) -> bool:
+        """Whether the image is convex, the paper's hypothesis: each piece is a
+        segment, a ray, or an arc whose circle holds the image (q's pole off the
+        image's side of the t-axis, to 1e-12 relative).  The corners (a sector's
+        two, the strip's cusp) have angles p pi < pi and 0, so the image is convex
+        by Tietze-Nakajima; a pole on the image's side puts infinity in it."""
+        return all(q.is_affine or side * q.pole().imag <= 1e-12 * (1.0 + abs(q.pole()))
+                   for q, _, side in self.pieces())
 
     @property
     def bounded(self) -> bool:

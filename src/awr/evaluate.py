@@ -17,7 +17,7 @@ form, so pre never leaves the automorphism group; every other layer
 multiplies into the Mobius matrix post.
 
 Per-expression scalars (renormalization data at a base point, the
-second Taylor coefficient used by the Mobius shift) are cached on the
+normalization data (f(0), c) the Mobius shift reads) are cached on the
 hashable expression nodes, in least-recently-used caches of
 CACHE_SIZE entries each.
 """
@@ -90,9 +90,9 @@ def _koebe_scalars(inner: MapExpr, z0: complex) -> tuple[complex, complex]:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def shift_a2(inner: MapExpr) -> complex:
-    """Second Taylor coefficient f''(0)/2 used by the Mobius shift."""
-    return complex(jet_eval(inner, 0.0 + 0.0j).f2) / 2.0
+def shift_a2(inner: MapExpr) -> tuple[complex, complex]:
+    """(f(0), c) of `normalization`, the shift f(0) + x/(1 + c x), x = f - f(0)."""
+    return normalization(inner)[::2]
 
 
 def _jet(expr: MapExpr, z) -> Jet3:
@@ -135,11 +135,13 @@ def _jet(expr: MapExpr, z) -> Jet3:
         return (_jet(expr.inner, sj.f0).compose(sj) - fz0) * k
 
     if isinstance(expr, MobiusShift):
-        a2 = shift_a2(expr.inner)
+        f0, c = shift_a2(expr.inner)
         fj = _jet(expr.inner, z)
-        if a2 == 0:
+        if c == 0:
             return fj
-        return fj / (fj * a2 + 1.0)
+        x = fj - f0  # subtracting 0 keeps a normalized inner's bits, adding it would not
+        y = x / (x * c + 1.0)
+        return y + f0 if f0 != 0 else y
 
     if isinstance(expr, Affine):
         return _jet(expr.inner, z) * expr.A + expr.B
@@ -280,7 +282,8 @@ def normal_form(expr: MapExpr) -> NormalForm:
     strip-shift lowers to koebe(strip), and mobius-of-strip(a) is the
     strip leaf with post w/(1 + a w).  koebe at z0 moves pre by sigma_z0
     and puts w -> k (w - f(z0)), k = 1/((1 - |z0|^2) f'(z0)) from
-    `_koebe_scalars`, after post.
+    `_koebe_scalars`, after post.  mobius-shift puts f0 + x/(1 + c x), x = w - f0,
+    (f0, c) from `shift_a2`, after post: (1 + c f0, -c f0^2; c, 1 - c f0), det 1.
     """
     if isinstance(expr, StripShift):
         return normal_form(expr.lower())
@@ -293,7 +296,8 @@ def normal_form(expr: MapExpr) -> NormalForm:
         return NormalForm(inner.pre.after(expr.z0), inner.leaf, renorm.compose(inner.post))
     if isinstance(expr, MobiusShift):
         inner = normal_form(expr.inner)
-        shift = Mobius(1.0, 0.0, taylor(expr.inner)[1], 1.0)
+        f0, c = shift_a2(expr.inner)
+        shift = Mobius(1.0 + c * f0, -c * f0 * f0, c, 1.0 - c * f0)
         return replace(inner, post=shift.compose(inner.post))
     if isinstance(expr, Affine):
         inner = normal_form(expr.inner)

@@ -196,7 +196,9 @@ class Koebe(MapExpr):
 
 
 class MobiusShift(MapExpr):
-    """Mobius renormalization f -> f / (1 + a2 f), a2 = f''(0)/2.
+    """Mobius renormalization f -> f(0) + x / (1 + c x), x = f - f(0), with
+    c = a2/f'(0)^2 of the normalized map (`evaluate.normalization`): the
+    paper's f / (1 + a2 f) when f(0) = 0 and f'(0) = 1.
 
     Kills the second Taylor coefficient while preserving the Schwarzian.
     """

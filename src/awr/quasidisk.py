@@ -22,7 +22,7 @@ import numpy as np
 from .deepscan import deep_min, strip_structure
 from .domain import Domain
 from .errors import DegenerateDomain, PoleInDomain
-from .evaluate import A2_ZERO_TOL, jet_eval, normalization, taylor
+from .evaluate import A2_ZERO_TOL, jet_eval, normalization
 from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
 from .extended import INFINITY, chordal, is_infinite
 from .geometry import segment_distances
@@ -275,8 +275,10 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     zs, ws, rs, _ = reflect_grid(expr, meta)
     if np.all(is_infinite(rs)):
         raise DegenerateDomain("every probe ring reflected to infinity")
-    # One query per boundary takes the image points and the finite reflections together.
     finite_r = np.isfinite(rs)
+    if not finite_r.any():  # the refusal extremum would make, before the distance queries
+        raise DegenerateDomain("every sample of the scan is masked (NaN or out of double range)")
+    # One query per boundary takes the image points and the finite reflections together.
     probes = np.concatenate([ws, rs[finite_r]])
     ratio = np.full((2, ws.size), np.inf)  # to the polyline, then to the closed-form boundary
     with np.errstate(all="ignore"):  # a polyline of subnormal span overflows the box keys
@@ -349,8 +351,8 @@ def koebe_omission_scan(
     def candidate(z0):
         """(value, base, probe, recentered map, its b2) of one base."""
         g_expr = Koebe(expr, complex(z0))
-        b2 = taylor(g_expr)[1]  # g is normalized by construction; the score keeps b2's bits
-        if normalization(g_expr)[2] == 0:
+        b2 = normalization(g_expr)[2]  # g reads as normalized, so c is its b2
+        if b2 == 0:
             return 1.0, complex(z0), 0j, None, 0j
         m, v = extremum(np.abs(b2 * jet_eval(g_expr, probes).f0 + 1.0))
         return v, complex(z0), complex(probes[m]), g_expr, b2

@@ -17,13 +17,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import AFFINE, KOEBE, LEAVES, annulus, build
+from conftest import AFFINE, KOEBE, LAYERS, LEAVES, annulus, build, wrap
 
 from awr.catalog import FIXTURE_EXPRS
 from awr.domain import Domain
 from awr.errors import DegenerateDomain
 from awr.evaluate import jet_eval, normal_form
-from awr.expr import Disk, Identity, Koebe, MobiusOfStrip, SectorAuto, SectorReal, Strip
+from awr.expr import Disk, Halfplane, Identity, Koebe, MobiusOfStrip, SectorAuto, SectorReal, Strip
 from awr.extended import INFINITY, chordal, is_infinite
 from awr.grids import polar
 from awr.parser import parse_expr
@@ -178,6 +178,77 @@ def _same(got, want):
 def test_special_points_in_closed_form(text, want):
     got = Domain.of(parse_expr(text)).special_points()
     assert len(got) == len(want) and all(map(_same, got, want)), (got, want)
+
+
+# The paper's hypothesis, convexity of the image, against the bend of its
+# boundary.  A flat piece that the rounding of post's doubles bends reads
+# about eps times the layers' condition (under 3e-16 in 5,000 draws); the
+# least true bend is a shift's by c >= A2_ZERO_TOL (mobius-shift(koebe(strip,
+# z0=1e-12+1e-12i)) reads -4e-12).  FLAT sits between the two.
+FLAT = 1e-13
+BEND_XS = (-1.3, -0.5, 0.4, 1.2)  # where each half of the leaf's boundary is sampled
+# A sector's vertex is at x = -pi/2, where u = e^{tan x}; at this x, u is
+# e^-20, so the tangents there are the vertex's to 1e-8 in 50 digits.
+VERTEX_X = -mpmath.pi / 2 + mpmath.mpf(1) / 20
+
+
+def least_bend(expr):
+    """The least bend of the boundary toward the image, to 50 digits, read
+    from post(`_leaf_curve`) and nothing that `Domain` folds it into: the
+    signed curvature, scaled by |f'(0)|, at BEND_XS on each half, and at a
+    sector's finite vertex the sine of the turn from the half that arrives
+    to the half that leaves.  The image lies left of side * gamma', side
+    the sign of Im(conj(u') (0 - u)): the leaf domain is convex and holds
+    leaf(0) = 0, and post keeps the left side of a curve where it is
+    regular.  The far end of a sector, where finite, is the other meeting
+    point of the same two circles, at the same angle.  A convex image bends
+    by >= 0 everywhere."""
+    nf = normal_form(expr)
+    scale = abs(complex(jet_eval(expr, 0j).f1))
+    bends, heads = [], {}
+    with mpmath.workdps(50):
+        a, b, c, d = (mpmath.mpc(v) for v in (nf.post.a, nf.post.b, nf.post.c, nf.post.d))
+        for sign in (1, -1):
+
+            def leaf(x, sign=sign):
+                return _leaf_curve(nf.leaf, x, sign, mpmath)
+
+            def image(x):
+                u = leaf(x)
+                return (a * u + b) / (c * u + d)
+
+            def side(x):
+                return mpmath.sign(mpmath.im(mpmath.conj(mpmath.diff(leaf, x)) * -leaf(x)))
+
+            for x in map(mpmath.mpf, BEND_XS):
+                g1, g2 = mpmath.diff(image, x), mpmath.diff(image, x, 2)
+                bends.append(side(x) * mpmath.im(mpmath.conj(g1) * g2) / abs(g1) ** 3 * scale)
+            if isinstance(nf.leaf, (SectorReal, SectorAuto)):
+                # the vertex, and the direction of travel there with the image on the left
+                heads[side(0)] = image(VERTEX_X), side(0) * mpmath.diff(image, VERTEX_X)
+        if heads and abs(heads[1][0]) < 1e100:  # the half of side -1 arrives at the vertex
+            into, out = heads[-1][1], heads[1][1]
+            bends.append(mpmath.im(mpmath.conj(into) * out) / abs(into * out))
+        return float(min(bends))
+
+
+@settings(max_examples=100, deadline=None)
+@given(LEAVES, LAYERS)
+@example(MobiusOfStrip(1e-3j), [])  # the sampled gate read (True, 1.28e-6)
+@example(MobiusOfStrip(1e-2 + 0j), [])  # its pole tanh(-100) rounds to -1
+@example(SectorReal(0.5), [("M",)])
+# as a Cayley image of the unit circle, its edge's pole fell 8e-4 off the line
+@example(Halfplane(polar(1.0, math.pi - 1e-7)), [("K", 0.5 + 0.3j)])
+def test_convexity_is_the_bend_of_the_boundary(leaf, layers):
+    expr = build(leaf, layers)
+    assert Domain.of(expr).convex == (least_bend(expr) >= -FLAT), least_bend(expr)
+
+
+@settings(max_examples=100, deadline=None)
+@given(LEAVES, LAYERS, st.one_of(KOEBE, AFFINE))
+def test_convexity_is_invariant_under_koebe_and_affine(leaf, layers, extra):
+    expr = build(leaf, layers)
+    assert Domain.of(wrap(expr, extra)).convex == Domain.of(expr).convex
 
 
 EPS = np.finfo(float).eps

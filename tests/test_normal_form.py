@@ -29,6 +29,7 @@ from awr.expr import (
     Halfplane,
     Koebe,
     MobiusOfStrip,
+    MobiusShift,
     SectorAuto,
     SectorReal,
     Strip,
@@ -153,9 +154,9 @@ NON_AFFINE_POSTS = (
 def test_post_sends_infinity_where_at_infinity_says(text):
     """One rule for "affine": post(inf) is at_infinity() on both paths.
 
-    a2 of koebe(strip, z0=0.3+0i) reads -5.55e-17 rather than 0, so its
-    shift's post has that c: it is affine, and sends infinity to
-    infinity, where it once went to a/c = -1.8e16."""
+    a2 of koebe(strip, z0=0.3+0i) reads -5.55e-17 rather than 0.  Its
+    shift once took that a2 as c, and post sent infinity to a/c = -1.8e16;
+    c is now 0 (`normalization`), and post sends infinity to infinity."""
     post = normal_form(parse_expr(text)).post
     assert _same_point(post(INFINITY)[()], post.at_infinity())
     assert _same_point(post(np.array([INFINITY, 1.0]))[0], post.at_infinity())
@@ -234,6 +235,31 @@ def test_c_vanishes_relative_to_the_first_coefficient():
         f0, a1, c = normalization(Affine(MobiusOfStrip(0.25 + 0j), scale + 0j, 1j))
         assert (f0, a1) == (1j, scale + 0j) and c == pytest.approx(-0.25 / scale, rel=1e-15)
     assert normalization(MobiusOfStrip(1e-13 + 0j))[2] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(LEAVES, LAYERS, AFFINE, annulus(0.0, 0.9))
+# the shift by the raw a2 left double range here: f2 = f3 = nan at 0.3+0.4i
+@example(SectorReal(0.5), [], ("A", (1e103 + 0j, 0j)), 0.3 + 0.4j)
+@example(Disk(0.5), [], ("A", (2 + 0j, 0j)), 0.5j)  # its image was not convex: convexity_min = -6.714286
+def test_mobius_shift_commutes_with_an_affine_inner(leaf, layers, outer, z):
+    """mobius-shift(affine(g, A, B)) = affine(mobius-shift(g), A, B): F = A g + B
+    has F(0) = A g(0) + B and c(F) = c(g)/A, so F(0) + x/(1 + c(F) x), x = F - F(0),
+    is A (g(0) + y/(1 + c(g) y)) + B with y = g - g(0).  Every jet field
+    agrees to 1e-12 of the jets' size, A times the largest field of g and of
+    mobius-shift(g), plus B, except where 1 + c y nearly vanishes, next to a
+    pole that both sides round apart."""
+    g = build(leaf, layers)
+    scale, shift = outer[1]
+    f0, c = normalization(g)[::2]
+    at = np.array([z])
+    lhs, rhs, inner, shifted = (jet_eval(e, at) for e in (
+        MobiusShift(Affine(g, scale, shift)), Affine(MobiusShift(g), scale, shift), g, MobiusShift(g)))
+    assume(np.isfinite(shifted.f3[0]) and abs(1.0 + c * (inner.f0[0] - f0)) > 1e-3)
+    size = abs(scale) * max(abs(getattr(j, f"f{k}")[0]) for j in (inner, shifted) for k in range(4)) + abs(shift)
+    for k in range(4):
+        got, want = getattr(lhs, f"f{k}")[0], getattr(rhs, f"f{k}")[0]
+        assert abs(got - want) <= 1e-12 * size, (k, got, want)
 
 
 EPS = np.finfo(float).eps

@@ -393,6 +393,22 @@ def test_exit_one_when_convexity_guard_trips():
     assert "convexity_certified = False" in out
 
 
+@pytest.mark.parametrize("command", ["mediatrix-scan", "coeff-bound", "proof-check"])
+@pytest.mark.parametrize("text, sampled", [
+    # a crescent between two circles tangent at the cusp
+    ("mobius-of-strip(a=0+1e-3i)", "1.284782e-06"),
+    # the pole -1/a is at tanh(-100), which rounds to -1: infinity is in the image
+    ("mobius-of-strip(a=1e-2+0i)", "9.219930e-04"),
+])
+def test_the_gate_refuses_images_that_are_not_convex(command, text, sampled):
+    """The sampled Re(1 + z f''/f') stays positive on these two maps, and
+    a threshold on it certified them; the closed-form verdict refuses them
+    as it refuses mobius-of-strip(a=0.25+0i), and prints the sample."""
+    code, out, err = run([command, "--map", text])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == ["convexity_certified = False", f"convexity_min = {sampled}"]
+
+
 def test_exit_two_on_usage_errors(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(["certify", "--map", "strip("])
@@ -492,7 +508,7 @@ def test_proof_check_runs_at_the_list_cap():
 
 
 HUGE_STRIP = "mobius-of-strip(a=1e103+0i)"
-HUGE_SHIFT = "mobius-shift(affine(sector(a=0.5), a=1e103+0i, b=0+0i))"
+HUGE_SHIFT = "mobius-shift(affine(sector(a=0.5), a=1e308+0i, b=0+0i))"
 TINY_SECTOR = "affine(sector(a=0.5), a=1e-320+0i, b=0+0i)"
 # f'(z0) = 1e-320 is not 0, but (1 - |z0|^2) f'(z0), the renormalization divisor, rounds to 0
 TINY_KOEBE = "koebe(affine(identity, a=1e-320+0i, b=0+0i), z0=0+0.9999999999999999i)"
@@ -557,9 +573,11 @@ def test_library_raises_an_awr_error_out_of_double_range(call):
 
 
 def test_a_scalar_jet_with_a_field_out_of_double_range_raises():
-    """Python complex * and + overflow to inf or NaN without raising: the
-    jet of HUGE_SHIFT at 0.3+0.4i had f2 = f3 = nan+nanj, and reflect
-    reported a vanishing derivative (CriticalPoint)."""
+    """Python complex * and + overflow to inf or NaN without raising: with
+    a = 1e103 and the shift by the raw a2, the jet at 0.3+0.4i had f2 = f3
+    = nan+nanj, and reflect reported a vanishing derivative (CriticalPoint).
+    The shift now reads the normalized map, which is well scaled there; at
+    a = 1e308 the inner jet at 0 has f3 = 3e308."""
     expr = parse_expr(HUGE_SHIFT)
     for call in (evaluate.jet_eval, reflection.reflect):
         with pytest.raises(errors.OutOfDoubleRange):

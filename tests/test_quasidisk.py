@@ -313,14 +313,14 @@ def test_omission_scan_collapses_on_tangent_disk(omission_reports):
 
 
 def test_scan_caches_stay_bounded():
-    """Each omission scan caches a recentered node per base point, so a
-    process scanning many distinct maps fills the caches past their bound;
-    they evict rather than grow."""
+    """Each omission scan caches the renormalization of one recentered node
+    per base point, so a process scanning many distinct maps fills the
+    caches past their bound; they evict rather than grow."""
     caches = (evaluate.taylor, evaluate._koebe_scalars, evaluate.shift_a2)
-    misses = evaluate.taylor.cache_info().misses
+    misses = evaluate._koebe_scalars.cache_info().misses
     for k in range(25):
         koebe_omission_scan(MobiusShift(Disk(0.1 + 0.01 * k)), passes=0)
-    assert evaluate.taylor.cache_info().misses - misses > evaluate.CACHE_SIZE
+    assert evaluate._koebe_scalars.cache_info().misses - misses > evaluate.CACHE_SIZE
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize == evaluate.CACHE_SIZE
