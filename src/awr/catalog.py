@@ -10,7 +10,9 @@ Taylor coefficient and three flags read from the image in closed form
 (`domain.Domain`): whether it is convex, whether it is bounded, and
 whether the omitted point f(0) - 1/c (-1/a2 when f(0) = 0 and f'(0) = 1)
 is on its boundary.  The least sampled Re(1 + z f''/f'), `convexity_min`,
-is printed beside the convexity verdict and decides nothing.
+is printed beside the convexity verdict and decides nothing: the CLI's
+convexity gate reads `Domain.convex` and calls `validate_convexity` only to
+print a refusal's `convexity_min`.
 """
 
 from __future__ import annotations

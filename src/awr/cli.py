@@ -13,16 +13,17 @@ line-oriented `key = value` pairs on stdout.  A command is a function
   its one report line and prints no `map` line.
 
 `main` does the shared work once.  It parses --map, refuses a map whose
-image is not convex (`Domain.convex`, through `catalog.validate_convexity`;
-the refusal also prints the sampled `convexity_min`) for the commands that
-need a convex one, prints the `map` line and the report, then writes the CSV,
-then the figure, so a failed write leaves the report on stdout.  Rows and
-figure are built only when their flag asks for them, after the report is out.
-Exit codes: 0 when `passed` holds, 1 when a scan completes but a
-certification fails, 2 for usage errors (bad flags, bad grammar, an
-unwritable output path, or a request the map cannot support, numbers
-out of double range too); past argparse, and for a --zetas or --a-list
-over MAX_LIST_VALUES, stderr holds one `error:` line.
+image is not convex (`Domain.convex` alone decides; only a refusal calls
+`catalog.validate_convexity`, to print the sampled `convexity_min`) for the
+commands that need a convex one, prints the `map` line and the report, then
+writes the CSV, then the figure, so a failed write leaves the report on stdout.
+Rows and figure are built only when their flag asks for them, after the
+report is out.  Exit codes: 0 when `passed` holds (read from the report; the
+front end holds no threshold), 1 when a scan completes but a certification
+fails, 2 for usage errors (bad flags, bad grammar, an unwritable output path,
+or a request the map cannot support, numbers out of double range too, such as
+a scale that `evaluate.normalization` cannot normalize); past argparse, and
+for a --zetas or --a-list over MAX_LIST_VALUES, stderr holds one `error:` line.
 
 Imports.  A request is one short process, so importing this module
 loads only the parser, the grids (every default grid and cap the flags
@@ -246,8 +247,7 @@ def _cmd_mediatrix_scan(args, expr):
     from . import convexity
 
     report = convexity.mediatrix_scan(expr)
-    passed = report.min_margin >= -1e-9
-    lines = _pick(report, "min_margin probe_at base_at contact n_vacuous n_checked")
+    lines = _pick(report, "min_margin probe_at base_at contact n_vacuous n_checked passed")
     rows = ([("z", z), ("w", w), ("r", r), ("margin", m)]
             for z, w, r, m in zip(report.probe_z, report.probe_w,
                                   report.probe_r, report.probe_margin))
@@ -259,18 +259,17 @@ def _cmd_mediatrix_scan(args, expr):
         ws, rs = report.probe_w[order], report.probe_r[order]
         return _reflection_figure(expr, ws, rs, zip(ws, rs))
 
-    return passed, lines + [("passed", passed)], rows, figure
+    return report.passed, lines, rows, figure
 
 
 def _cmd_coeff_bound(args, expr):
     from . import convexity
 
     report = convexity.coefficient_bound_scan(expr)
-    passed = report.lower_ok and report.residual_ok
     lines = _pick(report, "a2 inf_lhs arg_inf min_residual arg_residual "
-                          "lower_ok residual_ok") + [("passed", passed)]
+                          "lower_ok residual_ok passed")
     rows = [_pick(report, "a2 inf_lhs min_residual lower_ok residual_ok")]
-    return passed, lines, rows, None
+    return report.passed, lines, rows, None
 
 
 def _cmd_proof_check(args, expr):
@@ -344,12 +343,9 @@ def _cmd_lemma32(args, expr):
     lines, rows = [], []
     ok = True
     for k, row in enumerate(quasidisk.lemma32_demo(args.a_list)):
-        good = row.sup_norm_dev < 1e-10 and row.delta < 1e-2
-        ok = ok and good
-        cells = _pick(row, "a delta metric=delta_metric sup_norm_dev")
-        lines += [(f"row{k}.{key}", value) for key, value in cells]
-        lines += [(f"row{k}.passed", good)]
-        rows.append(cells)
+        ok = ok and row.passed
+        lines += _pick(row, "a delta metric=delta_metric sup_norm_dev passed", f"row{k}.")
+        rows.append(_pick(row, "a delta metric=delta_metric sup_norm_dev"))
     return ok, lines + [("passed", ok)], rows, None
 
 
@@ -458,10 +454,12 @@ def main(argv=None) -> int:
         expr = None if args.map is None else parse_expr(args.map)
         head = [("map", format_expr(expr))] if args.map_line else []
         if args.convex:
-            from . import catalog
+            from .domain import Domain
 
-            certified, conv_min = catalog.validate_convexity(expr)
-            if not certified:
+            if not Domain.of(expr).convex:
+                from . import catalog
+
+                conv_min = catalog.validate_convexity(expr)[1]
                 _emit(head + [("convexity_certified", False), ("convexity_min", conv_min)])
                 return 1
         passed, lines, rows, figure = args.fn(args, expr)

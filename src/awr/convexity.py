@@ -65,7 +65,8 @@ class MediatrixReport(Record):
     Margins are normalized by the segment length, so an image point on
     the segment midpoint scores 0 and the image point w itself scores
     1/2.  contact means some margin dropped below CONTACT_TOL, i.e. the
-    mediatrix comes arbitrarily close to the image closure.
+    mediatrix comes arbitrarily close to the image closure; passed means
+    no margin is below -1e-9.
     """
 
     min_margin: float
@@ -78,6 +79,7 @@ class MediatrixReport(Record):
     probe_w: np.ndarray
     probe_r: np.ndarray
     probe_margin: np.ndarray
+    passed: bool
 
 
 # Rounding allowance of the hull tests, per unit of magnitude of the
@@ -297,6 +299,7 @@ def mediatrix_scan(expr: MapExpr, base_radii: int = 16, base_angles: int = 64) -
         probe_w=ws,
         probe_r=rs,
         probe_margin=probe_margin,
+        passed=bool(min_margin >= -1e-9),
     )
 
 
@@ -325,6 +328,7 @@ class CoefficientReport(Record):
     arg_residual: complex
     lower_ok: bool
     residual_ok: bool
+    passed: bool
 
 
 def coefficient_bound_scan(expr: MapExpr) -> CoefficientReport:
@@ -349,14 +353,16 @@ def coefficient_bound_scan(expr: MapExpr) -> CoefficientReport:
     arg_inf = polar(best_r, best_th)
 
     k, min_res = extremum(res_all)
+    lower_ok, residual_ok = bool(best_v >= -0.5 - 1e-6), bool(min_res >= -1e-9)
     return CoefficientReport(
         a2=taylor(expr)[1],
         inf_lhs=best_v,
         arg_inf=arg_inf,
         min_residual=min_res,
         arg_residual=complex(pts.flat[k]),
-        lower_ok=bool(best_v >= -0.5 - 1e-6),
-        residual_ok=bool(min_res >= -1e-9),
+        lower_ok=lower_ok,
+        residual_ok=residual_ok,
+        passed=lower_ok and residual_ok,
     )
 
 

@@ -24,6 +24,7 @@ CACHE_SIZE entries each.
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -183,12 +184,21 @@ def normalization(expr: MapExpr) -> tuple[complex, complex, complex]:
     """(f(0), f'(0), c) of F = (f - f(0))/f'(0), c = a2/f'(0)^2 so a2(F) F = c (f - f(0)),
     for every coefficient rule; c is 0 where |a2| <= A2_ZERO_TOL |f'(0)|, the one such test.
     A koebe recentering is normalized by construction but computes f(0) and f'(0) only to
-    rounding; they read as exactly 0 and 1, so its rules keep the bits of f itself."""
+    rounding; they read as exactly 0 and 1, so its rules keep the bits of f itself.
+
+    The range rule: a map whose f'(0) is not a normal double (a subnormal scale has
+    lost precision), or whose c is not finite, cannot be normalized; it raises
+    OutOfDoubleRange, so every rule that reads the normalization refuses it."""
     j = jet_eval(expr, 0.0 + 0.0j)
     f0, f1, a2 = complex(j.f0), complex(j.f1), complex(j.f2) / 2.0
     if abs(f0) + abs(f1 - 1.0) <= 1e-12:
         f0, f1 = 0j, 1.0 + 0j
-    return f0, f1, (0j if abs(a2) <= A2_ZERO_TOL * abs(f1) else a2 / f1 / f1)
+    if not abs(f1) >= sys.float_info.min:
+        raise OutOfDoubleRange(f"f'(0) = {f1} is not a normal double")
+    c = 0j if abs(a2) <= A2_ZERO_TOL * abs(f1) else a2 / f1 / f1
+    if not np.isfinite(c):
+        raise OutOfDoubleRange(f"c = a2/f'(0)^2 = {c} leaves double range")
+    return f0, f1, c
 
 
 class Mobius(Record):

@@ -276,8 +276,6 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     if np.all(is_infinite(rs)):
         raise DegenerateDomain("every probe ring reflected to infinity")
     finite_r = np.isfinite(rs)
-    if not finite_r.any():  # the refusal extremum would make, before the distance queries
-        raise DegenerateDomain("every sample of the scan is masked (NaN or out of double range)")
     # One query per boundary takes the image points and the finite reflections together.
     probes = np.concatenate([ws, rs[finite_r]])
     ratio = np.full((2, ws.size), np.inf)  # to the polyline, then to the closed-form boundary
@@ -387,12 +385,14 @@ def koebe_omission_scan(
 
 
 class Lemma32Row(Record):
-    """Strip-conjugate family diagnostics for one parameter value."""
+    """Strip-conjugate family diagnostics for one parameter value; passed
+    means f* is the strip map to 1e-10 and delta is below 1e-2."""
 
     a: complex
     delta: float
     delta_metric: str
     sup_norm_dev: float
+    passed: bool
 
 
 def lemma32_demo(a_sequence=DEFAULT_A_LIST):
@@ -418,6 +418,7 @@ def lemma32_demo(a_sequence=DEFAULT_A_LIST):
                 delta=rep.value,
                 delta_metric=rep.metric,
                 sup_norm_dev=dev,
+                passed=bool(dev < 1e-10 and rep.value < 1e-2),
             )
         )
     return rows

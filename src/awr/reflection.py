@@ -68,10 +68,11 @@ def jet_reflection(j: Jet3, z):
 
 
 def reflect(expr, z) -> ReflectionSample:
-    """Ahlfors-Weill reflection of w = f(z), |z| < 1; f'(z) counts as 0 up to DERIV_TOL |f'(0)|."""
+    """Ahlfors-Weill reflection of w = f(z), |z| < 1; f'(z) counts as 0 up to DERIV_TOL |f'(0)|,
+    and one that is 0 is refused before the normalization is read."""
     z = complex(z)
     j = jet_eval(expr, z)
-    if abs(j.f1) <= DERIV_TOL * abs(normalization(expr)[1]):
+    if j.f1 == 0 or abs(j.f1) <= DERIV_TOL * abs(normalization(expr)[1]):
         raise CriticalPoint(f"derivative vanishes at z = {z}")
     r, b2 = jet_reflection(j, z)
     return ReflectionSample(z=z, w=complex(j.f0), r=r, b2=complex(b2))

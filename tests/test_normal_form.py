@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import AFFINE, ANGLES, KOEBE, LAYERS, LEAVES, annulus, build, leaf_point, wrap
 
-from awr.catalog import BOUNDED, FIXTURE_EXPRS, build_map, validate_convexity
+from awr.catalog import BOUNDED, FIXTURE_EXPRS, build_map
 from awr.convexity import coefficient_bound_scan, proof_machinery_check
 from awr.deepscan import deep_min, strip_ends, strip_structure
 from awr.domain import Domain
@@ -315,7 +315,7 @@ def test_coefficient_rules_read_the_normalized_map(leaf, layers, scale, shift):
     a1, a2, _ = taylor(g)  # c = 0 exactly where |a2(F)| = |a2/a1| <= A2_ZERO_TOL, a sharp cut
     assume(abs(abs(a2 / a1) - A2_ZERO_TOL) > 1e-9 * A2_ZERO_TOL)
 
-    if validate_convexity(g)[0]:
+    if Domain.of(g).convex:
         cg, cf = coefficient_bound_scan(g), coefficient_bound_scan(f)
         assert abs(cf.inf_lhs - cg.inf_lhs) <= tol
         _agree(cf.lower_ok, cg.lower_ok, cg.inf_lhs, -0.5 - 1e-6, tol)

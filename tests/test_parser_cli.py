@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import GRAMMAR_CASES, SRC, fresh_python
 
-from awr import cli, convexity, errors, evaluate, quasidisk, reflection, svgplot
+from awr import catalog, cli, convexity, errors, evaluate, quasidisk, reflection, svgplot
 from awr.errors import BadParam, MapSyntaxError, ParamOutOfRange, UnknownName
 from awr.catalog import CONVEXITY_ANGLES, CONVEXITY_RINGS
 from awr.convexity import COEFF_ANGLES, COEFF_RINGS
@@ -409,6 +409,24 @@ def test_the_gate_refuses_images_that_are_not_convex(command, text, sampled):
     assert out.splitlines()[1:] == ["convexity_certified = False", f"convexity_min = {sampled}"]
 
 
+def test_an_accepted_request_draws_no_convexity_sample(monkeypatch):
+    """Domain.convex alone decides the gate: with the sampled check made to
+    fail, an accepted request prints its golden bytes."""
+    monkeypatch.setattr(catalog, "validate_convexity", lambda *a: pytest.fail("the sample was drawn"))
+    golden = json.loads((SRC.parent / "bench" / "goldens.json").read_text())["cli"]["coeff-bound.disk"]
+    assert run(["coeff-bound", "--map", "disk(x=0.5)"]) == (golden["exit"], golden["stdout"], "")
+
+
+def test_a_refused_request_draws_the_convexity_sample_once(monkeypatch):
+    """A refusal prints the sampled convexity_min, from one draw."""
+    calls = []
+    sample = catalog.validate_convexity
+    monkeypatch.setattr(catalog, "validate_convexity", lambda expr: calls.append(expr) or sample(expr))
+    code, out, err = run(["coeff-bound", "--map", "mobius-of-strip(a=0+1e-3i)"])
+    assert (code, err, len(calls)) == (1, "", 1)
+    assert out.splitlines()[1:] == ["convexity_certified = False", "convexity_min = 1.284782e-06"]
+
+
 def test_exit_two_on_usage_errors(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, err = run(["certify", "--map", "strip("])
@@ -510,6 +528,10 @@ def test_proof_check_runs_at_the_list_cap():
 HUGE_STRIP = "mobius-of-strip(a=1e103+0i)"
 HUGE_SHIFT = "mobius-shift(affine(sector(a=0.5), a=1e308+0i, b=0+0i))"
 TINY_SECTOR = "affine(sector(a=0.5), a=1e-320+0i, b=0+0i)"
+# f'(0) = 1e-310 is subnormal, and c = a2/f'(0)^2 = 0.5/1e-310 overflows
+SUBNORMAL_SECTOR = "affine(sector(a=0.5), a=1e-310+0i, b=0+0i)"
+# f'(0) = 1e-250 is normal, but c = -1e70/1e-250 overflows
+HUGE_C = "affine(mobius-of-strip(a=1e70+0i), a=1e-250+0i, b=0+0i)"
 # f'(z0) = 1e-320 is not 0, but (1 - |z0|^2) f'(z0), the renormalization divisor, rounds to 0
 TINY_KOEBE = "koebe(affine(identity, a=1e-320+0i, b=0+0i), z0=0+0.9999999999999999i)"
 OUT_OF_RANGE_REQUESTS = [
@@ -526,8 +548,12 @@ OUT_OF_RANGE_REQUESTS = [
         "koebe(affine(sector(a=0.5), a=1e-200+0i, b=0+0i), z0=0+0.9999999999999999i)")),
     ["lemma32", "--a-list=1e308+0i"],
     ["coeff-bound", "--map", TINY_SECTOR],
-    # a polyline of subnormal span: segment_distances' box keys overflow
+    # a subnormal f'(0): evaluate.normalization's range rule
     ["quasidisk", "--map", "affine(identity, a=1e-320+0i, b=0+0i)"],
+    ["reflect", "--map", SUBNORMAL_SECTOR, "--z", "0.3+0.4i"],
+    *([c, "--map", SUBNORMAL_SECTOR] for c in ("coeff-bound", "proof-check", "delta", "quasidisk")),
+    ["svg", "--map", SUBNORMAL_SECTOR, "--svg", os.devnull],
+    ["delta", "--map", HUGE_C],
 ]
 
 
@@ -570,6 +596,42 @@ def test_library_raises_an_awr_error_out_of_double_range(call):
     inputs the CLI refuses with exit 2, never an ArithmeticError."""
     with pytest.raises(errors.AwrError):
         call()
+
+
+SUBNORMAL_SCALES = (SUBNORMAL_SECTOR, "affine(identity, a=1e-320+0i, b=0+0i)")
+NORMALIZING_RULES = {
+    "coefficient_bound_scan": convexity.coefficient_bound_scan,
+    "proof_machinery_check": convexity.proof_machinery_check,
+    "delta_f": quasidisk.delta_f,
+    "reflect": lambda expr: reflection.reflect(expr, 0.3 + 0.4j),
+    "quasidisk_ratio_scan": quasidisk.quasidisk_ratio_scan,
+}
+
+
+@pytest.mark.parametrize("text", SUBNORMAL_SCALES)
+@pytest.mark.parametrize("rule", NORMALIZING_RULES)
+def test_a_rule_refuses_a_scale_it_cannot_normalize(rule, text):
+    """A subnormal f'(0) cannot be normalized.  On the 1e-310 sector the rules
+    read inf_lhs = -inf, zeta0.slack = nan, r = nan+nani and delta =
+    3.952525e-323, where the sector's delta 1.000224 scales to 1.000224e-310;
+    on the 1e-320 identity delta read a chordal 2.000000."""
+    with pytest.raises(errors.OutOfDoubleRange, match="not a normal double"):
+        NORMALIZING_RULES[rule](parse_expr(text))
+
+
+def test_normalization_refuses_a_c_out_of_double_range():
+    """delta read 9.999889e-321 on HUGE_C, the distance to an omitted
+    point f(0) - 1/c that rounds to f(0)."""
+    with pytest.raises(errors.OutOfDoubleRange, match=r"c = a2/f'\(0\)\^2"):
+        evaluate.normalization(parse_expr(HUGE_C))
+
+
+def test_certify_runs_on_a_subnormal_scale():
+    """The Nehari functional reads no normalization and is scale-free, so
+    certify keeps the sector's value on a scale no normalization reaches."""
+    code, out, err = run(["certify", "--map", SUBNORMAL_SECTOR])
+    assert (code, err) == (0, "")
+    assert "sup = 1.500000" in out.splitlines()
 
 
 def test_a_scalar_jet_with_a_field_out_of_double_range_raises():
@@ -836,7 +898,7 @@ print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("awr."))])
 # and none of the scans; every scan loads the jet layer and the normal form
 CLI_BASE = {"awr.cli", "awr.errors", "awr.expr", "awr.grids", "awr.parser", "awr.record"}
 JETS = {"awr.evaluate", "awr.extended", "awr.jets"}
-CONVEX = {"awr.catalog", "awr.convexity", "awr.domain", "awr.reflection"}
+CONVEX = {"awr.convexity", "awr.domain", "awr.reflection"}
 QUASIDISK = {"awr.deepscan", "awr.domain", "awr.geometry", "awr.quasidisk", "awr.reflection"}
 SCOPES = {
     "catalog": (["catalog"], {"awr.catalog", "awr.domain", "awr.nehari"}),

@@ -15,7 +15,7 @@ import pytest
 
 from awr import evaluate, quasidisk
 from awr.deepscan import strip_structure
-from awr.errors import DegenerateDomain
+from awr.errors import DegenerateDomain, OutOfDoubleRange
 from awr.expr import Affine, Disk, Halfplane, Identity, Koebe, MobiusOfStrip, MobiusShift, Strip
 from awr.extended import INFINITY
 from awr.quasidisk import (
@@ -217,14 +217,13 @@ def test_ratio_scan_refuses_when_every_ring_reflects_to_infinity(monkeypatch):
 
 
 def test_ratio_scan_of_a_subnormal_image_refuses_without_a_warning():
-    """affine(identity, a=1e-320) leaves no finite ratio on any ring, and
-    its boundary polyline has a subnormal span, whose box keys in
-    segment_distances overflow: the scan's errstate covers that call.
-    Every reflection there is NaN, none infinite, so the refusal names
-    masked samples, not infinity."""
+    """affine(identity, a=1e-320) has a subnormal f'(0), which leaves every
+    reflection NaN; the normalization, which the scan's strip-conjugate gate
+    reads first, refuses it as out of double range before any reflection or
+    distance query, and with no warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DegenerateDomain, match=r"masked \(NaN or out of double range\)"):
+        with pytest.raises(OutOfDoubleRange, match="not a normal double"):
             quasidisk_ratio_scan(Affine(Identity(), 1e-320 + 0j, 0j), (0.9, 0.99), 128)
 
 
