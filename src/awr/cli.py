@@ -8,9 +8,10 @@ line-oriented `key = value` pairs on stdout.  A command is a function
 * `rows` is an iterable of CSV rows, each a list of (key, value) pairs;
   the first row names the columns, and a complex value fills the two
   columns key_re and key_im;
-* `figure` is None or a callable that builds the --svg scene.  The
-  `svg` command, whose figure is its product, writes it itself before
-  its one report line and prints no `map` line.
+* `figure` is None or a callable that builds the --svg scene from points at the
+  map's own scale (`evaluate.at_own_scale`), so its bytes are scale-free.  The `svg`
+  command, whose figure is its product, writes it itself before its one report
+  line and prints no `map` line.
 
 `main` does the shared work once.  It parses --map, refuses a map whose
 image is not convex (`Domain.convex` alone decides; only a refusal calls
@@ -185,11 +186,12 @@ def _reflection_figure(expr, ws, rs, marked=()):
     (w, r) pair whose reflection is finite."""
     import numpy as np
 
-    from . import convexity, svgplot
+    from . import convexity, evaluate, svgplot
 
-    lines = [convexity.mediatrix(w, r) for w, r in marked if np.isfinite(r)]
-    return svgplot.reflection_scene(_plot_boundary(expr), ws, rs,
-                                    mediatrix_lines=[(m.point, m.tangent) for m in lines])
+    marked = np.array([(w, r) for w, r in marked if np.isfinite(r)], complex).reshape(-1, 2)
+    boundary, ws, rs, marked = evaluate.at_own_scale(expr, _plot_boundary(expr), ws, rs, marked)
+    lines = [(m.point, m.tangent) for m in (convexity.mediatrix(w, r) for w, r in marked)]
+    return svgplot.reflection_scene(boundary, ws, rs, mediatrix_lines=lines)
 
 
 def _cmd_catalog(args, expr):
@@ -319,11 +321,12 @@ def _cmd_quasidisk(args, expr):
     def figure():
         import numpy as np
 
-        from . import reflection, svgplot
+        from . import evaluate, reflection, svgplot
 
         meta = GridMeta(rings=(max(rings),), angles=min(angles, 512))
         _, ws, rs, _ = reflection.reflect_grid(expr, meta)
-        return svgplot.ratio_scene(_plot_boundary(expr), ws, rs, np.abs(rs - ws))
+        boundary, ws, rs = evaluate.at_own_scale(expr, _plot_boundary(expr), ws, rs)
+        return svgplot.ratio_scene(boundary, ws, rs, np.abs(rs - ws))
 
     return not profile.collapsed, lines, rows, figure
 

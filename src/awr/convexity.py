@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import BadParam, CoincidentPoints, DegenerateDomain
-from .evaluate import jet_eval, normalization, taylor, value
+from .evaluate import at_own_scale, jet_eval, normalization, taylor, value
 from .expr import MapExpr
 from .extended import is_infinite
 from .grids import DEFAULT_ZETAS, R_CAP, GridMeta, at_polar, polar, refine_on_grid, ring_points
@@ -268,11 +268,11 @@ BASE_CAP = 0.55
 
 
 def mediatrix_scan(expr: MapExpr, base_radii: int = 16, base_angles: int = 64) -> MediatrixReport:
-    """Scan separation margins of the PROBE_GRID probes against a base grid.
+    """Scan separation margins of the PROBE_GRID probes against a base grid, at the map's own
+    scale (`evaluate.at_own_scale`): a margin is scale-free, and a subnormal f'(0) is refused.
 
-    A probe is scored exactly where its reflection is finite; one whose
-    b2 vanishes reflects to infinity and counts as vacuous, and a masked
-    (NaN) reflection is neither scored nor counted.
+    A probe is scored exactly where its reflection is finite; one whose b2 vanishes reflects to
+    infinity and counts as vacuous, and a masked (NaN) reflection is neither scored nor counted.
     """
     zs, ws, rs, _ = reflect_grid(expr, PROBE_GRID)
 
@@ -282,8 +282,8 @@ def mediatrix_scan(expr: MapExpr, base_radii: int = 16, base_angles: int = 64) -
     n_vacuous = int(np.sum(is_infinite(rs)))
     probe_margin = np.full(zs.shape, np.nan)
     probe_argbase = np.zeros(zs.shape, dtype=int)
-    idx = np.nonzero(np.isfinite(rs))[0]
-    probe_margin[idx], probe_argbase[idx] = _min_margins(base_vals, ws[idx], rs[idx])
+    k = np.nonzero(np.isfinite(rs))[0]
+    probe_margin[k], probe_argbase[k] = _min_margins(*at_own_scale(expr, base_vals, ws[k], rs[k]))
 
     finite = np.isfinite(probe_margin)
     n_checked = int(np.sum(finite))

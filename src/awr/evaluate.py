@@ -184,21 +184,34 @@ def normalization(expr: MapExpr) -> tuple[complex, complex, complex]:
     """(f(0), f'(0), c) of F = (f - f(0))/f'(0), c = a2/f'(0)^2 so a2(F) F = c (f - f(0)),
     for every coefficient rule; c is 0 where |a2| <= A2_ZERO_TOL |f'(0)|, the one such test.
     A koebe recentering is normalized by construction but computes f(0) and f'(0) only to
-    rounding; they read as exactly 0 and 1, so its rules keep the bits of f itself.
+    rounding; they read as exactly 0 and 1 (0 and 2^j at a scale 2^j), so its rules keep f's bits.
 
     The range rule: a map whose f'(0) is not a normal double (a subnormal scale has
     lost precision), or whose c is not finite, cannot be normalized; it raises
     OutOfDoubleRange, so every rule that reads the normalization refuses it."""
     j = jet_eval(expr, 0.0 + 0.0j)
     f0, f1, a2 = complex(j.f0), complex(j.f1), complex(j.f2) / 2.0
-    if abs(f0) + abs(f1 - 1.0) <= 1e-12:
-        f0, f1 = 0j, 1.0 + 0j
+    scale = 2.0 ** own_exponent(f1)
+    if abs(f0) + abs(f1 - scale) <= 1e-12 * scale:
+        f0, f1 = 0j, complex(scale)
     if not abs(f1) >= sys.float_info.min:
         raise OutOfDoubleRange(f"f'(0) = {f1} is not a normal double")
     c = 0j if abs(a2) <= A2_ZERO_TOL * abs(f1) else a2 / f1 / f1
     if not np.isfinite(c):
         raise OutOfDoubleRange(f"c = a2/f'(0)^2 = {c} leaves double range")
     return f0, f1, c
+
+
+def own_exponent(f1: complex) -> int:
+    """k with 2^k <= sqrt(2) |f'(0)| < 2^(k+1): the map's own scale 2^k is the power of two nearest."""
+    return int(np.frexp(min(abs(f1) * 2.0 ** 0.5, sys.float_info.max))[1]) - 1
+
+
+def at_own_scale(expr: MapExpr, *zs: np.ndarray) -> tuple:
+    """The complex arrays zs divided exactly by 2^`own_exponent` of `normalization`'s f'(0) (so its
+    range rule too), where margins, distance ratios and figures are scale-free; zs itself at k = 0."""
+    k = own_exponent(normalization(expr)[1])
+    return tuple(z if k == 0 else np.ldexp(z.view(float), -k).view(complex) for z in zs)
 
 
 class Mobius(Record):

@@ -22,7 +22,7 @@ import numpy as np
 from .deepscan import deep_min, strip_structure
 from .domain import Domain
 from .errors import DegenerateDomain, PoleInDomain
-from .evaluate import A2_ZERO_TOL, jet_eval, normalization
+from .evaluate import A2_ZERO_TOL, at_own_scale, jet_eval, normalization
 from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
 from .extended import INFINITY, chordal, is_infinite
 from .geometry import segment_distances
@@ -247,18 +247,16 @@ class RatioProfile(Record):
 def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_ANGLES) -> RatioProfile:
     """Reflection distance ratios per probe ring.
 
-    The boundary is discretized on the ring of radius
-    max(1 - (1 - r_max)/20, 0.995), beyond the deepest probe ring r_max,
-    and both w and R_w are measured against that polyline alone.  The
-    paper's theorem puts the mediatrix of [w, R_w] outside a convex
-    image, so R_w is never in its closure: otherwise the open segment
-    (w, R_w), midpoint included, would lie in the image.  Every leaf
-    domain is convex and the reflection is equivariant under the
-    disk automorphism before the leaf and the Mobius map after it, so
-    this holds for every map the grammar builds.  A probe counts exactly
-    where R_w is finite, and a ring with no usable ratio is flagged; with
-    none on any ring the scan refuses, naming infinity only if every R_w is.
-    A quasidisk keeps the ratio bounded below; the tangent-disk images
+    The boundary is discretized on the ring of radius max(1 - (1 - r_max)/20, 0.995), beyond
+    the deepest probe ring r_max, and both w and R_w are measured against that polyline alone,
+    at the map's own scale (`evaluate.at_own_scale`), so the ratios are scale-free.  The
+    paper's theorem puts the mediatrix of [w, R_w] outside a convex image, so R_w is never
+    in its closure: otherwise the open segment (w, R_w), midpoint included, would lie in the
+    image.  Every leaf domain is convex and the reflection is equivariant under the disk
+    automorphism before the leaf and the Mobius map after it, so this holds for every map
+    the grammar builds.  A probe counts exactly where R_w is finite, and a ring with no
+    usable ratio is flagged; with none on any ring the scan refuses, naming infinity only if
+    every R_w is.  A quasidisk keeps the ratio bounded below; the tangent-disk images
     collapse at the tangency cusp.  The exact ratios use `domain.Domain`.
     """
     if normalization(expr)[2] == 0 and not Domain.of(expr).bounded:
@@ -279,8 +277,8 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     # One query per boundary takes the image points and the finite reflections together.
     probes = np.concatenate([ws, rs[finite_r]])
     ratio = np.full((2, ws.size), np.inf)  # to the polyline, then to the closed-form boundary
-    with np.errstate(all="ignore"):  # a polyline of subnormal span overflows the box keys
-        d_seg = segment_distances(probes, seg_a, seg_b)
+    with np.errstate(all="ignore"):  # a distance or a ratio may leave double range
+        d_seg = segment_distances(*at_own_scale(expr, probes, seg_a, seg_b))
         d_exact = Domain.of(expr).boundary_distance(probes)
         for k, d in enumerate((d_seg, d_exact)):
             ratio[k, finite_r] = d[ws.size :] / d[: ws.size][finite_r]

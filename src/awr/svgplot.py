@@ -19,8 +19,8 @@ MEDIATRIX_COLOR = "#444444"
 
 VIEW_SIZE = 640.0
 PAD_FRAC = 0.06
-COORD_CLIP = 1e6
-LINE_HALF_LENGTH = 2.0  # of a separating line, in image units
+COORD_CLIP = 1e6  # |z| beyond it is not drawn; z in units of the map's own scale
+LINE_HALF_LENGTH = 2.0  # of a separating line, in units of the map's own scale
 
 
 def _fmt(x: float) -> str:

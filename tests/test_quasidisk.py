@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from awr import evaluate, quasidisk
+from awr import evaluate, geometry, quasidisk
 from awr.deepscan import strip_structure
 from awr.errors import DegenerateDomain, OutOfDoubleRange
 from awr.expr import Affine, Disk, Halfplane, Identity, Koebe, MobiusOfStrip, MobiusShift, Strip
@@ -225,6 +225,26 @@ def test_ratio_scan_of_a_subnormal_image_refuses_without_a_warning():
         warnings.simplefilter("error")
         with pytest.raises(OutOfDoubleRange, match="not a normal double"):
             quasidisk_ratio_scan(Affine(Identity(), 1e-320 + 0j, 0j), (0.9, 0.99), 128)
+
+
+def test_a_tiny_image_scores_as_many_segment_pairs_as_its_inner_map(monkeypatch):
+    """The distance queries see the map at its own scale.  At a raw span of
+    2^-665 (about 1e-200) the box tree's squared gaps underflowed to 0, every
+    box touched every probe, and the scan scored every (probe, segment)
+    pair: 9.4 s against 0.16 s for the identity."""
+    score, pairs = geometry._BoxTree._segment_distance, []
+
+    def counted(self, q, seg):
+        pairs.append(q.size)
+        return score(self, q, seg)
+
+    monkeypatch.setattr(geometry._BoxTree, "_segment_distance", counted)
+    counts = []
+    for expr in (Identity(), Affine(Identity(), 2.0 ** -665 + 0j, 0j)):
+        pairs.clear()
+        quasidisk_ratio_scan(expr)
+        counts.append(sum(pairs))
+    assert counts[1] == counts[0] > 0
 
 
 def test_cluster_runs_wrap_past_angle_zero(monkeypatch):
