@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .errors import BadParam, CoincidentPoints, DegenerateDomain
+from .errors import BadParam, CoincidentPoints, DegenerateDomain, OutOfDoubleRange
 from .evaluate import at_own_scale, jet_eval, normalization, taylor, value
 from .expr import MapExpr
 from .extended import is_infinite
@@ -66,7 +66,8 @@ class MediatrixReport(Record):
     the segment midpoint scores 0 and the image point w itself scores
     1/2.  contact means some margin dropped below CONTACT_TOL, i.e. the
     mediatrix comes arbitrarily close to the image closure; passed means
-    no margin is below -1e-9.
+    no margin is below -1e-9.  Every probe is scored (n_checked) or
+    vacuous (n_vacuous); a scan with a NaN reflection is refused.
     """
 
     min_margin: float
@@ -272,18 +273,20 @@ def mediatrix_scan(expr: MapExpr, base_radii: int = 16, base_angles: int = 64) -
     scale (`evaluate.at_own_scale`): a margin is scale-free, and a subnormal f'(0) is refused.
 
     A probe is scored exactly where its reflection is finite; one whose b2 vanishes reflects to
-    infinity and counts as vacuous, and a masked (NaN) reflection is neither scored nor counted.
+    infinity and counts as vacuous.  A NaN reflection (f's samples left double range there) is
+    refused after the range rule: the probes left need not hold the least margin.
     """
     zs, ws, rs, _ = reflect_grid(expr, PROBE_GRID)
 
     bases = ring_points(np.linspace(0.0, BASE_CAP, base_radii), base_angles).ravel()
-    base_vals = jet_eval(expr, bases).f0
-
     n_vacuous = int(np.sum(is_infinite(rs)))
     probe_margin = np.full(zs.shape, np.nan)
     probe_argbase = np.zeros(zs.shape, dtype=int)
     k = np.nonzero(np.isfinite(rs))[0]
-    probe_margin[k], probe_argbase[k] = _min_margins(*at_own_scale(expr, base_vals, ws[k], rs[k]))
+    scaled = at_own_scale(expr, jet_eval(expr, bases).f0, ws[k], rs[k])
+    if k.size + n_vacuous < zs.size:
+        raise OutOfDoubleRange(f"{zs.size - k.size - n_vacuous} of {zs.size} probe reflections are NaN")
+    probe_margin[k], probe_argbase[k] = _min_margins(*scaled)
 
     finite = np.isfinite(probe_margin)
     n_checked = int(np.sum(finite))
@@ -318,7 +321,10 @@ class CoefficientReport(Record):
         Re(a2(F) F(z)) + 1/2 - (1 - |z|^2) |F(z)/z|^2 / 2 >= 0
 
     evaluated on the grid rings, never refined toward the boundary where
-    it cancels below double precision.
+    it cancels below double precision.  It is identically 0 on a half-plane
+    image, so residual_ok tests each sample against -1e-9 times the sum of
+    its three terms' magnitudes, not an absolute -1e-9; min_residual is the
+    least absolute residual.
     """
 
     a2: complex
@@ -340,7 +346,9 @@ def coefficient_bound_scan(expr: MapExpr) -> CoefficientReport:
     radii = np.asarray(rings, dtype=float)[:, None]
     with np.errstate(all="ignore"):  # a large f overflows to inf, on the grid and in the refinement
         lhs_all = np.real(c * x)
-        res_all = lhs_all + 0.5 - 0.5 * (1.0 - radii * radii) * np.abs(x / pts / abs(a1)) ** 2
+        tail = 0.5 * (1.0 - radii * radii) * np.abs(x / pts / abs(a1)) ** 2
+        res_all = lhs_all + 0.5 - tail
+        res_rel = res_all / (np.abs(lhs_all) + 0.5 + tail)  # per sample, against its terms' size
 
         i, j = divmod(extremum(lhs_all)[0], angles)
         r_hi = rings[i + 1] if i + 1 < len(rings) else R_CAP
@@ -353,7 +361,7 @@ def coefficient_bound_scan(expr: MapExpr) -> CoefficientReport:
     arg_inf = polar(best_r, best_th)
 
     k, min_res = extremum(res_all)
-    lower_ok, residual_ok = bool(best_v >= -0.5 - 1e-6), bool(min_res >= -1e-9)
+    lower_ok, residual_ok = bool(best_v >= -0.5 - 1e-6), bool(extremum(res_rel)[1] >= -1e-9)
     return CoefficientReport(
         a2=taylor(expr)[1],
         inf_lhs=best_v,

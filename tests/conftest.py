@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from awr import cli
 from awr.catalog import FIXTURE_EXPRS, build_map
 from awr.evaluate import Mobius, jet_eval
 from awr.expr import (
@@ -36,6 +39,18 @@ def fresh_python(code, args=(), cwd=None):
     out = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
                          capture_output=True, text=True, check=True, timeout=120)
     return out.stderr.splitlines()[-1]
+
+
+def run(argv):
+    """Run the CLI in-process; returns (exit code, stdout text, stderr text)."""
+    out = io.StringIO()
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = int(exc.code)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.fixture(scope="session")
@@ -114,6 +129,10 @@ AFFINE = st.tuples(st.just("A"), st.tuples(
     annulus(0.2, 5.0),
     st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(lambda p: complex(*p))))
 LAYERS = st.lists(st.one_of(KOEBE, AFFINE, st.just(("M",))), max_size=3)
+# an outer affine map: |A| log-uniform on [1e-6, 1e6], with draws weighted to both ends
+OUTER_SCALES = st.tuples(st.one_of(st.floats(-6.0, 6.0), st.floats(5.0, 6.0), st.floats(-6.0, -5.0)),
+                         ANGLES).map(lambda p: polar(10.0 ** p[0], p[1]))
+OUTER_SHIFTS = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(lambda p: complex(*p))
 
 
 def wrap(expr, layer):

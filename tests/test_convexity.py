@@ -7,6 +7,7 @@ changes but tight enough to catch sign errors or lost refinement.
 """
 
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,7 +27,7 @@ from awr.convexity import (
     proof_machinery_check,
 )
 from awr.errors import BadParam, CoincidentPoints, DegenerateDomain, OutOfDoubleRange
-from awr.expr import Affine, Disk, Halfplane, Identity, SectorReal
+from awr.expr import Affine, Disk, Halfplane, Identity, Koebe, SectorReal
 from awr.extended import INFINITY, is_infinite
 from awr.evaluate import jet_eval
 from awr.grids import polar, ring_points
@@ -158,6 +159,26 @@ def test_halfplane_residual_reaches_equality():
     assert -1e-9 <= report.min_residual < 1e-6
 
 
+def test_a_vanishing_residual_is_read_against_the_size_of_its_terms():
+    """The residual Re(a2 F) + 1/2 - (1 - |z|^2)|F/z|^2/2 is identically 0 on
+    a half-plane image.  On the half-plane recentered at 0.99 it reads
+    -1.444050e-09 where its terms' magnitudes sum to 192, and the absolute
+    test failed it (residual_ok = False, exit 1) while the half-plane itself
+    passed; relative to its terms no sample reads below -5.4e-11.  At 50
+    digits the residual at that sample is 0 to 3.6e-45."""
+    z0 = 0.99
+    report = coefficient_bound_scan(Koebe(Halfplane(-1.0 + 0j), z0 + 0j))
+    assert report.min_residual < -1e-9 and report.residual_ok and report.passed
+    with mpmath.workdps(50):
+        z, z0 = mpmath.mpmathify(report.arg_residual), mpmath.mpf(z0)
+        leaf = lambda u: u / (1 - u)  # halfplane(c=-1+0i); its a2 is 1
+        # F(z) = (f(phi(z)) - f(z0)) / ((1 - z0^2) f'(z0)) with phi(z) = (z + z0)/(1 + z0 z)
+        big_f = (leaf((z + z0) / (1 + z0 * z)) - leaf(z0)) * (1 - z0) ** 2 / (1 - z0 ** 2)
+        a2 = (1 - z0 ** 2) / (1 - z0) - z0  # (1 - |z0|^2) f''(z0)/(2 f'(z0)) - z0
+        residual = mpmath.re(a2 * big_f) + 0.5 - (1 - abs(z) ** 2) * abs(big_f / z) ** 2 / 2
+        assert abs(residual) < mpmath.mpf(10) ** -40
+
+
 def test_bounded_fixtures_stay_separated(catalog):
     """Bounded convex images keep Re(a2 f) strictly above -0.45."""
     for name in ("identity", "disk"):
@@ -247,8 +268,8 @@ HUGE_OR_TINY = st.tuples(EXPONENTS, ANGLES).map(lambda p: polar(10.0 ** p[0], p[
 def test_a_probe_is_scored_exactly_where_its_reflection_is_finite(leaf, layers, scale):
     """R_w = f(z) - (1 - |z|^2) f'(z)/b2 is finite only where f(z) is, so
     the scan's one mask, a finite R_w, never keeps a probe without an
-    image point; INFINITY marks exactly the vacuous probes, and a NaN
-    reflection is neither scored nor counted.  The example, affine
+    image point; INFINITY marks exactly the vacuous probes, and a scan
+    with a NaN reflection is refused.  The example, affine
     (halfplane(c=-1+0i), a=1e-308+0i), has 1,466 NaN reflections at
     finite w; its f'(0) is subnormal, so the scan refuses it through
     `evaluate.normalization`'s range rule."""
@@ -261,6 +282,7 @@ def test_a_probe_is_scored_exactly_where_its_reflection_is_finite(leaf, layers, 
     except (DegenerateDomain, OutOfDoubleRange):
         return
     assert report.n_vacuous == int(np.sum(is_infinite(rs)))
+    assert report.n_vacuous + int(np.sum(finite)) == rs.size
     assert report.n_checked <= int(np.sum(finite))
 
 

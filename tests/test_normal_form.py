@@ -14,19 +14,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import AFFINE, ANGLES, KOEBE, LAYERS, LEAVES, annulus, build, leaf_point, wrap
+from conftest import AFFINE, KOEBE, LAYERS, LEAVES, OUTER_SCALES, OUTER_SHIFTS, annulus, build, leaf_point, wrap
 
 from awr.catalog import BOUNDED, FIXTURE_EXPRS, build_map
-from awr.convexity import coefficient_bound_scan, proof_machinery_check
 from awr.deepscan import deep_min, strip_ends, strip_structure
 from awr.domain import Domain
-from awr.errors import CoincidentPoints, DegenerateDomain
+from awr.errors import CoincidentPoints
 from awr.evaluate import A2_ZERO_TOL, Mobius, jet_eval, normal_form, normalization, taylor
 from awr.extended import INFINITY, is_infinite
 from awr.expr import (
     Affine,
     Disk,
-    Halfplane,
     Koebe,
     MobiusOfStrip,
     MobiusShift,
@@ -35,20 +33,10 @@ from awr.expr import (
     Strip,
     StripShift,
 )
-from awr.grids import polar, ring_points
-from awr.jets import extremum
+from awr.grids import polar
 from awr.nehari import certify_nehari
 from awr.parser import format_expr, parse_expr
-from awr.quasidisk import (
-    CLUSTER_ANGLES,
-    CLUSTER_RING,
-    delta_f,
-    koebe_omission_scan,
-    near_one_clusters,
-    normalize_values,
-    normalized_sup,
-    quasidisk_ratio_scan,
-)
+from awr.quasidisk import delta_f, koebe_omission_scan
 
 # Composites of the seed-3 composite-certify stream whose deep recentering
 # drove a matrix-product pre off the automorphism group: the strip-end
@@ -166,14 +154,26 @@ def test_post_sends_infinity_where_at_infinity_says(text):
 
 # the shared leaves, with mobius-of-strip's |a| reaching 2
 NF_LEAVES = st.one_of(LEAVES, annulus(1.0, 2.0).map(MobiusOfStrip))
+OUTER = st.tuples(st.just("A"), st.tuples(OUTER_SCALES, OUTER_SHIFTS))
 @settings(max_examples=150, deadline=None)
-@given(NF_LEAVES, LAYERS, st.one_of(KOEBE, AFFINE))
+@given(NF_LEAVES, LAYERS, st.one_of(KOEBE, AFFINE, OUTER))
 # post's c is 1.7e-13 against a = d = 1; scaling a by 2 once made it "affine"
 @example(Strip(), [("K", polar(1e-13, 1.0)), ("M",)], ("A", (2.0 + 0j, 0j)))
+@example(MobiusOfStrip(0.25 + 0j), [], ("A", (1e-12 + 0j, 0j)))  # omitted_on_boundary read False
 def test_boundedness_is_invariant_under_koebe_and_affine(leaf, layers, extra):
+    """Domain.bounded is invariant under both; build_map's omitted_on_boundary and
+    bounded_hint, which no map subcommand prints, under an affine map only: a
+    recentering moves the omitted point f(0) - 1/c (strip against strip-shift).
+    A map with |a2(F)| at A2_ZERO_TOL itself sits on the cut that makes c
+    exactly 0, where rounding decides the flags; they are not compared there."""
     expr = build(leaf, layers)
     bounded = Domain.of(expr).bounded
-    assert Domain.of(wrap(expr, extra)).bounded == bounded
+    f = wrap(expr, extra)
+    assert Domain.of(f).bounded == bounded
+    a1, a2, _ = taylor(expr)
+    if extra[0] == "A" and abs(abs(a2 / a1) - A2_ZERO_TOL) > 1e-9 * A2_ZERO_TOL:
+        bg, bf = build_map(expr), build_map(f)
+        assert (bf.omitted_on_boundary, bf.bounded_hint) == (bg.omitted_on_boundary, bg.bounded_hint)
     if isinstance(leaf, MobiusOfStrip) and all(layer[0] != "M" for layer in layers):
         # the image is bounded iff the pole -1/a misses |Im v| <= pi/4
         a = leaf.a
@@ -260,86 +260,3 @@ def test_mobius_shift_commutes_with_an_affine_inner(leaf, layers, outer, z):
     for k in range(4):
         got, want = getattr(lhs, f"f{k}")[0], getattr(rhs, f"f{k}")[0]
         assert abs(got - want) <= 1e-12 * size, (k, got, want)
-
-
-EPS = np.finfo(float).eps
-# |A| log-uniform on [1e-6, 1e6], with draws weighted to both ends
-OUTER_SCALES = st.tuples(st.one_of(st.floats(-6.0, 6.0), st.floats(5.0, 6.0), st.floats(-6.0, -5.0)),
-                         ANGLES).map(lambda p: polar(10.0 ** p[0], p[1]))
-OUTER_SHIFTS = st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)).map(lambda p: complex(*p))
-
-
-def _refusal(scan, expr):
-    """The scan's report, or None where it refuses as ill-posed."""
-    try:
-        return scan(expr)
-    except DegenerateDomain:
-        return None
-
-
-def _agree(got, want, value, threshold, tol):
-    """Two verdicts agree unless value is within tol of its threshold."""
-    assert got == want or abs(value - threshold) <= tol
-
-
-@settings(max_examples=40, deadline=None)
-@given(LEAVES, LAYERS, OUTER_SCALES, OUTER_SHIFTS)
-@example(SectorReal(0.5), [], 10 + 0j, 0j)  # inf_lhs read -49.988820, passed = False
-@example(SectorReal(0.5), [], 10 + 0j, -2 + 0j)
-@example(Halfplane(-1 + 0j), [], 3 + 0j, 0j)  # delta read 2.833289e-13, not 3 x 0.5
-@example(Halfplane(-1 + 0j), [], 1 + 0j, 1 + 0j)  # zeta0.slack read -8.221111
-@example(Halfplane(-1 + 0j), [], 1e-13 + 0j, 0j)  # the ratio scan refused it as strip-conjugate
-@example(MobiusOfStrip(0.25 + 0j), [], 1e-12 + 0j, 0j)  # omitted_on_boundary read False
-def test_coefficient_rules_read_the_normalized_map(leaf, layers, scale, shift):
-    """Every rule that reads a2 gives g and affine(g, a=A, b=B) one verdict.
-
-    A map with |a2(F)| at A2_ZERO_TOL itself (koebe(identity, z0=1e-12+0i))
-    sits on the cut that makes c exactly 0, and rounding may put g and f on
-    either side of it; such draws are skipped.
-
-    The bound tol = 1e-6 + 1e5 eps |B|/|A| has two terms.  1e-6 covers the
-    refinements toward the unit circle, whose golden-section steps branch
-    apart on values that differ in the last bit and so stop at different
-    samples of a steep function.  The second is the cancellation in
-    f - f(0): f = A g + B carries eps |B| of rounding, which is eps |B|/|A|
-    on F's scale, and the proof check divides differences of f by
-    (z - zeta)^2 with |z - zeta| down to about 0.01 on its rings, which
-    multiplies it by up to 1e4.  A boolean verdict
-    must agree unless g's value is within tol of its threshold.  The
-    coefficient scan and the proof check run on maps of certified convexity,
-    as `awr coeff-bound` and `awr proof-check` do.
-    """
-    g = build(leaf, layers)
-    f = Affine(g, scale, shift)
-    tol = 1e-6 + 1e5 * EPS * abs(shift) / abs(scale)
-    a1, a2, _ = taylor(g)  # c = 0 exactly where |a2(F)| = |a2/a1| <= A2_ZERO_TOL, a sharp cut
-    assume(abs(abs(a2 / a1) - A2_ZERO_TOL) > 1e-9 * A2_ZERO_TOL)
-
-    if Domain.of(g).convex:
-        cg, cf = coefficient_bound_scan(g), coefficient_bound_scan(f)
-        assert abs(cf.inf_lhs - cg.inf_lhs) <= tol
-        _agree(cf.lower_ok, cg.lower_ok, cg.inf_lhs, -0.5 - 1e-6, tol)
-        _agree(cf.residual_ok, cg.residual_ok, cg.min_residual, -1e-9, tol)
-        pg, pf = proof_machinery_check(g), proof_machinery_check(f)
-        margins = [abs(m) for s in pg[1] for m in (s.slack + 1e-9, 1.0 + 1e-9 - s.sup_h,
-                                                   s.re_g_min - 0.5 + 1e-6)]
-        assert max(abs(a.slack - b.slack) for a, b in zip(pg[1], pf[1])) <= tol
-        _agree(pf[0], pg[0], min(margins), 0.0, tol)
-
-    ng, nf = normalized_sup(g), normalized_sup(f)
-    assert abs(nf.sup - ng.sup) <= tol * (1.0 + ng.sup) ** 2  # 1/|1 + c x|^2 near a pole
-    _agree(nf.interior_ok, ng.interior_ok, ng.sup, 1.0, tol * (1.0 + ng.sup) ** 2)
-    kg, kf = near_one_clusters(g), near_one_clusters(f)
-    p = np.abs(normalization(g)[2] * normalize_values(g, ring_points((CLUSTER_RING,), CLUSTER_ANGLES)[0]))
-    _agree(kf.count, kg.count, extremum(np.abs(p - kg.tau))[1], 0.0, tol)
-
-    dg, df = delta_f(g), delta_f(f)
-    assert df.metric == dg.metric
-    if dg.metric == "euclidean":  # distances to f(0) - 1/c, whose scale is |A|/|c_g|
-        assert abs(df.value / abs(scale) - dg.value) <= tol * (dg.value + 1.0 / abs(normalization(g)[2]))
-    else:  # the chordal distance to infinity is not scale-free, only its vanishing is
-        assert (df.value == 0.0) == (dg.value == 0.0)
-
-    bg, bf = build_map(g), build_map(f)
-    assert (bf.omitted_on_boundary, bf.bounded_hint) == (bg.omitted_on_boundary, bg.bounded_hint)
-    assert (_refusal(quasidisk_ratio_scan, f) is None) == (_refusal(quasidisk_ratio_scan, g) is None)

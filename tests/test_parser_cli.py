@@ -1,29 +1,25 @@
 """Map-expression grammar, pretty-printer round-trips, and the command
 line contract: report lines, CSV determinism, and exit codes."""
 
-import contextlib
-import io
 import json
 import math
 import os
 import subprocess
 import sys
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import GRAMMAR_CASES, LAYERS, LEAVES, SRC, build, fresh_python
+from conftest import GRAMMAR_CASES, SRC, fresh_python, run
 
 from awr import catalog, cli, convexity, errors, evaluate, quasidisk, reflection, svgplot
 from awr.errors import BadParam, MapSyntaxError, ParamOutOfRange, UnknownName
 from awr.catalog import CONVEXITY_ANGLES, CONVEXITY_RINGS
 from awr.convexity import COEFF_ANGLES, COEFF_RINGS
 from awr.extended import is_infinite
-from awr.expr import NODES, Affine, Disk, Identity, Koebe, MapExpr, SectorAuto, Strip, StripShift
+from awr.expr import NODES, Disk, Identity, Koebe, MapExpr, SectorAuto, Strip, StripShift
 from awr.grids import (DEFAULT_ANGLES, DEFAULT_RINGS, MAX_GRID_POINTS, MAX_LIST_VALUES, MAX_PASSES,
                        GridMeta, polar)
 from awr.nehari import CERT_ANGLES, CERT_RINGS
@@ -37,18 +33,6 @@ from awr.quasidisk import (
     RATIO_RINGS,
     quasidisk_ratio_scan,
 )
-
-
-def run(argv):
-    """Run the CLI in-process; returns (exit code, stdout text, stderr text)."""
-    out = io.StringIO()
-    err = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:  # argparse usage errors
-            code = int(exc.code)
-    return code, out.getvalue(), err.getvalue()
 
 
 # parser basics
@@ -541,8 +525,10 @@ OUT_OF_RANGE_REQUESTS = [
     *([c, "--map", HUGE_STRIP] for c in ("normalize", "delta", "quasidisk", "omission-scan")),
     *([c, "--map", HUGE_SHIFT] for c in ("coeff-bound", "proof-check", "normalize", "delta",
                                           "quasidisk", "omission-scan", "mediatrix-scan")),
+    # f'' overflows at 13 probes from z = 0.9995 to 0.9999 of the sector scaled by 1e300, so R_w is
+    # NaN there; the scan passed on the probes left (min_margin = 0.004588, the sector's 0.001905)
     *(["mediatrix-scan", "--map", m] for m in (TINY_SECTOR, "affine(identity, a=1e-300+0i, b=1e300+0i)",
-                                                TINY_KOEBE)),
+                                                TINY_KOEBE, "affine(sector(a=0.5), a=1e300+0i, b=0+0i)")),
     ["omission-scan", "--map", TINY_SECTOR],
     ["normalize", "--map", f"koebe({TINY_SECTOR}, z0=0.9999999999999999+0i)"],
     *(["proof-check", "--map", m] for m in (
@@ -652,107 +638,6 @@ def test_a_mediatrix_scan_past_the_square_range_checks_every_probe():
     code, out, err = run(["mediatrix-scan", "--map", "affine(identity, a=1e200+0i, b=0+0i)"])
     assert (code, err) == (0, "")
     assert {"min_margin = 0.466667", "n_checked = 16384", "passed = True"} <= set(out.splitlines())
-
-
-# The ten subcommands that read --map, with the flags they run with here.
-MAP_COMMANDS = {
-    "certify": [], "reflect": ["--z", "0.3+0.4i"], "mediatrix-scan": [], "coeff-bound": [],
-    "proof-check": [], "normalize": [], "delta": [], "quasidisk": ["--csv", ""],
-    "omission-scan": [], "svg": ["--z", "0.3+0.4i"],
-}
-FIGURES = ("reflect", "mediatrix-scan", "quasidisk", "svg")
-# lines whose value is the map's own point or coefficient, so 2^j times g's
-SCALED_LINES = {("coeff-bound", "a2"), ("reflect", "w"), ("reflect", "r")}
-# 2^j for j in [-900, 900], weighted to the ends
-POWERS_OF_TWO = st.one_of(st.integers(-900, 900), st.integers(-900, -880), st.integers(880, 900))
-# The scans multiply parts of f's values and divide them by others; such a
-# product must stay a normal double (2^-1022) with two rounding-size factors
-# (eps^2 = 2^-106) to spare
-CLEAR_OF_SUBNORMAL = 2.0 ** -916
-
-
-def _number(text):
-    """A printed value as a float or complex where it is one, so +-0 compare equal; else its text."""
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    try:
-        return complex(text[:-1] + "j") if text.endswith("i") else text
-    except ValueError:
-        return text
-
-
-def _ldexp(z, j):
-    return complex(math.ldexp(z.real, j), math.ldexp(z.imag, j))
-
-
-def _printed_error(x):
-    """A bound on the rounding of a float printed as the CLI prints it:
-    six decimals, or six of an exponent form outside [1e-3, 1e7)."""
-    return 1e-6 if x == 0 or 1e-3 <= abs(x) < 1e7 else 1e-6 * abs(x)
-
-
-def _clear_of_subnormal(g, j):
-    """Whether f = 2^j g keeps 2^j p^2/q above CLEAR_OF_SUBNORMAL, for p the
-    least and q the largest of the nonzero real and imaginary parts of g's
-    jet at 0 (so a subnormal p fails at every j: g's own value has lost
-    digits); a jet refused at 0 passes, and is compared as a refusal."""
-    try:
-        jet = evaluate.jet_eval(g, 0j)
-    except errors.AwrError:
-        return True
-    parts = [abs(p) for v in (jet.f0, jet.f1, jet.f2, jet.f3) for p in (v.real, v.imag) if p]
-    return min(parts) ** 2 / max(parts) > math.ldexp(CLEAR_OF_SUBNORMAL, -j)
-
-
-@given(LEAVES, LAYERS, POWERS_OF_TWO)
-@settings(max_examples=20, deadline=None)
-def test_every_map_subcommand_reads_a_power_of_two_scale_alike(leaf, layers, j):
-    """ROADMAP item 3's property along its affine-scale axis: f = affine(g,
-    a=2^j+0i, b=0+0i) exits as g does and prints g's numbers, except the map
-    line, the lines of SCALED_LINES, a Euclidean delta (2^j times g's, to
-    the printed digits) and a chordal delta and its arg_inf (the chordal
-    metric is not scale-free).  Each figure is g's, byte for byte.
-
-    Exact scaling needs f's own values, and the products the scans form
-    from them, to stay normal doubles; below that digits move.  f''(0) of
-    disk(x=7.9e-226) at j = -298 is subnormal, and coeff-bound's a2 and
-    proof-check's sup_h lose digits.  At j = -984 a half-plane's f'(0) =
-    2^j (3.94 + 8.8e-16i) has a subnormal imaginary part, and so has w.  At
-    j = -990 the jet of disk(x=6.1e-5) is normal at 0, but the Schwarzian's
-    complex quotients form subnormal products on the grid, and certify's
-    sup moves in its seventh digit; koebe(identity, z0=4.3e-90+0i) does so
-    at j = -134, where f''(0)/f'(0) is about 1e-89.  So j stops at -900, and
-    g's jet at 0 must keep such products clear (`_clear_of_subnormal`)."""
-    g = build(leaf, layers)
-    f = Affine(g, complex(2.0 ** j), 0j)
-    assume(_clear_of_subnormal(g, j))
-    with tempfile.TemporaryDirectory() as tmp:
-        for command, flags in MAP_COMMANDS.items():
-            figs = [os.path.join(tmp, f"{command}.{k}.svg") for k in range(2)]
-            argvs = [[command, "--map", format_expr(e), *flags] for e in (g, f)]
-            if command in FIGURES:
-                for argv, fig in zip(argvs, figs):
-                    argv += ["--svg", fig]
-            (code, out, _), (code_f, out_f, _) = map(run, argvs)
-            assert code_f == code, command
-            pairs, pairs_f = ([line.split(" = ", 1) for line in o.splitlines()] for o in (out, out_f))
-            assert [key for key, _ in pairs_f] == [key for key, _ in pairs], command
-            chordal = ["metric", "chordal"] in pairs
-            for (key, a), (_, b) in zip(pairs, pairs_f):
-                a, b = _number(a), _number(b)
-                if key in ("map", "svg") or (chordal and key in ("delta", "arg_inf")):
-                    continue
-                if (command, key) in SCALED_LINES:
-                    assert b == _ldexp(a, j), (command, key)
-                elif command == "delta" and key == "delta":
-                    assert abs(b - math.ldexp(a, j)) <= math.ldexp(_printed_error(a), j) + _printed_error(b)
-                else:
-                    assert b == a or (a != a and b != b), (command, key)
-            if command in FIGURES:
-                written = [Path(fig).read_bytes() if os.path.exists(fig) else None for fig in figs]
-                assert written[1] == written[0], command
 
 
 def test_certify_runs_on_a_subnormal_scale():
