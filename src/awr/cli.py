@@ -16,15 +16,15 @@ line-oriented `key = value` pairs on stdout.  A command is a function
 `main` does the shared work once.  It parses --map, refuses a map whose
 image is not convex (`Domain.convex` alone decides; only a refusal calls
 `catalog.validate_convexity`, to print the sampled `convexity_min`) for the
-commands that need a convex one, prints the `map` line and the report, then
-writes the CSV, then the figure, so a failed write leaves the report on stdout.
-Rows and figure are built only when their flag asks for them, after the
-report is out.  Exit codes: 0 when `passed` holds (read from the report; the
-front end holds no threshold), 1 when a scan completes but a certification
-fails, 2 for usage errors (bad flags, bad grammar, an unwritable output path,
-or a request the map cannot support, numbers out of double range too, such as
-a scale that `evaluate.normalization` cannot normalize); past argparse, and
-for a --zetas or --a-list over MAX_LIST_VALUES, stderr holds one `error:` line.
+commands that need a convex one, builds any --svg figure, prints the `map`
+line and the report, then writes the CSV (its rows built only then), then the
+figure, so a failed write leaves the report on stdout.  Exit codes: 0 when
+`passed` holds (the front end holds no threshold), 1 when a scan completes but
+a certification fails, 2 for usage errors (bad flags or grammar, an unwritable
+output path, a request the map cannot support: numbers out of double range
+too, by `evaluate.jet_eval`'s one rule for a scalar and an array, which masks
+only points off the open disk); past argparse, and for a --zetas or --a-list
+over MAX_LIST_VALUES, stderr holds one `error:` line.
 
 Imports.  A request is one short process, so importing this module
 loads only the parser, the grids (every default grid and cap the flags
@@ -466,11 +466,12 @@ def main(argv=None) -> int:
                 _emit(head + [("convexity_certified", False), ("convexity_min", conv_min)])
                 return 1
         passed, lines, rows, figure = args.fn(args, expr)
+        scene = figure() if args.svg and figure else None  # one it cannot draw refuses the request
         _emit(head + lines)
         if args.csv:
             _write_csv(args.csv, rows)
-        if args.svg and figure:
-            figure().write(args.svg)
+        if scene:
+            scene.write(args.svg)
         return 0 if passed else 1
     except (MapSyntaxError, OSError) as err:  # OSError: an unwritable --csv or --svg path
         print(f"error: {err}", file=sys.stderr)

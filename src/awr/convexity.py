@@ -28,7 +28,7 @@ from .evaluate import at_own_scale, jet_eval, normalization, taylor, value
 from .expr import MapExpr
 from .extended import is_infinite
 from .grids import DEFAULT_ZETAS, R_CAP, GridMeta, at_polar, polar, refine_on_grid, ring_points
-from .jets import Jet3, extremum, nonzero
+from .jets import Jet3, extremum, nonzero, refuse_at
 from .record import Record
 from .reflection import reflect_grid
 
@@ -67,7 +67,7 @@ class MediatrixReport(Record):
     1/2.  contact means some margin dropped below CONTACT_TOL, i.e. the
     mediatrix comes arbitrarily close to the image closure; passed means
     no margin is below -1e-9.  Every probe is scored (n_checked) or
-    vacuous (n_vacuous); a scan with a NaN reflection is refused.
+    vacuous (n_vacuous).
     """
 
     min_margin: float
@@ -273,20 +273,17 @@ def mediatrix_scan(expr: MapExpr, base_radii: int = 16, base_angles: int = 64) -
     scale (`evaluate.at_own_scale`): a margin is scale-free, and a subnormal f'(0) is refused.
 
     A probe is scored exactly where its reflection is finite; one whose b2 vanishes reflects to
-    infinity and counts as vacuous.  A NaN reflection (f's samples left double range there) is
-    refused after the range rule: the probes left need not hold the least margin.
+    infinity and counts as vacuous.  A probe whose jet or reflection leaves double range refuses
+    the scan (the range rule of `evaluate.jet_eval` and `reflection`).
     """
-    zs, ws, rs, _ = reflect_grid(expr, PROBE_GRID)
-
     bases = ring_points(np.linspace(0.0, BASE_CAP, base_radii), base_angles).ravel()
+    base_vals = at_own_scale(expr, jet_eval(expr, bases).f0)
+    zs, ws, rs, _ = reflect_grid(expr, PROBE_GRID)
     n_vacuous = int(np.sum(is_infinite(rs)))
     probe_margin = np.full(zs.shape, np.nan)
     probe_argbase = np.zeros(zs.shape, dtype=int)
     k = np.nonzero(np.isfinite(rs))[0]
-    scaled = at_own_scale(expr, jet_eval(expr, bases).f0, ws[k], rs[k])
-    if k.size + n_vacuous < zs.size:
-        raise OutOfDoubleRange(f"{zs.size - k.size - n_vacuous} of {zs.size} probe reflections are NaN")
-    probe_margin[k], probe_argbase[k] = _min_margins(*scaled)
+    probe_margin[k], probe_argbase[k] = _min_margins(*base_vals, *at_own_scale(expr, ws[k], rs[k]))
 
     finite = np.isfinite(probe_margin)
     n_checked = int(np.sum(finite))
@@ -446,6 +443,8 @@ def proof_machinery_check(expr: MapExpr, zetas=DEFAULT_ZETAS):
         a1g = f2
         a2g = 2.0 * f3 - f2 * f2
         slack = (1.0 - abs(a1g) ** 2) - abs(a2g - a1g * a1g)
+        refuse_at(not math.isfinite(slack), zeta, OutOfDoubleRange,
+                  "the slack at zeta = {} leaves double range")
 
         with np.errstate(all="ignore"):  # q rounds to 0 where f(z) rounds to f(zeta)
             q, qp = _quotient_terms(expr, ring, zeta)

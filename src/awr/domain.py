@@ -21,7 +21,7 @@ import numpy as np
 
 from .evaluate import Mobius, NormalForm, normal_form, sector_auto_params
 from .expr import Disk, Halfplane, Identity, SectorAuto, SectorReal, Strip
-from .record import Record
+from .record import Record, replace
 
 
 class Domain(Record):
@@ -30,8 +30,10 @@ class Domain(Record):
     nf: NormalForm
 
     @classmethod
-    def of(cls, expr) -> "Domain":
-        return cls(normal_form(expr))
+    def of(cls, expr, k: int = 0) -> "Domain":
+        """The image of expr divided exactly by 2^k: post's a and b times 2^-k."""
+        nf, s = normal_form(expr), 2.0 ** -k
+        return cls(replace(nf, post=Mobius(nf.post.a * s, nf.post.b * s, nf.post.c, nf.post.d)))
 
     def pieces(self):
         """(q, lo, side) per boundary piece: the points q(t), t >= lo real,

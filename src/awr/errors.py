@@ -34,7 +34,7 @@ class DegenerateDomain(AwrError):
 
 
 class OutOfDoubleRange(AwrError):
-    """A scalar jet overflowed double range (a divisor that rounds to 0 is a PoleAtPoint)."""
+    """A jet or a value built from it left double range at a point of the open disk."""
 
 
 class ParamOutOfRange(AwrError):

@@ -1,13 +1,12 @@
 """Jet evaluation of map expressions on the open unit disk, and their normal form.
 
 `jet_eval` returns the third-order jet of an expression at ``z``.  A
-scalar and an ndarray ``z`` share one recursion and the one rule of
-`jets`: an array masks a singular point with NaN, so grid scans can
-reduce with nan-aware aggregates, and a scalar raises (DomainViolation
-outside the open disk, PoleAtPoint on a vanishing denominator through
-`jets.nonzero`, CriticalPoint on a vanishing renormalization
-derivative, OutOfDoubleRange when Python complex arithmetic overflows).
-A masked entry leaves the other entries' bits unchanged.
+scalar and an ndarray ``z`` share one recursion and one range rule: only
+a point off the open disk is masked in an array (NaN, which grid scans
+reduce with nan-aware aggregates; a scalar there raises DomainViolation);
+at every point kept a zero denominator raises PoleAtPoint (`jets.nonzero`),
+a zero renormalization derivative CriticalPoint, and a field that is not
+finite OutOfDoubleRange.  A masked entry keeps the others' bits.
 
 Every map is one Mobius map after one closed-form leaf after one disk
 automorphism, f = post(leaf(pre(z))) with pre(z) = lam (z - a) / (1 -
@@ -45,7 +44,7 @@ from .expr import (
     StripShift,
 )
 from .extended import INFINITY, is_infinite
-from .jets import Jet3, _is_array, mobius_jet, nonzero
+from .jets import Jet3, _is_array, mobius_jet, nonzero, refuse_at
 from .record import Record, replace
 
 # Each koebe_omission_scan caches one recentered node per base point (49),
@@ -151,21 +150,19 @@ def _jet(expr: MapExpr, z) -> Jet3:
 
 
 def jet_eval(expr: MapExpr, z) -> Jet3:
-    """Third-order jet of ``expr`` at ``z`` (scalar or ndarray); every scalar jet is built here."""
+    """Third-order jet of ``expr`` at ``z`` (scalar or ndarray) under the range rule above."""
+    array = _is_array(z)
+    z = np.asarray(z, dtype=complex) if array else complex(z)
+    kept = abs(z) < 1.0
+    refuse_at(not (array or kept), z, DomainViolation, "z = {} is not inside the open unit disk")
     with np.errstate(all="ignore"):  # numpy arrays and scalars overflow to inf or NaN
-        if _is_array(z):
-            z = np.asarray(z, dtype=complex)
-            return _jet(expr, np.where(np.abs(z) < 1.0, z, np.nan))
-        z = complex(z)
-        if not abs(z) < 1.0:
-            raise DomainViolation(f"|z| = {abs(z)} is not inside the open unit disk")
         try:
-            j = _jet(expr, z)
-            if not np.isfinite((j.f0, j.f1, j.f2, j.f3)).all():  # * and + overflow silently
-                raise OverflowError("a field is not finite")
-            return j
+            j = _jet(expr, np.where(kept, z, np.nan) if array else z)
         except ArithmeticError as err:  # Python complex ** overflows; divisors pass jets.nonzero
             raise OutOfDoubleRange(f"the jet at z = {z} leaves double range: {err}") from None
+        finite = np.isfinite(j.f0) & np.isfinite(j.f1) & np.isfinite(j.f2) & np.isfinite(j.f3)
+    refuse_at(kept & ~finite, z, OutOfDoubleRange, "the jet at z = {} leaves double range")
+    return j
 
 
 def value(expr: MapExpr, z):

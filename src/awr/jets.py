@@ -7,12 +7,11 @@ covers what the maps are built from: a scalar shift (f + c, f - c) and
 scale (f * c), the product and quotient of two jets at one base point,
 and composition.
 
-One rule covers singular points and overflow: array jets mask them with
-NaN or inf and numpy stays silent (np.errstate(all="ignore")), and scalar
-jets raise (OutOfDoubleRange on an overflow, from `evaluate.jet_eval`).
-`nonzero` applies it to denominators, `_check_base` compares base points
-on finite entries, and `extremum` is the one reduction every scan takes
-over masked samples.
+Jets follow the one range rule of `evaluate.jet_eval`, for a scalar and
+an array: only a point off the open disk is masked (NaN, numpy silent),
+`nonzero` refuses a zero denominator at every point kept, `_check_base`
+compares base points on finite entries, and `extremum` is the one
+reduction every scan takes over masked samples.
 """
 
 from __future__ import annotations
@@ -30,13 +29,15 @@ def _is_array(x) -> bool:
     return isinstance(x, np.ndarray) and x.ndim > 0
 
 
+def refuse_at(mask, at, error, message: str) -> None:
+    """Raise error(message) at the first point of ``at`` where ``mask`` holds, scalar or array."""
+    if mask.any() if isinstance(mask, np.ndarray) else mask:
+        raise error(message.format(np.broadcast_to(at, mask.shape)[mask][0] if np.ndim(mask) else at))
+
+
 def nonzero(den, at, message: str):
-    """den with zeros masked by NaN on an array jet; a scalar zero raises PoleAtPoint."""
-    if _is_array(den) or _is_array(at):
-        den = np.asarray(den, dtype=complex)
-        return np.where(den == 0, np.nan, den)
-    if den == 0:
-        raise PoleAtPoint(message.format(at))
+    """den, refused with PoleAtPoint where it is exactly 0, in a scalar or an array."""
+    refuse_at(den == 0, at, PoleAtPoint, message)
     return den
 
 
@@ -48,7 +49,7 @@ def extremum(vals, largest: bool = False):
     vals = np.asarray(vals, dtype=float).ravel()
     kept = np.flatnonzero(~np.isnan(vals))
     if kept.size == 0:
-        raise DegenerateDomain("every sample of the scan is masked (NaN or out of double range)")
+        raise DegenerateDomain("every sample of the scan is masked (NaN)")
     k = int(kept[np.argmax(vals[kept]) if largest else np.argmin(vals[kept])])
     return k, float(vals[k])
 
@@ -56,7 +57,7 @@ def extremum(vals, largest: bool = False):
 def mobius_jet(at, num, den, c, det) -> "Jet3":
     """Jet at ``at`` of the Mobius map w -> num/den, den = c w + d, whose
     determinant is det: its derivatives are det/den^2, -2 c det/den^3 and
-    6 c^2 det/den^4, with den masked or refused by `nonzero`."""
+    6 c^2 det/den^4, with den refused where it is 0 by `nonzero`."""
     den = nonzero(den, at, "mobius denominator vanishes at {}")
     d2 = den * den
     return Jet3(num / den, det / d2, -2.0 * c * det / (d2 * den),
@@ -97,11 +98,8 @@ class Jet3(Record):
         if not _is_array(at):
             return Jet3(complex(at), 1.0 + 0.0j, 0.0 + 0.0j, 0.0 + 0.0j, complex(at))
         at = np.asarray(at, dtype=complex)
-        # a masked (NaN) base point masks every derivative too
-        masked = np.isnan(at)
-        one = np.where(masked, np.nan, 1.0 + 0.0j)
-        zero = np.where(masked, np.nan, 0.0 + 0.0j)
-        return Jet3(at, one, zero, zero, at)
+        one = np.where(np.isnan(at), np.nan, 1.0 + 0.0j)  # a masked (NaN) base masks its derivatives
+        return Jet3(at, one, one - 1.0, one - 1.0, at)
 
     def __add__(self, c):
         """Jet of f + c for a scalar or array c."""

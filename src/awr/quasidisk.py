@@ -22,7 +22,7 @@ import numpy as np
 from .deepscan import deep_min, strip_structure
 from .domain import Domain
 from .errors import DegenerateDomain, PoleInDomain
-from .evaluate import A2_ZERO_TOL, at_own_scale, jet_eval, normalization
+from .evaluate import A2_ZERO_TOL, at_own_scale, jet_eval, normalization, own_exponent
 from .expr import Koebe, MapExpr, MobiusOfStrip, Strip
 from .extended import INFINITY, chordal, is_infinite
 from .geometry import segment_distances
@@ -215,8 +215,7 @@ def boundary_polyline(expr: MapExpr, n: int = 8192, r: float = 0.999975) -> Boun
         raise DegenerateDomain("polyline needs at least 1024 points")
     f0, a1, _ = normalization(expr)  # clipped as (f - f(0))/f'(0), so the clip is scale-free
     vals = jet_eval(expr, ring_points((r,), n)[0]).f0
-    finite = np.isfinite(vals)
-    keep = finite & (np.abs(np.where(finite, vals - f0, 0.0)) <= CLIP_RADIUS * abs(a1))
+    keep = np.abs(vals - f0) <= CLIP_RADIUS * abs(a1)  # False at a masked (NaN) point
     # Drop consecutive duplicates among kept points.
     kept_idx = np.nonzero(keep)[0]
     if kept_idx.size >= 2:
@@ -257,7 +256,7 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     the grammar builds.  A probe counts exactly where R_w is finite, and a ring with no
     usable ratio is flagged; with none on any ring the scan refuses, naming infinity only if
     every R_w is.  A quasidisk keeps the ratio bounded below; the tangent-disk images
-    collapse at the tangency cusp.  The exact ratios use `domain.Domain`.
+    collapse at the tangency cusp.  The exact ratios use `domain.Domain`, at the same scale.
     """
     if normalization(expr)[2] == 0 and not Domain.of(expr).bounded:
         raise DegenerateDomain(
@@ -277,9 +276,10 @@ def quasidisk_ratio_scan(expr: MapExpr, rings=RATIO_RINGS, angles: int = RATIO_A
     # One query per boundary takes the image points and the finite reflections together.
     probes = np.concatenate([ws, rs[finite_r]])
     ratio = np.full((2, ws.size), np.inf)  # to the polyline, then to the closed-form boundary
+    probes, seg_a, seg_b = at_own_scale(expr, probes, seg_a, seg_b)
     with np.errstate(all="ignore"):  # a distance or a ratio may leave double range
-        d_seg = segment_distances(*at_own_scale(expr, probes, seg_a, seg_b))
-        d_exact = Domain.of(expr).boundary_distance(probes)
+        d_seg = segment_distances(probes, seg_a, seg_b)
+        d_exact = Domain.of(expr, own_exponent(normalization(expr)[1])).boundary_distance(probes)
         for k, d in enumerate((d_seg, d_exact)):
             ratio[k, finite_r] = d[ws.size :] / d[: ws.size][finite_r]
     zs, ratio = zs.reshape(len(rings), angles), ratio.reshape(2, len(rings), angles)

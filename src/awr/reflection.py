@@ -11,23 +11,23 @@ at |z| > 1 is `reflect` at 1/conj(z).  At z = 0 it sends 0 to -1/a2.
 
 `jet_reflection` holds the one copy of the formula and works on scalar
 and array jets alike; `reflect` and `reflect_grid` both go through it.
-An array of reflections has three outcomes: a finite R_w; the point at
-infinity (INFINITY where b2 vanishes, as along the strip's whole real
-diameter, and `is_infinite` reads any infinite part as it); and NaN where
-the jet is masked or a quotient leaves double range.  A finite R_w needs
-a finite f(z), so a scan keeps a probe exactly where R_w is finite, and
-reads `is_infinite` only to count vacuous probes or to name why it refuses.
+R_w extends `evaluate.jet_eval`'s one range rule for a scalar and an
+array: NaN only where an array masks a point off the open disk, INFINITY
+where b2 vanishes (as along the strip's whole real diameter), finite at
+every other point, else OutOfDoubleRange.  So a scan keeps a probe
+exactly where R_w is finite, and reads `is_infinite` only to count
+vacuous probes or to name why it refuses.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CriticalPoint
+from .errors import CriticalPoint, OutOfDoubleRange
 from .evaluate import jet_eval, normalization
 from .extended import INFINITY, is_infinite
 from .grids import GridMeta, grid_points
-from .jets import Jet3
+from .jets import Jet3, refuse_at
 from .record import Record
 
 B2_TOL = 1e-14
@@ -56,15 +56,18 @@ def jet_reflection(j: Jet3, z):
     """(r, b2) from a jet of f at z, scalar or array: r = f0 - (1 - |z|^2) f1 / b2.
 
     The one copy of the reflection formula; r is INFINITY where
-    |b2| < B2_TOL.  |z| comes from the builtin abs, so for a scalar z
-    the factor 1 - |z|^2 stays a Python float.
+    |b2| < B2_TOL, and finite at any other point the jet keeps.  |z| comes
+    from the builtin abs, so for a scalar z 1 - |z|^2 stays a Python float.
     """
     with np.errstate(all="ignore"):
         b2 = local_b2(j, z)
         r = j.f0 - (1.0 - abs(z) ** 2) * j.f1 / b2
+        vacuous = abs(b2) < B2_TOL
+        lost = ~(vacuous | np.isfinite(r)) & np.isfinite(j.f0)  # a masked point has a NaN f0
+    refuse_at(lost, z, OutOfDoubleRange, "the reflection at z = {} leaves double range")
     if np.ndim(r):
-        return np.where(abs(b2) < B2_TOL, INFINITY, r), b2
-    return (INFINITY if abs(b2) < B2_TOL else r), b2
+        return np.where(vacuous, INFINITY, r), b2
+    return (INFINITY if vacuous else r), b2
 
 
 def reflect(expr, z) -> ReflectionSample:

@@ -264,17 +264,24 @@ HUGE_OR_TINY = st.tuples(EXPONENTS, ANGLES).map(lambda p: polar(10.0 ** p[0], p[
 
 @given(LEAVES, LAYERS, HUGE_OR_TINY)
 @example(Halfplane(-1.0 + 0j), [], 1e-308 + 0j)
+@example(SectorReal(0.5), [], 1e300 + 0j)
 @settings(max_examples=40, deadline=None)
 def test_a_probe_is_scored_exactly_where_its_reflection_is_finite(leaf, layers, scale):
     """R_w = f(z) - (1 - |z|^2) f'(z)/b2 is finite only where f(z) is, so
     the scan's one mask, a finite R_w, never keeps a probe without an
-    image point; INFINITY marks exactly the vacuous probes, and a scan
-    with a NaN reflection is refused.  The example, affine
-    (halfplane(c=-1+0i), a=1e-308+0i), has 1,466 NaN reflections at
-    finite w; its f'(0) is subnormal, so the scan refuses it through
-    `evaluate.normalization`'s range rule."""
+    image point, and INFINITY marks exactly the vacuous probes.  A jet that
+    leaves double range at a probe refuses the grid (`evaluate.jet_eval`'s
+    range rule): the sector scaled by 1e300, whose f'' overflows at 13
+    probes from z = 0.9995 to 0.9999, was scored on the probes left.
+    affine(halfplane(c=-1+0i), a=1e-308+0i) keeps finite jets, but f''/f'
+    of its subnormal values leaves double range at 1,466 probes; its f'(0)
+    is subnormal, so the scan refuses it through `evaluate.normalization`'s
+    range rule.  Every scan that reports has no NaN reflection."""
     expr = Affine(build(leaf, layers), scale, 0j)
-    _, ws, rs, _ = reflect_grid(expr, convexity.PROBE_GRID)
+    try:
+        _, ws, rs, _ = reflect_grid(expr, convexity.PROBE_GRID)
+    except OutOfDoubleRange:
+        return
     finite = np.isfinite(rs)
     assert np.all(np.isfinite(ws[finite]))
     try:

@@ -52,11 +52,14 @@ THRESHOLDS = {
 STRIP_LEAVES = (Strip, StripShift, MobiusOfStrip)
 
 EPS = np.finfo(float).eps
-# 2^j for j in [-900, 900], weighted to the ends
-POWERS_OF_TWO = st.one_of(st.integers(-900, 900), st.integers(-900, -880), st.integers(880, 900))
+# 2^j for j up to the edge of double range, 2^1023, and down past the least j that
+# `_clear_of_subnormal` lets through, weighted to the ends
+POWERS_OF_TWO = st.one_of(st.integers(-1022, 1023), st.integers(-960, -880), st.integers(960, 1023))
 # The scans multiply parts of f's values and divide them by others; such a product must
 # stay a normal double (2^-1022) with two rounding-size factors (eps^2 = 2^-106) to spare
 CLEAR_OF_SUBNORMAL = 2.0 ** -916
+# and so must a quotient by f, with 2^2 to spare for a modulus and the 2 f' of b2
+CLEAR_OF_RECIPROCAL = 2.0 ** -1020
 # ("A", (a, b)) postcomposes w -> a w + b, ("K", z0) recenters (conftest's `wrap`)
 REWRITES = st.one_of(
     POWERS_OF_TWO.map(lambda j: ("A", (complex(2.0 ** j), 0j))),
@@ -88,9 +91,12 @@ def _printed_error(x):
 
 
 def _clear_of_subnormal(g, j):
-    """Whether f = 2^j g keeps 2^-|j| p^2/q above CLEAR_OF_SUBNORMAL, for p the least and q
-    the largest of the nonzero real and imaginary parts of g's jet at 0 (a subnormal p fails
-    at every j: g's own value has lost digits); a jet refused at 0 passes, as a refusal.
+    """Whether f = 2^j g keeps its jet at 0, and the products and quotients the scans form
+    from it, normal doubles, for p the least and q the largest of the nonzero real and
+    imaginary parts of g's jet at 0: below j = 0, 2^j p^2/q above CLEAR_OF_SUBNORMAL (a
+    subnormal p fails at every j: g's own value has lost digits); above it, 2^-j p/q^2, the
+    least part of a reciprocal of f, above CLEAR_OF_RECIPROCAL.  A jet refused at 0 passes,
+    as a refusal.
 
     Exact scaling needs f's values, and the products the scans form from them, to stay
     normal doubles.  f''(0) of disk(x=7.9e-226) at j = -298 is subnormal, and coeff-bound's
@@ -98,16 +104,21 @@ def _clear_of_subnormal(g, j):
     8.8e-16i) has a subnormal imaginary part, and so has w.  At j = -990 the jet of
     disk(x=6.1e-5) is normal at 0, but the Schwarzian's complex quotients form subnormal
     products on the grid, and certify's sup moves in its seventh digit; koebe(identity,
-    z0=4.3e-90+0i) does so at j = -134, where f''(0)/f'(0) is about 1e-89.  So j stops at
-    -900.  A quotient by f scales by 2^-j: at j = 572 the proof check divides by f(zeta) -
-    f(0) of halfplane(c=1+2.9e-136i), whose reciprocal has a subnormal imaginary part, and
-    zeta1.slack reads 0 against -1.527468e-151."""
+    z0=4.3e-90+0i) does so at j = -134, where f''(0)/f'(0) is about 1e-89.  At j = -1022
+    every fixture loses digits.  A quotient by f scales by 2^-j: at j = 572 the proof check
+    divides by f(zeta) - f(0) of halfplane(c=1+2.9e-136i), whose reciprocal has a
+    subnormal imaginary part, and zeta1.slack reads 0 against -1.527468e-151; at j = 1022
+    numpy's complex division takes the reciprocal of 2 f'(z) of koebe(identity,
+    z0=0.203125+0i), a subnormal, and reflect's b2 moves in its last bit."""
     try:
         jet = jet_eval(g, 0j)
     except errors.AwrError:
         return True
     parts = [abs(p) for v in (jet.f0, jet.f1, jet.f2, jet.f3) for p in (v.real, v.imag) if p]
-    return min(parts) ** 2 / max(parts) > math.ldexp(CLEAR_OF_SUBNORMAL, abs(j))
+    p, q = min(parts), max(parts)
+    if j < 0:
+        return p * p / q > math.ldexp(CLEAR_OF_SUBNORMAL, -j)
+    return math.ldexp(p / q / q, -j) > CLEAR_OF_RECIPROCAL
 
 
 def _cluster_cut_margin(g):
@@ -146,7 +157,9 @@ def _agree(a, b, bound):
 def test_every_map_subcommand_answers_as_its_inner_map(command, leaf, layers, rewrite):
     """f = wrap(g, rewrite) answers as g does, within tol (`_tolerance`):
     - affine(g, a=2^j, b=0), tol = 0: the same exit code, every line equal
-      (a2, w, r and a Euclidean delta 2^j times g's) and the same figures;
+      (a2, w, r and a Euclidean delta 2^j times g's) and the same figures,
+      or, where f's samples leave double range (`evaluate.jet_eval`'s range
+      rule), exit 2 with one error line and nothing on stdout;
     - affine(g, a, b): exit codes and verdicts agree unless a deciding value
       is within tol of its threshold, and a scale-free value v (a scaled one
       once (a, b) is undone) within tol (1 + |v|)^2 and the printed rounding;
@@ -175,10 +188,12 @@ def test_every_map_subcommand_answers_as_its_inner_map(command, leaf, layers, re
         figs = [os.path.join(tmp, f"{k}.svg") for k in range(2)]
         runs = [run([command, "--map", format_expr(e), *MAP_COMMANDS[command],
                      *(["--svg", fig] if figure else [])]) for e, fig in zip((g, f), figs)]
-        if figure:
-            written = [Path(fig).read_bytes() if os.path.exists(fig) else None for fig in figs]
-            assert written[1] == written[0]
-    (code, out, _), (code_f, out_f, _) = runs
+        written = [Path(fig).read_bytes() if figure and os.path.exists(fig) else None for fig in figs]
+    (code, out, _), (code_f, out_f, err_f) = runs
+    if not tol and code_f == 2 != code:  # the range rule refuses: one error line, nothing on stdout
+        assert out_f == "" and len(err_f.splitlines()) == 1 and err_f.startswith("error: "), err_f
+        return
+    assert written[1] == written[0]
     pairs, pairs_f = ([line.split(" = ", 1) for line in o.splitlines()] for o in (out, out_f))
     loose = bool(tol) and _near_threshold(command, pairs, tol)
     if command == "normalize" and tol and rewrite[0] == "A" and code != 2:

@@ -525,8 +525,9 @@ OUT_OF_RANGE_REQUESTS = [
     *([c, "--map", HUGE_STRIP] for c in ("normalize", "delta", "quasidisk", "omission-scan")),
     *([c, "--map", HUGE_SHIFT] for c in ("coeff-bound", "proof-check", "normalize", "delta",
                                           "quasidisk", "omission-scan", "mediatrix-scan")),
-    # f'' overflows at 13 probes from z = 0.9995 to 0.9999 of the sector scaled by 1e300, so R_w is
-    # NaN there; the scan passed on the probes left (min_margin = 0.004588, the sector's 0.001905)
+    # f'' overflows at 13 probes from z = 0.9995 to 0.9999 of the sector scaled by 1e300, which
+    # evaluate.jet_eval refuses; the scan passed on the probes left (min_margin = 0.004588, the
+    # sector's 0.001905)
     *(["mediatrix-scan", "--map", m] for m in (TINY_SECTOR, "affine(identity, a=1e-300+0i, b=1e300+0i)",
                                                 TINY_KOEBE, "affine(sector(a=0.5), a=1e300+0i, b=0+0i)")),
     ["omission-scan", "--map", TINY_SECTOR],
@@ -542,6 +543,18 @@ OUT_OF_RANGE_REQUESTS = [
     *([c, "--map", SUBNORMAL_SECTOR] for c in ("coeff-bound", "proof-check", "delta", "quasidisk")),
     ["svg", "--map", SUBNORMAL_SECTOR, "--svg", os.devnull],
     ["delta", "--map", HUGE_C],
+    # a jet that leaves double range inside the disk (evaluate.jet_eval's range rule); each scan
+    # reported on the samples left: collapsed = False, where the tangent-disk map collapses;
+    # inf_ratio[0.999000] = 1.046796, where the half-plane reads 1.000000; sup = inf; cluster_count
+    # = 1, where the sector reads 2; a RuntimeWarning; and, from proof-check's own jet algebra
+    # past jet_eval, zeta0.slack = nan
+    *(["quasidisk", "--map", f"affine({m}, a=1e300+0i, b=0+0i)"]
+      for m in ("mobius-of-strip(a=0.25+0i)", "halfplane(c=-1+0i)")),
+    ["certify", "--map", "affine(strip-shift(x=0.7), a=1e304+0i, b=0+0i)"],
+    ["normalize", "--map", "affine(sector-auto(a=0.5+0i), a=1e306+0i, b=0+0i)"],
+    ["quasidisk", "--map", "affine(sector-auto(a=0.5+0.3i), a=1e306+0i, b=0+0i)"],
+    ["omission-scan", "--map", "affine(halfplane(c=-1+0i), a=1e306+0i, b=0+0i)"],
+    ["proof-check", "--map", "affine(identity, a=1.1235582092889474e+307+0i, b=0+0i)"],
 ]
 
 
@@ -631,6 +644,20 @@ def test_a_scaled_map_scans_as_its_inner_map(argv, inner):
     assert out.splitlines()[1:] == run(inner)[1].splitlines()[1:]
 
 
+@pytest.mark.parametrize("j", (-980, -1000))
+def test_the_exact_ratio_reads_at_the_maps_own_scale(j):
+    """The exact ratios measure the own-scale probes against the image divided
+    by the same power of two.  They measured the raw probes: at 2^-980 and
+    2^-1000 the tangent-disk map read exact_ratio[0.990000] = 1.266185e-14,
+    where the map itself reads 2.108621e-30."""
+    inner = "mobius-of-strip(a=0.25+0i)"
+    code, out, err = run(["quasidisk", "--map", f"affine({inner}, a={math.ldexp(1.0, j)!r}+0i, b=0+0i)",
+                          "--csv", ""])
+    assert (code, err) == (1, "")
+    assert out.splitlines()[1:] == run(["quasidisk", "--map", inner, "--csv", ""])[1].splitlines()[1:]
+    assert "exact_ratio[0.990000] = 2.108621e-30" in out.splitlines()
+
+
 def test_a_mediatrix_scan_past_the_square_range_checks_every_probe():
     """|w - R_w|^2 overflowed at a scale of 1e200, and the scan exited 2.  1e200
     is not a power of two, so probe_at and base_at may name another of the
@@ -671,14 +698,17 @@ def test_chordal_delta_past_the_square_range_stays_off_stderr():
 
 
 def test_coefficient_scan_overflow_stays_off_stderr():
-    """f overflows to inf near z = 1 on the grid and in the refinement, with
-    no numpy warning; the scan reads the normalized map, so the half-plane
-    scaled by 1e305 passes as the half-plane does (exit 0)."""
+    """f overflows near z = 1 on the grid, with no numpy warning, and the
+    jet's range rule (`evaluate.jet_eval`) refuses it: exit 2 with one error
+    line.  The half-plane scaled by 1e305 exited 0 with passed = True, only
+    because the masked samples sat at the half-plane's point at infinity."""
     text = "affine(halfplane(c=-1+0i), a=1e305+0i, b=0+0i)"
-    assert np.isinf(evaluate.value(parse_expr(text), np.array([0.9999]))).all()
+    with pytest.raises(errors.OutOfDoubleRange, match="leaves double range"):
+        evaluate.value(parse_expr(text), np.array([0.5, 0.9999]))
     code, out, err = run(["coeff-bound", "--map", text])
-    assert (code, err) == (0, "")
-    assert "passed = True" in out.splitlines()
+    assert (code, out) == (2, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: OutOfDoubleRange: the jet at z = ")
 
 
 def test_negative_real_part_needs_the_equals_form():
